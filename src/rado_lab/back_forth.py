@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .errors import CrossCheckFailure, WindowTooSmall
-from .geometry import PolytopeBall, norm
+import numpy as np
+
+from .errors import CrossCheckFailure, IndexOutOfRange, WindowTooSmall
+from .geometry import PolytopeBall, norm, pairwise_norm_numerators
 from .linalg import Vec, vsub, zero_vec
 
 _DEN_POW = 33
@@ -32,6 +34,8 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 GADGET_WS = (Q(0), Q(1), Q(3, 2), Q(5, 2))
+
+_COIN_INDEX_LIMIT = 2 ** 20
 
 
 def _frac(x: Q) -> Q:
@@ -173,6 +177,12 @@ class FibreGraph:
     def __init__(self, sample, p: Q, seed: int, tag: int = 0, edges=None):
         self.sample = sample
         self.p = Q(p)
+        if edges is None and self.p != 1 and sample.n_points >= _COIN_INDEX_LIMIT:
+            # The coin key packs each index into 20 bits; past that, pairs
+            # such as (0, 5) and (1, 2**20 + 5) would share one coin.
+            raise IndexOutOfRange(
+                f"{sample.n_points} points; coin keys allow fewer than {_COIN_INDEX_LIMIT}"
+            )
         self.seed = seed
         self.tag = tag
         self._edges = None if edges is None else {tuple(sorted(e)) for e in edges}
@@ -462,22 +472,9 @@ class S0Gadget:
 
 def _unit_u_distance_pairs(sample: FibredSample) -> list[tuple[int, int]]:
     """Fibre pairs at U-distance exactly one (exact check)."""
-    out = []
-    ub = sample.u_ball
-    pts = sample.u_points
-    if ub.dim == 1 and ub.kind == "cube":
-        index = {u[0]: f for f, u in enumerate(pts)}
-        for f, u in enumerate(pts):
-            for shifted in (u[0] + 1, u[0] - 1):
-                other = index.get(shifted)
-                if other is not None and other > f:
-                    out.append((f, other))
-        return out
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            if norm(ub, vsub(pts[a], pts[b])) == 1:
-                out.append((a, b))
-    return out
+    nums, den = pairwise_norm_numerators(sample.u_ball, sample.u_points)
+    ii, jj = np.nonzero(np.triu(nums == den, k=1))
+    return list(zip(ii.tolist(), jj.tolist()))
 
 
 def audit_gadget(gadget: S0Gadget) -> None:
@@ -527,23 +524,21 @@ def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
             fracs.add(_frac(w))
             ws[k] = w
 
-    def u_conflict(f: int) -> bool:
-        if norm(sample.u_ball, u_points[f]) == 1:
-            return True
-        return any(
-            norm(sample.u_ball, vsub(u_points[f], u_points[o])) == 1
-            for o in range(len(u_points))
-            if o != f
-        )
+    def clashes() -> np.ndarray:
+        """Per U-point: at norm 1 from the origin or another U-point, or repeated."""
+        nums, den = pairwise_norm_numerators(sample.u_ball, [zero_vec(dim)] + u_points)
+        return (nums[1:] == den).any(axis=1) | ((nums[1:, 1:] == 0).sum(axis=1) > 1)
 
     side = Q(max(1, math.ceil(len(u_points) ** (1 / dim))))
+    clash = clashes()
     for f in range(len(u_points)):
         attempts = 0
-        while u_conflict(f) or u_points.count(u_points[f]) > 1:
+        while clash[f]:
             attempts += 1
             if attempts > 200:
                 raise WindowTooSmall("cannot avoid unit U-distances")
             u_points[f] = tuple(_rand_rational(rng, Q(2), side) for _ in range(dim))
+            clash = clashes()
 
     gadget_fibre = len(fibres)
     u_points.append(zero_vec(dim))

@@ -16,24 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from . import back_forth, decomposition, random_graphs, step_isometry
-from .errors import RadoLabError, TooManyVertices, UnknownBuiltin, UnknownSubcommand
+from .errors import OutOfDomain, RadoLabError, TooManyVertices, UnknownBuiltin, UnknownSubcommand
 from .geometry import (
     BUILTIN_BALLS,
     PolytopeBall,
     ball_from_json,
+    load_ball,
     parse_rational,
     vec_from_json,
     vec_to_json,
-)
-
-SUBCOMMANDS = (
-    "decompose",
-    "check-step-isometry",
-    "sample-graph",
-    "bj-audit",
-    "agreement",
-    "bf-run",
-    "s0-experiment",
 )
 
 
@@ -51,74 +42,29 @@ def resolve_ball(source: str) -> PolytopeBall:
         if maker is None:
             raise UnknownBuiltin(f"no builtin ball named {name!r}")
         return maker()
-    with open(source, "r", encoding="utf-8") as fh:
-        return ball_from_json(json.load(fh))
+    return load_ball(source)
 
 
-def _rational(text: str) -> Q:
-    return parse_rational(text)
-
-
-def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="rado-lab", add_help=True)
-    sub = top.add_subparsers(dest="subcommand")
-
-    p = sub.add_parser("decompose")
-    p.add_argument("ball")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("check-step-isometry")
-    p.add_argument("ball")
-    p.add_argument("map")
-
-    p = sub.add_parser("sample-graph")
-    p.add_argument("--ball", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", type=_rational, required=True)
-    p.add_argument("--p", type=_rational, default=Q(1))
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("bj-audit")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("agreement")
-    p.add_argument("--p", type=_rational, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("bf-run")
-    p.add_argument("--ball", required=True)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--fibre", type=int, required=True)
-    p.add_argument("--p", type=_rational, required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--window", type=_rational, default=Q(1))
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("s0-experiment")
-    p.add_argument("--p", type=_rational, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--nu", type=int, default=400)
-    p.add_argument("--fibre", type=int, default=200)
-    p.add_argument("--budget", type=int, default=50)
-    p.add_argument("--window", type=_rational, default=Q(1))
-    p.add_argument("--out", default=None)
-    return top
+def _seed(text: str) -> int:
+    """A master seed; random.Random(-s) would silently replay seed s."""
+    seed = int(text)
+    if seed < 0:
+        raise OutOfDomain(f"--seed must be nonnegative, got {seed}")
+    return seed
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Exact parse of a CLI invocation into a config; diagnostics name the field."""
     if argv and argv[0] not in SUBCOMMANDS and not argv[0].startswith("-"):
         raise UnknownSubcommand(f"unknown subcommand {argv[0]!r}")
-    parser = _parser()
+    top = argparse.ArgumentParser(prog="rado-lab", add_help=True)
+    sub = top.add_subparsers(dest="subcommand")
+    for name, (_, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     try:
-        ns = parser.parse_args(argv)
+        ns = top.parse_args(argv)
     except SystemExit as exc:  # argparse reports the offending field itself
         if exc.code not in (0, None):
             raise RadoLabError("argument parsing failed") from None
@@ -297,19 +243,36 @@ def _run_s0(opts: dict) -> int:
     return 0
 
 
-_RUNNERS = {
-    "decompose": _run_decompose,
-    "check-step-isometry": _run_check_step_isometry,
-    "sample-graph": _run_sample_graph,
-    "bj-audit": _run_bj_audit,
-    "agreement": _run_agreement,
-    "bf-run": _run_bf,
-    "s0-experiment": _run_s0,
+_BALL = ("--ball", {"required": True})
+_INT = {"type": int, "required": True}
+_OUT = ("--out", {"default": None})
+_P = ("--p", {"type": parse_rational, "required": True})
+_SEED = ("--seed", {"type": _seed, "required": True})
+_WINDOW = ("--window", {"type": parse_rational, "default": Q(1)})
+
+# name -> (runner, arguments as (flag, add_argument keywords)), in help order.
+SUBCOMMANDS = {
+    "decompose": (_run_decompose, (("ball", {}), _OUT)),
+    "check-step-isometry": (_run_check_step_isometry, (("ball", {}), ("map", {}))),
+    "sample-graph": (_run_sample_graph, (
+        _BALL, ("--n", _INT), ("--window", {"type": parse_rational, "required": True}),
+        ("--p", {"type": parse_rational, "default": Q(1)}), _SEED, ("--out", {"required": True}),
+    )),
+    "bj-audit": (_run_bj_audit, (("--graph", {"required": True}), ("--kmax", _INT), _OUT)),
+    "agreement": (_run_agreement, (_P, ("--trials", _INT), _SEED, _OUT)),
+    "bf-run": (_run_bf, (
+        _BALL, ("--nu", _INT), ("--fibre", _INT), _P, ("--budget", _INT), _SEED, _WINDOW, _OUT,
+    )),
+    "s0-experiment": (_run_s0, (
+        _P, ("--trials", _INT), _SEED, ("--nu", {"type": int, "default": 400}),
+        ("--fibre", {"type": int, "default": 200}), ("--budget", {"type": int, "default": 50}),
+        _WINDOW, _OUT,
+    )),
 }
 
 
 def run(config: ExperimentConfig) -> int:
-    return _RUNNERS[config.subcommand](config.options)
+    return SUBCOMMANDS[config.subcommand][0](config.options)
 
 
 def main(argv: list[str] | None = None) -> int:

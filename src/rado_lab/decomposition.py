@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from . import linalg
@@ -137,36 +138,24 @@ def _extreme_lines_lp(ball: PolytopeBall) -> list[tuple[Vec, Vec]]:
     return out
 
 
-def _extreme_lines_fast(ball: PolytopeBall) -> list[tuple[Vec, Vec]] | None:
-    vs = ball.vertices
-    kind = ball.kind
-    if kind == "cube":
-        out = []
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                if sum(1 for a, b in zip(vs[i], vs[j]) if a != b) == 1:
-                    out.append((vs[i], vs[j]))
-        return out
-    if kind == "cross":
-        out = []
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                if vs[j] != vneg(vs[i]):
-                    out.append((vs[i], vs[j]))
-        return out
-    return None
-
-
 @lru_cache(maxsize=128)
 def _extreme_lines_cached(ball: PolytopeBall) -> tuple[ExtremeLine, ...]:
-    if ball.dim == 1:
-        v = max(ball.vertices)
-        return (ExtremeLine((v, vneg(v)), canonical_direction(ball, v)),)
-    pairs = _extreme_lines_fast(ball)
-    if pairs is None:
-        pairs = _extreme_lines_lp(ball)
+    """Vertex pairs whose shared facets have rank d - 1.
+
+    The smallest face holding both vertices has dimension d minus that
+    rank, so the rule picks exactly the 1-faces; in dimension 1 the two
+    vertices share no facet and the ball is its own extreme line.
+    """
+    vs = ball.vertices
+    normals, bound = ball.facets
+    incident = []
+    for v in vs:
+        dots = [sum(h * c for h, c in zip(row, v)) for row in normals]
+        incident.append({(f, dot > 0) for f, dot in enumerate(dots) if abs(dot) == bound})
     lines = [
-        ExtremeLine((a, b), canonical_direction(ball, vsub(a, b))) for a, b in pairs
+        ExtremeLine((vs[i], vs[j]), canonical_direction(ball, vsub(vs[i], vs[j])))
+        for i, j in combinations(range(len(vs)), 2)
+        if linalg.rank([normals[f] for f, _ in incident[i] & incident[j]]) == ball.dim - 1
     ]
     return tuple(sorted(lines, key=lambda e: e.endpoints, reverse=True))
 

@@ -1,20 +1,26 @@
 """Symmetric polytope unit balls and the norms they induce.
 
 A ball is a finite symmetric vertex set whose convex hull is the unit
-ball; the norm is the Minkowski gauge, computed exactly by a small LP
-over convex coefficients.  Balls that happen to be the standard cube,
-cross-polytope or interval get closed-form norms; the LP path stays the
-reference implementation and the two are cross-checked in the tests.
+ball.  Its norm is the maximum of its facet functionals: the facet
+normals are enumerated once per ball, exactly over the integers, and
+cached on it, so every norm (one vector or all pairs of a point list)
+takes the same path whatever the ball's shape.  The Minkowski gauge by
+exact LP over convex coefficients stays as the reference implementation
+the tests compare against.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import linalg
 from .errors import (
@@ -24,13 +30,16 @@ from .errors import (
     DuplicatePoint,
     NotOnSphere,
     NotSymmetric,
+    TooManyVertices,
 )
 from .linalg import Vec, vneg, vsub
 from .lp import OPTIMAL, LpProblem, solve
 
-_KIND_GENERIC = "generic"
-_KIND_CUBE = "cube"  # vertices {-1,+1}^d: max-norm
-_KIND_CROSS = "cross"  # vertices {+-e_i}: sum-norm
+# Facet enumeration tries every vertex d-subset; this caps it at the cost
+# the 48-vertex isometry-group guard already accepts in dimension 4.
+MAX_FACET_SUBSETS = math.comb(48, 4)
+
+Facets = tuple[tuple[tuple[int, ...], ...], int]  # (integer normals, bound)
 
 
 @dataclass(frozen=True)
@@ -40,25 +49,67 @@ class PolytopeBall:
     dim: int
     vertices: tuple[Vec, ...]
 
-    @property
-    def kind(self) -> str:
-        return _detect_kind(self.dim, self.vertices)
+    @cached_property
+    def facets(self) -> Facets:
+        """(normals, bound): one integer normal h of each facet pair +-h.x <= bound.
+
+        Enumerated at first use and kept on the ball; norm(x) = max |h.x| / bound.
+        """
+        return _enumerate_facets(self.dim, self.vertices)
 
 
-@lru_cache(maxsize=256)
-def _detect_kind(dim: int, vertices: tuple[Vec, ...]) -> str:
-    vset = set(vertices)
-    if len(vset) == 2 ** dim and all(set(v) <= {Q(1), Q(-1)} for v in vertices):
-        return _KIND_CUBE
-    cross = set()
-    for i in range(dim):
-        for s in (Q(1), Q(-1)):
-            e = [Q(0)] * dim
-            e[i] = s
-            cross.add(tuple(e))
-    if vset == cross:
-        return _KIND_CROSS
-    return _KIND_GENERIC
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Fraction-free (Bareiss) determinant of a square integer matrix."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _enumerate_facets(dim: int, vertices: Sequence[Vec]) -> Facets:
+    """Brute force over vertex d-subsets, in integer coordinates.
+
+    The hyperplane a.w = c through d scaled vertices comes from Cramer's
+    rule with c = det(W); it bounds a facet when |a.w| <= |c| holds for
+    every vertex w.  A zero determinant means the subset spans no
+    hyperplane missing the origin, which is interior, so it is skipped.
+    """
+    subsets = math.comb(len(vertices), dim)
+    if subsets > MAX_FACET_SUBSETS:
+        raise TooManyVertices(
+            f"{subsets} vertex {dim}-subsets exceeds facet guard {MAX_FACET_SUBSETS}"
+        )
+    scale = math.lcm(*(c.denominator for v in vertices for c in v))
+    ws = [[int(c * scale) for c in v] for v in vertices]
+    found: dict[tuple[int, ...], int] = {}
+    for rows in combinations(ws, dim):
+        c = _int_det(rows)
+        if c == 0:
+            continue
+        a = [_int_det([r[:k] + [1] + r[k + 1:] for r in rows]) for k in range(dim)]
+        if any(abs(sum(x * y for x, y in zip(a, w))) > abs(c) for w in ws):
+            continue
+        g = math.gcd(*a)
+        if next(x for x in a if x) < 0:
+            g = -g
+        found[tuple(x // g for x in a)] = abs(c // g)
+    # In the ball's own coordinates facet h has bound b / scale; rescale
+    # every normal to the least common bound.
+    common = math.lcm(*found.values())
+    normals = [tuple(x * scale * (common // b) for x in h) for h, b in found.items()]
+    g = math.gcd(common, *(x for h in normals for x in h))
+    return tuple(sorted(tuple(x // g for x in h) for h in normals)), common // g
 
 
 def _in_convex_hull(points: Sequence[Vec], target: Vec) -> bool:
@@ -117,16 +168,48 @@ def _gauge_via_lp(ball: PolytopeBall, x: Vec) -> Q:
     return res.value
 
 
+def _integer_coordinates(points: Sequence[Vec]) -> tuple[list[list[int]], int]:
+    """Numerators of every coordinate over the points' common denominator."""
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    return [[c.numerator * (den // c.denominator) for c in p] for p in points], den
+
+
 def norm(ball: PolytopeBall, x: Vec) -> Q:
-    """Minkowski gauge min{t >= 0 : x in t*B}, exact."""
+    """Minkowski gauge min{t >= 0 : x in t*B}, exact: max |h.x| / bound over facets."""
     if len(x) != ball.dim:
         raise DimensionMismatch(f"vector of length {len(x)} in dimension {ball.dim}")
-    kind = ball.kind
-    if kind == _KIND_CUBE:
-        return max((abs(c) for c in x), default=Q(0))
-    if kind == _KIND_CROSS:
-        return sum((abs(c) for c in x), Q(0))
-    return _gauge_via_lp(ball, x)
+    (p,), den = _integer_coordinates([x])
+    normals, bound = ball.facets
+    return Q(max(abs(sum(h * c for h, c in zip(row, p))) for row in normals), bound * den)
+
+
+def pairwise_norm_numerators(
+    ball: PolytopeBall, points: Sequence[Vec]
+) -> tuple[np.ndarray, int]:
+    """Exact n x n matrix N and one denominator D with norm(p_i - p_j) = N[i, j] / D.
+
+    Each point is projected onto every facet normal once, so N[i, j] is
+    the largest |y_i - y_j| over the projections.  N is int64 when the
+    projections' differences provably fit, else numpy object dtype
+    holding Python ints; the arithmetic is exact either way.
+    """
+    if any(len(p) != ball.dim for p in points):
+        raise DimensionMismatch(f"points of mixed length in dimension {ball.dim}")
+    normals, bound = ball.facets
+    ints, den = _integer_coordinates(points)
+    reach = max((abs(c) for p in ints for c in p), default=0) * max(
+        sum(abs(h) for h in row) for row in normals
+    )
+    dtype = np.int64 if 2 * reach < 2 ** 63 and bound * den < 2 ** 63 else object
+    n = len(points)
+    proj = np.array(ints, dtype=dtype).reshape(n, ball.dim) @ np.array(normals, dtype=dtype).T
+    out = np.zeros((n, n), dtype=dtype)
+    diff = np.empty((n, n), dtype=dtype)
+    for y in proj.T:
+        np.subtract(y[:, None], y[None, :], out=diff)
+        np.abs(diff, out=diff)
+        np.maximum(out, diff, out=out)
+    return out, bound * den
 
 
 def closed_ball_membership(ball: PolytopeBall, center: Vec, r: Q, x: Vec) -> bool:

@@ -21,8 +21,9 @@ import numpy as np
 
 from .decomposition import LinfDecomposition
 from .errors import IndexOutOfRange, WindowTooSmall
-from .geometry import PolytopeBall, norm
-from .linalg import Vec, vsub
+from .geometry import PolytopeBall, pairwise_norm_numerators
+from .geometry import norm  # noqa: F401  (perfbench/tracing.py wraps random_graphs.norm)
+from .linalg import Vec
 
 _DEN_POW = 33
 _DEN = 2 ** _DEN_POW
@@ -112,61 +113,12 @@ def sample_typical_points(
     )
 
 
-def _int64_coordinates(sample: PointSample) -> tuple[np.ndarray, int] | None:
-    """Scale all coordinates to a common denominator if it fits in int64."""
-    den = 1
-    for p in sample.points:
-        for c in p:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-            if den > 2 ** 40:
-                return None
-    bound = max((abs(c) for p in sample.points for c in p), default=Q(0))
-    if bound * den >= 2 ** 61:
-        return None
-    arr = np.array(
-        [[int(c * den) for c in p] for p in sample.points], dtype=np.int64
-    )
-    return arr, den
-
-
-def _pairwise_norm_numerators(sample: PointSample) -> tuple[np.ndarray, int] | None:
-    """Exact n x n matrix of norm numerators over a common denominator.
-
-    Only for balls with a closed-form norm; returns None otherwise.
-    """
-    kind = sample.ball.kind
-    if kind not in ("cube", "cross"):
-        return None
-    scaled = _int64_coordinates(sample)
-    if scaled is None:
-        return None
-    arr, den = scaled
-    n, d = arr.shape
-    out = np.zeros((n, n), dtype=np.int64)
-    for k in range(d):
-        diff = np.abs(arr[:, k][:, None] - arr[:, k][None, :])
-        if kind == "cube":
-            np.maximum(out, diff, out=out)
-        else:
-            out += diff
-    return out, den
-
-
 def unit_graph(sample: PointSample) -> GeomGraph:
     """Exact strict-inequality adjacency: an edge iff norm(x_i - x_j) < 1."""
-    n = len(sample.points)
-    fast = _pairwise_norm_numerators(sample)
-    edges: list[tuple[int, int]] = []
-    if fast is not None:
-        nums, den = fast
-        ii, jj = np.nonzero(np.triu(nums < den, k=1))
-        edges = list(zip(ii.tolist(), jj.tolist()))
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if norm(sample.ball, vsub(sample.points[i], sample.points[j])) < 1:
-                    edges.append((i, j))
-    return GeomGraph(sample=sample, edges=tuple(edges), p=Q(1), rng_seed=None)
+    nums, den = pairwise_norm_numerators(sample.ball, sample.points)
+    ii, jj = np.nonzero(np.triu(nums < den, k=1))
+    edges = tuple(zip(ii.tolist(), jj.tolist()))
+    return GeomGraph(sample=sample, edges=edges, p=Q(1), rng_seed=None)
 
 
 def bernoulli_subgraph(g0: GeomGraph, p: Q, seed: int) -> GeomGraph:
@@ -276,23 +228,13 @@ class BjReport:
 
 
 def norm_floor_matrix(g: GeomGraph) -> np.ndarray:
-    """Exact n x n matrix of floor(norm(x_i - x_j)).
+    """Exact n x n matrix of floor(norm(x_i - x_j)), int64 or object dtype.
 
     Since floor(x) < k iff x < k for integer thresholds, floors decide
     every strict comparison the audits need.
     """
-    fast = _pairwise_norm_numerators(g.sample)
-    if fast is not None:
-        nums, den = fast
-        return nums // den
-    pts = g.sample.points
-    n = len(pts)
-    floors = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            f = math.floor(norm(g.sample.ball, vsub(pts[i], pts[j])))
-            floors[i, j] = floors[j, i] = f
-    return floors
+    nums, den = pairwise_norm_numerators(g.sample.ball, g.sample.points)
+    return nums // den
 
 
 def bj_audit(g: GeomGraph, k_max: int) -> BjReport:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Sequence
 
+import numpy as np
+
 from . import linalg
 from .decomposition import LinfDecomposition
 from .errors import (
@@ -24,7 +26,7 @@ from .errors import (
     NotInjective,
     OutOfDomain,
 )
-from .geometry import PolytopeBall, norm
+from .geometry import PolytopeBall, norm, pairwise_norm_numerators
 from .linalg import Matrix, Vec, vadd, vsub
 
 _VERIFY_SEED = 0xFACADE
@@ -230,13 +232,6 @@ def apply_factorized(f: FactorizedStepIsometry, x: Vec) -> Vec:
     return f.decomposition.recompose(f.u_map.apply(u_coords), apply_linf(f.w_map, w_coords))
 
 
-def floor_norm(ball: PolytopeBall, v: Vec) -> int:
-    """floor(norm(v)), using max(floor|coord|) on recognized max-norm balls."""
-    if ball.kind == "cube":
-        return max(abs(c).numerator // abs(c).denominator for c in v)
-    return math.floor(norm(ball, v))
-
-
 @dataclass(frozen=True)
 class StepIsometryCheck:
     ok: bool
@@ -260,12 +255,16 @@ def verify_step_isometry(
     ys = [p[1] for p in pairs]
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise NotInjective("repeated domain or image point")
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            fd = floor_norm(ball, vsub(xs[i], xs[j]))
-            fi = floor_norm(ball, vsub(ys[i], ys[j]))
-            if fd != fi:
-                return StepIsometryCheck(False, (i, j), fd, fi)
+    nums, den = pairwise_norm_numerators(ball, xs)
+    floors_domain = nums // den
+    nums, den = pairwise_norm_numerators(ball, ys)
+    floors_image = nums // den
+    bad = np.flatnonzero(np.triu(floors_domain != floors_image, k=1))
+    if bad.size:
+        i, j = divmod(int(bad[0]), len(pairs))
+        return StepIsometryCheck(
+            False, (i, j), int(floors_domain[i, j]), int(floors_image[i, j])
+        )
     return StepIsometryCheck(True)
 
 

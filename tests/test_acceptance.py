@@ -1,11 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criterion 9's dense side is expected to fail; see the analysis in
-the repository notes (the back-and-forth candidate interval between
-consecutive matched fraction images shrinks like 1/steps, so a 50-step
-run at 200 points per fibre starves with high probability regardless of
-the other parameters).
+lines.  Criterion 9's dense side is expected to fail.  Its measured
+cause: traced runs block at steps 14-30, not near step 50, after a mirror
+step; the following forward step meets a pinched candidate interval
+(width 0.009-0.023, 1-4 candidates, 2 adjacency constraints) and no
+candidate satisfies it (see ROADMAP item 4).
 """
 
 import random
@@ -184,7 +184,7 @@ def test_criterion_09_back_and_forth_split(s0_results):
         9, ok,
         f"fibre_n=1 rate {float(discrete_rate):.2f} (<= 0.2 holds); "
         f"fibre_n=200 rate {float(dense_rate):.2f} vs required 0.9 "
-        "(candidate-interval starvation at budget 50; see notes)",
+        "(blocks at steps 14-30 on a pinched interval after a mirror step)",
     )
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,7 @@ from rado_lab.back_forth import (
     make_fibred_sample,
     s0_experiment,
 )
-from rado_lab.errors import CrossCheckFailure
+from rado_lab.errors import CrossCheckFailure, IndexOutOfRange
 from rado_lab.geometry import cube_ball, hexagon_ball
 from rado_lab.step_isometry import apply_linf, random_step_isometry
 
@@ -74,6 +75,14 @@ class TestFibreGraph:
             for j in range(1, 24, 5):
                 if i != j:
                     assert g1.adjacent(i, j) == g2.adjacent(j, i)
+
+    def test_coin_key_guard(self):
+        # Coin keys pack indices into 20 bits, so (0, 5) and (1, 2**20 + 5)
+        # would share a coin; a stub stands in for a million-point sample.
+        with pytest.raises(IndexOutOfRange):
+            FibreGraph(SimpleNamespace(n_points=2 ** 20), Q(1, 2), seed=1)
+        FibreGraph(SimpleNamespace(n_points=2 ** 20 - 1), Q(1, 2), seed=1)
+        FibreGraph(SimpleNamespace(n_points=2 ** 20), Q(1), seed=1)  # p = 1 draws no coins
 
     def test_distinct_tags_are_independent_graphs(self):
         s = make_fibred_sample(U1, 40, 4, Q(1), seed=8)

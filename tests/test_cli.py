@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from rado_lab import cli
-from rado_lab.errors import BadRational, UnknownBuiltin, UnknownSubcommand
+from rado_lab.errors import BadRational, OutOfDomain, UnknownBuiltin, UnknownSubcommand
 from rado_lab.geometry import ball_to_json, cube_ball
 
 
@@ -31,6 +31,14 @@ class TestParseConfig:
             ["agreement", "--p", "3/10", "--trials", "10", "--seed", "1"]
         )
         assert config.options["p"] == Q(3, 10)
+
+    def test_negative_seed_rejected(self, capsys):
+        # random.Random seeds with |seed|, so -7 would silently replay seed 7.
+        with pytest.raises(OutOfDomain):
+            cli.parse_config(["agreement", "--p", "3/10", "--trials", "50", "--seed", "-7"])
+        code = cli.main(["agreement", "--p", "3/10", "--trials", "50", "--seed", "-7"])
+        assert code == 2
+        assert "OutOfDomain" in capsys.readouterr().err
 
     def test_unknown_builtin(self):
         with pytest.raises(UnknownBuiltin):

@@ -65,7 +65,11 @@ class TestExtremeLines:
         assert set(dirs) == expected
 
     def test_fast_paths_agree_with_lp(self):
-        for ball in (square_ball(), cube_ball(3), cross_polytope_ball(3)):
+        rng = random.Random(404)
+        balls = [square_ball(), cube_ball(3), cross_polytope_ball(3),
+                 hexagon_ball(), hexagonal_prism_ball()]
+        balls += [random_symmetric_ball(rng, d) for d in (2, 3, 3, 4)]
+        for ball in balls:
             fast = {tuple(sorted(e.endpoints)) for e in extreme_lines(ball)}
             lp = {tuple(sorted(pair)) for pair in _extreme_lines_lp(ball)}
             assert fast == lp

@@ -1,9 +1,14 @@
 import json
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_symmetric_ball
 from rado_lab import geometry
 from rado_lab.errors import (
     BadRational,
@@ -12,8 +17,10 @@ from rado_lab.errors import (
     DuplicatePoint,
     NotOnSphere,
     NotSymmetric,
+    TooManyVertices,
 )
 from rado_lab.geometry import (
+    MAX_FACET_SUBSETS,
     PolytopeBall,
     ball_from_json,
     ball_to_json,
@@ -44,7 +51,6 @@ class TestValidateBall:
     def test_square_kept_as_is(self):
         ball = validate_ball([v(1, 1), v(1, -1), v(-1, 1), v(-1, -1)])
         assert len(ball.vertices) == 4
-        assert ball.kind == "cube"
 
     def test_non_extreme_points_removed(self):
         ball = validate_ball(
@@ -87,13 +93,49 @@ class TestNorm:
             norm(square_ball(), v(1, 2, 3))
 
     def test_fast_paths_agree_with_gauge_lp(self):
-        # The closed-form cube/cross norms must equal the LP gauge exactly.
+        # The facet norm must equal the LP gauge exactly.
         rng = random.Random(99)
-        for maker in (lambda: cube_ball(2), lambda: cube_ball(3), lambda: cross_polytope_ball(3)):
-            ball = maker()
+        balls = [cube_ball(2), cube_ball(3), cross_polytope_ball(3), hexagon_ball(),
+                 hexagonal_prism_ball()]
+        balls += [random_symmetric_ball(rng, d) for d in (2, 3, 4)]
+        for ball in balls:
             for _ in range(25):
                 x = rand_vec(rng, ball.dim)
                 assert norm(ball, x) == geometry._gauge_via_lp(ball, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32),
+        dim=st.integers(1, 4),
+        coords=st.lists(st.fractions(max_denominator=1000, min_value=-50, max_value=50),
+                        min_size=4, max_size=4),
+    )
+    def test_facet_norm_equals_gauge_lp(self, seed, dim, coords):
+        ball = random_symmetric_ball(random.Random(seed), dim)
+        x = tuple(coords[:dim])
+        assert norm(ball, x) == geometry._gauge_via_lp(ball, x)
+
+    def test_facet_enumeration_guard(self):
+        # 50 vertices in dimension 4 give C(50, 4) > C(48, 4) subsets; the
+        # guard trips before any of them is visited.
+        assert MAX_FACET_SUBSETS == math.comb(48, 4)
+        rng = random.Random(7)
+        fake = tuple(rand_vec(rng, 4) for _ in range(50))
+        with pytest.raises(TooManyVertices):
+            norm(PolytopeBall(dim=4, vertices=fake), v(0, 0, 0, 0))
+
+    def test_pairwise_numerators_object_path(self):
+        # A common denominator past int64 must switch to Python ints and
+        # still agree with the per-pair norm.
+        rng = random.Random(11)
+        big = 2 ** 70 + 1
+        pts = [tuple(Q(rng.randrange(-3 * big, 3 * big), big) for _ in range(2)) for _ in range(6)]
+        for ball in (hexagon_ball(), cube_ball(2)):
+            nums, den = geometry.pairwise_norm_numerators(ball, pts)
+            assert nums.dtype == object
+            for i in range(6):
+                for j in range(6):
+                    assert Q(nums[i, j], den) == norm(ball, vsub(pts[i], pts[j]))
 
     def test_norm_axioms_random(self):
         rng = random.Random(5)

@@ -131,6 +131,26 @@ class TestUnitGraph:
         for i, j in g.edges:
             assert norm(ball, vsub(s.points[i], s.points[j])) < 1
 
+    def test_object_path_matches_reference(self):
+        # A common denominator past int64 takes the Python-int path.
+        rng = random.Random(8)
+        big = 3 ** 45
+        pts = tuple(
+            tuple(Q(rng.randrange(0, 2 * big), big) for _ in range(2)) for _ in range(12)
+        )
+        for ball in (hexagon_ball(), cube_ball(2)):
+            s = PointSample(ball=ball, points=pts, window=Q(2), seed=0, typicality=())
+            g = unit_graph(s)
+            floors = norm_floor_matrix(g)
+            edges = []
+            for i in range(12):
+                for j in range(i + 1, 12):
+                    d = norm(ball, vsub(pts[i], pts[j]))
+                    assert floors[i, j] == floors[j, i] == math.floor(d)
+                    if d < 1:
+                        edges.append((i, j))
+            assert g.edges == tuple(edges)
+
     def test_edge_soundness_audit(self, linf2):
         ball, dec = linf2
         s = sample_typical_points(ball, dec, Q(3), 120, seed=31)

@@ -133,6 +133,28 @@ class TestVerify:
         with pytest.raises(NotInjective):
             verify_step_isometry(ball, [(v(0), v(1)), (v(2), v(1))])
 
+    def test_object_path_first_violation(self):
+        # Images with a common denominator past int64 take the Python-int
+        # path; the first violating pair in row-major order and its floors
+        # must match a per-pair scan.
+        rng = random.Random(91)
+        big = 2 ** 67 + 3
+        for ball in (cube_ball(2), hexagonal_prism_ball()):
+            d = ball.dim
+            xs = sorted({rand_point(rng, d) for _ in range(15)})
+            ys = [tuple(Q(rng.randrange(-4 * big, 4 * big), big) for _ in range(d)) for _ in xs]
+            want = None
+            for i in range(len(xs)):
+                for j in range(i + 1, len(xs)):
+                    fd = math.floor(norm(ball, vsub(xs[i], xs[j])))
+                    fi = math.floor(norm(ball, vsub(ys[i], ys[j])))
+                    if want is None and fd != fi:
+                        want = ((i, j), fd, fi)
+            assert want is not None
+            check = verify_step_isometry(ball, list(zip(xs, ys)))
+            assert (check.pair_indices, check.floor_domain, check.floor_image) == want
+            assert verify_step_isometry(ball, [(y, y) for y in ys]).ok
+
     def test_family_soundness_random(self):
         # Every member of the family preserves floors on every point set.
         rng = random.Random(1234)
