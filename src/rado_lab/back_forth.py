@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CrossCheckFailure, IndexOutOfRange, WindowTooSmall
+from .errors import CrossCheckFailure, IndexOutOfRange, OutOfDomain, WindowTooSmall
 from .geometry import PolytopeBall, norm, pairwise_norm_numerators
 from .linalg import Vec, vsub, zero_vec
 
@@ -40,6 +40,13 @@ _COIN_INDEX_LIMIT = 2 ** 20
 
 def _frac(x: Q) -> Q:
     return x - math.floor(x)
+
+
+def _floor_gap(a: Q, b: Q) -> int:
+    """floor(|a - b|), exactly, without normalising the difference."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return abs(an * bd - bn * ad) // (ad * bd)
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,9 @@ class FibredSample:
     w_of: tuple[Q, ...]
     fibre_members: tuple[tuple[int, ...], ...]
     integer_exempt_fibres: tuple[int, ...] = ()
+    _u_floors: dict[tuple[int, int], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_points(self) -> int:
@@ -70,6 +80,18 @@ class FibredSample:
     def flat_point(self, i: int) -> Vec:
         """The point in ambient (U (+) R)_max coordinates."""
         return self.u_points[self.fibre_of[i]] + (self.w_of[i],)
+
+    def u_floor(self, fa: int, fb: int) -> int:
+        """floor of the exact U-distance of two fibres, cached per fibre pair
+        and shared by every graph over this sample."""
+        if fa == fb:
+            return 0
+        key = (fa, fb) if fa < fb else (fb, fa)
+        got = self._u_floors.get(key)
+        if got is None:
+            got = math.floor(norm(self.u_ball, vsub(self.u_points[fa], self.u_points[fb])))
+            self._u_floors[key] = got
+        return got
 
 
 def _flatten(
@@ -127,7 +149,7 @@ def make_fibred_sample(
     fractional parts distinct, so no two points differ by an integer.
     """
     if n_u < 1 or fibre_n < 1:
-        raise ValueError("need n_u >= 1 and fibre_n >= 1")
+        raise OutOfDomain("need n_u >= 1 and fibre_n >= 1")
     window = Q(window)
     rng = random.Random(seed)
     dim = u_ball.dim
@@ -169,14 +191,16 @@ class FibreGraph:
     """A Bernoulli graph over a fibred sample with lazily sampled edges.
 
     Every unordered pair at distance strictly below one holds an edge with
-    exact probability p, decided by a per-pair seeded coin; distances are
-    max(U-distance, |delta w|), computed exactly and cached per fibre pair.
+    exact probability p, decided by a per-pair seeded coin; distance floors
+    are max(floor U-distance, floor |delta w|), computed exactly.
     An explicit edge set can be supplied instead (for relabeling tests).
     """
 
     def __init__(self, sample, p: Q, seed: int, tag: int = 0, edges=None):
         self.sample = sample
         self.p = Q(p)
+        if not 0 <= self.p <= 1:
+            raise OutOfDomain(f"p must lie in [0, 1], got {self.p}")
         if edges is None and self.p != 1 and sample.n_points >= _COIN_INDEX_LIMIT:
             # The coin key packs each index into 20 bits; past that, pairs
             # such as (0, 5) and (1, 2**20 + 5) would share one coin.
@@ -186,31 +210,17 @@ class FibreGraph:
         self.seed = seed
         self.tag = tag
         self._edges = None if edges is None else {tuple(sorted(e)) for e in edges}
-        self._u_dist: dict[tuple[int, int], Q] = {}
         self._coins: dict[tuple[int, int], bool] = {}
-
-    def u_distance(self, fa: int, fb: int) -> Q:
-        if fa == fb:
-            return Q(0)
-        key = (min(fa, fb), max(fa, fb))
-        got = self._u_dist.get(key)
-        if got is None:
-            s = self.sample
-            got = norm(s.u_ball, vsub(s.u_points[key[0]], s.u_points[key[1]]))
-            self._u_dist[key] = got
-        return got
 
     def distance_lt_1(self, i: int, j: int) -> bool:
         s = self.sample
-        if abs(s.w_of[i] - s.w_of[j]) >= 1:
+        if _floor_gap(s.w_of[i], s.w_of[j]):
             return False
-        return self.u_distance(s.fibre_of[i], s.fibre_of[j]) < 1
+        return s.u_floor(s.fibre_of[i], s.fibre_of[j]) == 0
 
     def distance_floor(self, i: int, j: int) -> int:
         s = self.sample
-        dw = abs(s.w_of[i] - s.w_of[j])
-        du = self.u_distance(s.fibre_of[i], s.fibre_of[j])
-        return max(math.floor(dw), math.floor(du))
+        return max(_floor_gap(s.w_of[i], s.w_of[j]), s.u_floor(s.fibre_of[i], s.fibre_of[j]))
 
     def adjacent(self, i: int, j: int) -> bool:
         if i == j:
@@ -321,7 +331,7 @@ def bf_step(
     matched_dom = state.fwd if forward else state.bwd
     matched_img = state.bwd if forward else state.fwd
     if vertex in matched_dom:
-        raise ValueError(f"vertex {vertex} already matched")
+        raise OutOfDomain(f"vertex {vertex} already matched")
     s_dom, s_img = dom.sample, img.sample
     w = s_dom.w_of[vertex]
     fibre = s_dom.fibre_of[vertex]
@@ -334,7 +344,7 @@ def bf_step(
     constraints: list[tuple[int, bool]] = []  # (image-side index, wanted adjacency)
     for a, b in state.fwd.items():
         da, ib = (a, b) if forward else (b, a)
-        if dom.u_distance(fibre, s_dom.fibre_of[da]) < 1 and abs(w - s_dom.w_of[da]) < 1:
+        if dom.distance_lt_1(vertex, da):
             constraints.append((ib, dom.adjacent(vertex, da)))
 
     found_in_interval = False
@@ -356,21 +366,32 @@ def bf_step(
     return BlockReason(kind=kind, vertex=vertex, direction=direction)
 
 
-def audit_state(g: FibreGraph, g2: FibreGraph, state: PartialIso) -> None:
-    """Exact partial-isomorphism and step-isometry audit of every matched pair.
+def audit_state(
+    g: FibreGraph, g2: FibreGraph, state: PartialIso, vertex: int | None = None
+) -> None:
+    """Exact partial-isomorphism and step-isometry audit of matched pairs.
 
+    With vertex=None every matched pair is checked (O(m^2)); given a matched
+    domain vertex, only the m - 1 pairs that contain it.  A stage adds only
+    the pairs of its new vertex and keeps every old image, and coins and
+    U-distances are deterministic, so auditing the start in full and then
+    each new vertex checks every pair of every stage exactly once.
     Violations are implementation bugs; the construction is supposed to
     make both properties invariant.
     """
-    items = sorted(state.fwd.items())
-    for x in range(len(items)):
-        i, i2 = items[x]
-        for y in range(x + 1, len(items)):
-            j, j2 = items[y]
-            if g.adjacent(i, j) != g2.adjacent(i2, j2):
-                raise CrossCheckFailure(f"edge not preserved on pair ({i},{j})")
-            if g.distance_floor(i, j) != g2.distance_floor(i2, j2):
-                raise CrossCheckFailure(f"floor distance changed on pair ({i},{j})")
+    if vertex is None:
+        items = sorted(state.fwd.items())
+        pairs = ((a, b) for x, a in enumerate(items) for b in items[x + 1:])
+    else:
+        if vertex not in state.fwd:
+            raise OutOfDomain(f"vertex {vertex} is not matched")
+        new = (vertex, state.fwd[vertex])
+        pairs = ((new, b) for b in state.fwd.items() if b[0] != vertex)
+    for (i, i2), (j, j2) in pairs:
+        if g.adjacent(i, j) != g2.adjacent(i2, j2):
+            raise CrossCheckFailure(f"edge not preserved on pair ({min(i, j)},{max(i, j)})")
+        if g.distance_floor(i, j) != g2.distance_floor(i2, j2):
+            raise CrossCheckFailure(f"floor distance changed on pair ({min(i, j)},{max(i, j)})")
 
 
 @dataclass(frozen=True)
@@ -399,17 +420,20 @@ def bf_run(
     budget: int,
     seed: int,
     initial: PartialIso | None = None,
-    audit_every_step: bool = True,
     params: dict | None = None,
 ) -> BfReport:
     """Alternate forward and backward extension steps in enumeration order.
 
-    Stops at the step budget, at exhaustion, or at the first block.  Every
-    accepted state is audited for edge preservation and exact floors.
+    Stops at the step budget, at exhaustion, or at the first block.  The
+    starting state is audited in full; each accepted step then audits its
+    newly matched vertex against every matched one, exactly and at O(m)
+    per step, so every stage is a certified partial isomorphism and
+    step-isometry (see audit_state).
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise OutOfDomain("budget must be >= 1")
     state = initial if initial is not None else PartialIso()
+    audit_state(g, g2, state)
     start_matched = state.matched
     n, n2 = g.sample.n_points, g2.sample.n_points
     blocked: BlockReason | None = None
@@ -436,11 +460,8 @@ def bf_run(
             blocked = got
             break
         state = got
-        if audit_every_step:
-            audit_state(g, g2, state)
+        audit_state(g, g2, state, vertex if forward else state.bwd[vertex])
         forward = not forward
-    if not audit_every_step:
-        audit_state(g, g2, state)
     return BfReport(
         steps_attempted=steps,
         matched_count=state.matched - start_matched,
@@ -615,7 +636,9 @@ def s0_run_trial(params: S0Params, trial_seed: int) -> tuple[bool, bool | None]:
 def s0_experiment(params: S0Params, trials: int, seed: int, threads: int = 1) -> S0Result:
     """Agreement frequency of the gadget edge and the conditional completion rate."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise OutOfDomain("trials must be >= 1")
+    if params.budget < 1:  # bf_run checks it too, but only runs on agreeing trials
+        raise OutOfDomain("budget must be >= 1")
     jobs = [(params, _derive_seed(seed, t)) for t in range(trials)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor

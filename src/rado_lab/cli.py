@@ -45,14 +45,6 @@ def resolve_ball(source: str) -> PolytopeBall:
     return load_ball(source)
 
 
-def _seed(text: str) -> int:
-    """A master seed; random.Random(-s) would silently replay seed s."""
-    seed = int(text)
-    if seed < 0:
-        raise OutOfDomain(f"--seed must be nonnegative, got {seed}")
-    return seed
-
-
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Exact parse of a CLI invocation into a config; diagnostics name the field."""
     if argv and argv[0] not in SUBCOMMANDS and not argv[0].startswith("-"):
@@ -72,6 +64,11 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     if ns.subcommand is None:
         raise UnknownSubcommand("no subcommand given")
     options = {k: v for k, v in vars(ns).items() if k != "subcommand"}
+    # Checked after parsing: argparse turns a ValueError (OutOfDomain is one)
+    # raised by a type function into its own usage error.  random.Random(-s)
+    # would silently replay seed s.
+    if options.get("seed", 0) < 0:
+        raise OutOfDomain(f"--seed must be nonnegative, got {options['seed']}")
     return ExperimentConfig(subcommand=ns.subcommand, options=options)
 
 
@@ -247,7 +244,7 @@ _BALL = ("--ball", {"required": True})
 _INT = {"type": int, "required": True}
 _OUT = ("--out", {"default": None})
 _P = ("--p", {"type": parse_rational, "required": True})
-_SEED = ("--seed", {"type": _seed, "required": True})
+_SEED = ("--seed", {"type": int, "required": True})
 _WINDOW = ("--window", {"type": parse_rational, "default": Q(1)})
 
 # name -> (runner, arguments as (flag, add_argument keywords)), in help order.

@@ -35,8 +35,8 @@ class NotUnitNorm(RadoLabError):
     pass
 
 
-class OutOfDomain(RadoLabError):
-    pass
+class OutOfDomain(RadoLabError, ValueError):
+    """An argument outside its mathematical domain (a count below 1, p outside [0, 1])."""
 
 
 class NotInjective(RadoLabError):

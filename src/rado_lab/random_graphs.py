@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .decomposition import LinfDecomposition
-from .errors import IndexOutOfRange, WindowTooSmall
+from .errors import IndexOutOfRange, OutOfDomain, WindowTooSmall
 from .geometry import PolytopeBall, pairwise_norm_numerators
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py wraps random_graphs.norm)
 from .linalg import Vec
@@ -75,7 +75,7 @@ def sample_typical_points(
     """
     window = Q(window)
     if n < 1 or window <= 0:
-        raise ValueError("need n >= 1 and window > 0")
+        raise OutOfDomain("need n >= 1 and window > 0")
     wanted = set(constraints)
     if not decomposition.u_basis:
         wanted.discard(FIBRE_FREE)
@@ -125,9 +125,9 @@ def bernoulli_subgraph(g0: GeomGraph, p: Q, seed: int) -> GeomGraph:
     """Keep each edge independently with exact probability p (rational)."""
     p = Q(p)
     if g0.p != 1:
-        raise ValueError("bernoulli_subgraph expects the p=1 unit graph")
+        raise OutOfDomain("bernoulli_subgraph expects the p=1 unit graph")
     if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
+        raise OutOfDomain("p must lie in [0, 1]")
     rng = random.Random(seed)
     kept = tuple(e for e in g0.edges if rng.randrange(p.denominator) < p.numerator)
     return GeomGraph(sample=g0.sample, edges=kept, p=p, rng_seed=seed)
@@ -244,7 +244,7 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
     norm < m, which holds in every sample by the triangle inequality.
     """
     if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+        raise OutOfDomain("k_max must be >= 2")
     n = len(g.sample.points)
     floors = norm_floor_matrix(g)
     dist = distance_matrix(g)
@@ -270,9 +270,9 @@ def edge_agreement_probability(p: Q, trials: int, seed: int) -> Q:
     """
     p = Q(p)
     if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
+        raise OutOfDomain("p must lie in [0, 1]")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise OutOfDomain("trials must be >= 1")
     rng = random.Random(seed)
     agree = 0
     for _ in range(trials):

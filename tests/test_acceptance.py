@@ -189,9 +189,11 @@ def test_criterion_09_back_and_forth_split(s0_results):
 
 
 def test_criterion_10_partial_isomorphism_audits(s0_results):
-    # Every bf run audits edge preservation and exact floors after every
-    # accepted step, raising CrossCheckFailure on any violation.  The
-    # criterion-9 corpus ran clean; exercise a fresh mixed corpus here.
+    # Every bf run audits its starting state in full and, after every
+    # accepted step, the new vertex against every matched one (edge
+    # preservation and exact floors), raising CrossCheckFailure on any
+    # violation.  The criterion-9 corpus ran clean; exercise a fresh mixed
+    # corpus here.
     u_ball = cube_ball(1)
     runs = 0
     for seed in range(6):

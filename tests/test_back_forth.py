@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from rado_lab import back_forth
 from rado_lab.back_forth import (
     BlockReason,
     FibreGraph,
@@ -20,8 +21,9 @@ from rado_lab.back_forth import (
     make_fibred_sample,
     s0_experiment,
 )
-from rado_lab.errors import CrossCheckFailure, IndexOutOfRange
-from rado_lab.geometry import cube_ball, hexagon_ball
+from rado_lab.errors import CrossCheckFailure, IndexOutOfRange, OutOfDomain
+from rado_lab.geometry import cube_ball, hexagon_ball, norm
+from rado_lab.linalg import vsub
 from rado_lab.step_isometry import apply_linf, random_step_isometry
 
 U1 = cube_ball(1)
@@ -83,6 +85,16 @@ class TestFibreGraph:
             FibreGraph(SimpleNamespace(n_points=2 ** 20), Q(1, 2), seed=1)
         FibreGraph(SimpleNamespace(n_points=2 ** 20 - 1), Q(1, 2), seed=1)
         FibreGraph(SimpleNamespace(n_points=2 ** 20), Q(1), seed=1)  # p = 1 draws no coins
+
+    def test_distance_floor_matches_direct_norm(self):
+        s = make_fibred_sample(hexagon_ball(), 6, 3, Q(3), seed=10)
+        g = FibreGraph(s, Q(1, 2), seed=10)
+        for i in range(s.n_points):
+            for j in range(s.n_points):
+                du = norm(s.u_ball, vsub(s.u_points[s.fibre_of[i]], s.u_points[s.fibre_of[j]]))
+                want = math.floor(max(du, abs(s.w_of[i] - s.w_of[j])))
+                assert g.distance_floor(i, j) == want
+                assert g.distance_lt_1(i, j) == (want == 0)
 
     def test_distinct_tags_are_independent_graphs(self):
         s = make_fibred_sample(U1, 40, 4, Q(1), seed=8)
@@ -188,7 +200,8 @@ class TestBfRun:
 
 class TestPartialIsoInvariants:
     def test_frac_pairs_stay_increasing_and_audits_pass(self):
-        s = make_fibred_sample(U1, 30, 6, Q(1), seed=19)
+        # 40 points per fibre: at 6 the run blocked after 2 matches.
+        s = make_fibred_sample(U1, 30, 40, Q(1), seed=19)
         a = FibreGraph(s, Q(1, 2), seed=19, tag=0)
         b = FibreGraph(s, Q(1, 2), seed=19, tag=1)
         state = PartialIso()
@@ -205,16 +218,76 @@ class TestPartialIsoInvariants:
                 got = bf_step(a, b, state, vertex_b, "backward")
             if isinstance(got, BlockReason):
                 break
+            new = vertex_f if forward else got.bwd[vertex_b]
             state = got
+            forward = not forward
             for (t0, y0), (t1, y1) in zip(state.frac_pairs, state.frac_pairs[1:]):
                 assert t0 < t1 and y0 < y1
-            audit_state(a, b, state)  # raises CrossCheckFailure on violation
+            # Both raise CrossCheckFailure on violation.
+            audit_state(a, b, state, new)
+            audit_state(a, b, state)
+        assert state.matched >= 10
 
     def test_shift_consistency_enforced(self):
         state = PartialIso()
         state = state._with_pair(0, 0, Q(1, 3), Q(4, 3))  # shift 1
         with pytest.raises(CrossCheckFailure):
             state._with_pair(1, 1, Q(1, 2), Q(1, 2))  # shift 0
+
+
+class TestAuditState:
+    @staticmethod
+    def graphs_disagreeing_on(pair):
+        """Two explicit-edge graphs over one sample that differ only on pair."""
+        s = make_fibred_sample(U1, 3, 3, Q(1), seed=41)
+        edges = {(0, 1), (0, 2), (1, 2), (3, 5), pair}
+        g = FibreGraph(s, Q(1), seed=41, edges=edges)
+        g2 = FibreGraph(s, Q(1), seed=41, edges=edges - {pair})
+        return s, g, g2
+
+    def test_vertex_audit_names_the_disagreeing_pair(self):
+        s, g, g2 = self.graphs_disagreeing_on((2, 6))
+        state = initial_identity(s, range(s.n_points))
+        for v in (2, 6):
+            with pytest.raises(CrossCheckFailure, match=r"edge not preserved on pair \(2,6\)"):
+                audit_state(g, g2, state, vertex=v)
+        with pytest.raises(CrossCheckFailure, match=r"pair \(2,6\)"):
+            audit_state(g, g2, state)
+        for v in (0, 1, 3, 4, 5, 7, 8):  # pairs without 2 or 6 agree
+            audit_state(g, g2, state, vertex=v)
+
+    def test_bf_run_audits_the_initial_state_before_any_step(self, monkeypatch):
+        s, g, g2 = self.graphs_disagreeing_on((2, 6))
+
+        def no_step(*args):
+            raise AssertionError("bf_step ran before the initial audit")
+
+        monkeypatch.setattr(back_forth, "bf_step", no_step)
+        with pytest.raises(CrossCheckFailure, match=r"pair \(2,6\)"):
+            bf_run(g, g2, budget=5, seed=41, initial=initial_identity(s, [2, 6]))
+
+    def test_bf_run_audits_the_new_vertex_of_a_backward_step(self, monkeypatch):
+        # A faulty extension: step 1 (forward) matches 0 -> 0, step 2
+        # (backward, g2-vertex 1) matches it to g-vertex 2.  The new pair
+        # (0, 2) -> (0, 1) loses the edge, and only an audit of the new
+        # domain vertex 2, not of the g2-index 1, sees it.
+        s, g, g2 = self.graphs_disagreeing_on((0, 1))
+        steps = []
+
+        def skewed_step(g, g2, state, vertex, direction):
+            steps.append(direction)
+            i = vertex if direction == "forward" else vertex + 1
+            return PartialIso({**state.fwd, i: vertex}, {**state.bwd, vertex: i})
+
+        monkeypatch.setattr(back_forth, "bf_step", skewed_step)
+        with pytest.raises(CrossCheckFailure, match=r"edge not preserved on pair \(0,2\)"):
+            bf_run(g, g2, budget=5, seed=41)
+        assert steps == ["forward", "backward"]
+
+    def test_unmatched_vertex_rejected(self):
+        s, g, g2 = self.graphs_disagreeing_on((2, 6))
+        with pytest.raises(OutOfDomain):
+            audit_state(g, g2, initial_identity(s, [0, 1]), vertex=2)
 
 
 class TestGadget:

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction as Q
 
 import pytest
@@ -47,6 +48,35 @@ class TestParseConfig:
     def test_unknown_subcommand(self):
         with pytest.raises(UnknownSubcommand):
             cli.parse_config(["frobnicate"])
+
+
+_BF = ["bf-run", "--ball", "builtin:cube_1", "--nu", "4", "--fibre", "2", "--seed", "1"]
+_S0 = ["s0-experiment", "--seed", "1", "--nu", "4", "--fibre", "2", "--budget", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _BF + ["--p", "2", "--budget", "4"],  # used to run silently as p = 1
+        _BF + ["--p", "-1", "--budget", "4"],  # used to run silently as p = 0
+        _S0 + ["--p", "3/2", "--trials", "2"],  # used to report every trial agreed
+        _BF + ["--p", "1/2", "--budget", "0"],
+        ["bf-run", "--ball", "builtin:cube_1", "--nu", "0", "--fibre", "2", "--p", "1/2",
+         "--budget", "4", "--seed", "1"],
+        _S0 + ["--p", "1/2", "--trials", "0"],
+        # Seed 1 draws no agreeing trial, so bf_run never sees the budget.
+        ["s0-experiment", "--p", "1/2", "--trials", "1", "--seed", "1", "--nu", "4",
+         "--fibre", "2", "--budget", "0"],
+        ["sample-graph", "--ball", "builtin:cube_2", "--n", "0", "--window", "2",
+         "--seed", "1", "--out", os.devnull],
+        ["agreement", "--p", "2", "--trials", "10", "--seed", "1"],
+    ],
+)
+def test_out_of_domain_exits_2(argv, capsys):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: OutOfDomain: ") and "Traceback" not in err
 
 
 class TestDecompose:
