@@ -8,6 +8,10 @@ through a monotone map g with g(x + k) = g(x) + k.  At finite scale the
 "infinitely many candidates" of the dense setting become "at least one in
 the window", and a missing candidate is a reported block, not an error.
 
+Samples live on the shared 2**-33 grid (see `grid`): R-components are
+drawn, deduplicated and gadget-checked as exact integer numerators and
+fractional-part keys, and each kept point becomes one Fraction.
+
 Edges are lazy: each unordered pair gets an independent seeded coin, so
 samples of a hundred thousand points cost nothing until a pair is probed.
 """
@@ -19,27 +23,23 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CrossCheckFailure, IndexOutOfRange, OutOfDomain, WindowTooSmall
 from .geometry import PolytopeBall, norm, pairwise_norm_numerators
+from .grid import DEN, draw_odd, frac, frac_key, grid_max_num, grid_num
 from .linalg import Vec, vsub, zero_vec
-
-_DEN_POW = 33
-_DEN = 2 ** _DEN_POW
 
 FORWARD = "forward"
 BACKWARD = "backward"
 
 GADGET_WS = (Q(0), Q(1), Q(3, 2), Q(5, 2))
+_GADGET_FRAC_KEYS = frozenset(map(frac_key, GADGET_WS))  # {(0, 1), (1, 2)}
 
 _COIN_INDEX_LIMIT = 2 ** 20
-
-
-def _frac(x: Q) -> Q:
-    return x - math.floor(x)
 
 
 def _floor_gap(a: Q, b: Q) -> int:
@@ -54,7 +54,8 @@ class FibredSample:
     """Fibres over distinct U-points, flattened in a seeded shuffle order.
 
     ``integer_exempt_fibres`` marks fibres (the S0 gadget) whose internal
-    integer R-differences are intentional and excluded from audits.
+    integer R-differences are intentional and excluded from audits; their
+    points come first in the flat order, the rest follow shuffled.
     """
 
     u_ball: PolytopeBall
@@ -62,17 +63,43 @@ class FibredSample:
     fibres: tuple[tuple[Q, ...], ...]
     window: Q
     seed: int
-    fibre_of: tuple[int, ...]
-    w_of: tuple[Q, ...]
-    fibre_members: tuple[tuple[int, ...], ...]
     integer_exempt_fibres: tuple[int, ...] = ()
     _u_floors: dict[tuple[int, int], int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    @cached_property
+    def _flat(self) -> tuple[tuple[int, ...], tuple[Q, ...], tuple[tuple[int, ...], ...]]:
+        fibres, exempt = self.fibres, self.integer_exempt_fibres
+        order = [*exempt, *(f for f in range(len(fibres)) if f not in exempt)]
+        fs = [f for f in order for _ in fibres[f]]
+        ws = [w for f in order for w in fibres[f]]
+        head = sum(len(fibres[f]) for f in exempt)
+        # Shuffling positions draws exactly what shuffling the points would.
+        perm = list(range(head, len(fs)))
+        random.Random(self.seed ^ 0x5A5A5A).shuffle(perm)
+        perm[:0] = range(head)
+        fibre_of = tuple([fs[i] for i in perm])
+        members: list[list[int]] = [[] for _ in fibres]
+        for i, f in enumerate(fibre_of):
+            members[f].append(i)
+        return fibre_of, tuple([ws[i] for i in perm]), tuple(map(tuple, members))
+
+    @cached_property
+    def fibre_of(self) -> tuple[int, ...]:
+        return self._flat[0]
+
+    @cached_property
+    def w_of(self) -> tuple[Q, ...]:
+        return self._flat[1]
+
+    @cached_property
+    def fibre_members(self) -> tuple[tuple[int, ...], ...]:
+        return self._flat[2]
+
     @property
     def n_points(self) -> int:
-        return len(self.w_of)
+        return sum(map(len, self.fibres))
 
     def members_of_fibre(self, f: int) -> tuple[int, ...]:
         return self.fibre_members[f]
@@ -94,42 +121,9 @@ class FibredSample:
         return got
 
 
-def _flatten(
-    u_ball: PolytopeBall,
-    u_points: Sequence[Vec],
-    fibres: Sequence[Sequence[Q]],
-    window: Q,
-    seed: int,
-    head: Sequence[tuple[int, Q]] = (),
-    exempt: Sequence[int] = (),
-) -> FibredSample:
-    flat = [(f, w) for f, ws in enumerate(fibres) for w in ws if (f, w) not in head]
-    rng = random.Random(seed ^ 0x5A5A5A)
-    rng.shuffle(flat)
-    flat = list(head) + flat
-    members: list[list[int]] = [[] for _ in fibres]
-    for i, (f, _) in enumerate(flat):
-        members[f].append(i)
-    return FibredSample(
-        u_ball=u_ball,
-        u_points=tuple(u_points),
-        fibres=tuple(tuple(ws) for ws in fibres),
-        window=Q(window),
-        seed=seed,
-        fibre_of=tuple(f for f, _ in flat),
-        w_of=tuple(w for _, w in flat),
-        fibre_members=tuple(tuple(m) for m in members),
-        integer_exempt_fibres=tuple(exempt),
-    )
-
-
 def _rand_rational(rng: random.Random, lo: Q, width: Q) -> Q:
-    max_num = math.floor(width * _DEN)
-    odd = 2 * rng.randrange(2 ** 20) + 1
-    if max_num <= odd:
-        raise WindowTooSmall(f"width {width} too small for the sampler grid")
-    k = rng.randrange((max_num - odd) // 2 + 1)
-    return lo + Q(2 * k + odd, _DEN)
+    odd = draw_odd(rng)
+    return lo + Q(grid_num(rng, grid_max_num(width), odd), DEN)
 
 
 def make_fibred_sample(
@@ -147,6 +141,9 @@ def make_fibred_sample(
     for density about one per unit volume, the finite stand-in for a
     density-one process; R-components land in [0, window) with all
     fractional parts distinct, so no two points differ by an integer.
+    R-components are drawn and deduplicated as integer grid numerators
+    (their fractional part is the low DEN_POW bits); a Fraction is built
+    only for each kept point.
     """
     if n_u < 1 or fibre_n < 1:
         raise OutOfDomain("need n_u >= 1 and fibre_n >= 1")
@@ -167,7 +164,9 @@ def make_fibred_sample(
             continue
         u_seen.add(u)
         u_points.append(u)
-    fracs: set[Q] = set()
+    max_num = grid_max_num(window)
+    frac_mask = DEN - 1
+    fracs: set[int] = set()
     fibres: list[tuple[Q, ...]] = []
     total = n_u * fibre_n
     attempts = 0
@@ -177,14 +176,15 @@ def make_fibred_sample(
             attempts += 1
             if attempts > 100 * total:
                 raise WindowTooSmall("could not place integer-free R-components")
-            w = _rand_rational(rng, Q(0), window)
-            f = _frac(w)
+            odd = draw_odd(rng)
+            num = grid_num(rng, max_num, odd)
+            f = num & frac_mask
             if f in fracs:
                 continue
             fracs.add(f)
-            ws.append(w)
+            ws.append(Q(num, DEN))
         fibres.append(tuple(ws))
-    return _flatten(u_ball, u_points, fibres, window, seed)
+    return FibredSample(u_ball, tuple(u_points), tuple(fibres), window, seed)
 
 
 class FibreGraph:
@@ -272,7 +272,7 @@ class PartialIso:
         shift = math.floor(w_img) - math.floor(w)
         if self.cell_shift is not None and shift != self.cell_shift:
             raise CrossCheckFailure("cell shift drifted inside one run")
-        t, t2 = _frac(w), _frac(w_img)
+        t, t2 = frac(w), frac(w_img)
         pairs = list(self.frac_pairs)
         pos = bisect_left(pairs, (t, t2))
         if not (pos < len(pairs) and pairs[pos] == (t, t2)):
@@ -335,7 +335,7 @@ def bf_step(
     s_dom, s_img = dom.sample, img.sample
     w = s_dom.w_of[vertex]
     fibre = s_dom.fibre_of[vertex]
-    t = _frac(w)
+    t = frac(w)
     lo, hi = _interval(state.frac_pairs, t, invert=not forward)
     want_floor = None
     if state.cell_shift is not None:
@@ -354,7 +354,7 @@ def bf_step(
         wc = s_img.w_of[cand]
         if want_floor is not None and math.floor(wc) != want_floor:
             continue
-        tc = _frac(wc)
+        tc = frac(wc)
         if not (lo < tc < hi):
             continue
         found_in_interval = True
@@ -512,14 +512,10 @@ def audit_gadget(gadget: S0Gadget) -> None:
         raise CrossCheckFailure("gadget does not have exactly its two unit pairs")
     if _unit_u_distance_pairs(s):
         raise CrossCheckFailure("sample still contains a unit U-distance pair")
-    fracs: set[Q] = set()
-    for i in range(s.n_points):
-        if s.fibre_of[i] == gadget.gadget_fibre:
-            continue
-        f = _frac(s.w_of[i])
-        if f in fracs or f in (Q(0), Q(1, 2)):
-            raise CrossCheckFailure("integer R-difference against sample or gadget")
-        fracs.add(f)
+    keys = [frac_key(w) for f, ws in enumerate(s.fibres) if f != gadget.gadget_fibre for w in ws]
+    # Distinct fractional parts, none of them the gadget's.
+    if len(set(keys).union(_GADGET_FRAC_KEYS)) != len(keys) + len(_GADGET_FRAC_KEYS):
+        raise CrossCheckFailure("integer R-difference against sample or gadget")
 
 
 def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
@@ -527,23 +523,26 @@ def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
 
     Sample points that collide (fractions 0 or 1/2, or a U-point at exact
     norm 1 from the origin or unit U-distance from another) are resampled.
+    Fractional parts are compared as integer keys (see grid.frac_key), so
+    off-grid R-components are handled exactly too.
     """
     rng = random.Random(seed ^ 0x60D6E7)
     u_points = list(sample.u_points)
     fibres = [list(ws) for ws in sample.fibres]
     dim = sample.u_ball.dim
 
-    fracs: set[Q] = set()
-    for f, ws in enumerate(fibres):
+    taken = set(_GADGET_FRAC_KEYS)  # fractional parts of kept points, and the gadget's
+    for ws in fibres:
         for k, w in enumerate(ws):
+            key = frac_key(w)
             attempts = 0
-            while _frac(w) in fracs or _frac(w) in (Q(0), Q(1, 2)):
+            while key in taken:
                 attempts += 1
                 if attempts > 200:
                     raise WindowTooSmall("cannot avoid gadget fractions")
-                w = _rand_rational(rng, Q(0), sample.window)
-            fracs.add(_frac(w))
-            ws[k] = w
+                w = ws[k] = _rand_rational(rng, Q(0), sample.window)
+                key = frac_key(w)
+            taken.add(key)
 
     def clashes() -> np.ndarray:
         """Per U-point: at norm 1 from the origin or another U-point, or repeated."""
@@ -564,10 +563,9 @@ def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
     gadget_fibre = len(fibres)
     u_points.append(zero_vec(dim))
     fibres.append(list(GADGET_WS))
-    head = [(gadget_fibre, w) for w in GADGET_WS]
-    combined = _flatten(
-        sample.u_ball, u_points, [tuple(ws) for ws in fibres], sample.window,
-        sample.seed, head=head, exempt=[gadget_fibre],
+    combined = FibredSample(
+        sample.u_ball, tuple(u_points), tuple(map(tuple, fibres)), sample.window,
+        sample.seed, integer_exempt_fibres=(gadget_fibre,),
     )
     gadget = S0Gadget(
         u=zero_vec(dim) + (Q(1),),

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
 
 from . import linalg
-from .errors import CrossCheckFailure, NotUnitNorm, TooManyVertices
+from .errors import CrossCheckFailure, NotUnitNorm, OutOfDomain, TooManyVertices
 from .geometry import PolytopeBall, norm
 from .linalg import Matrix, Vec, vadd, vneg, vscale, vsub
 from .lp import OPTIMAL, LpProblem, solve
@@ -89,7 +88,7 @@ def canonical_direction(ball: PolytopeBall, d: Vec) -> Vec:
     """Scale to norm 1, then flip so the first nonzero coordinate is positive."""
     t = norm(ball, d)
     if t == 0:
-        raise ValueError("zero vector has no direction")
+        raise OutOfDomain("zero vector has no direction")
     unit = vscale(Q(1) / t, d)
     lead = next(c for c in unit if c != 0)
     return unit if lead > 0 else vneg(unit)
@@ -367,13 +366,37 @@ def lattice_cover(ball: PolytopeBall, v: Vec) -> LatticeCoeffs:
     return result
 
 
+def _check_vertex_permutation_group(perms: set[tuple[int, ...]], neg: tuple[int, ...]) -> None:
+    """Assert the vertex permutations of a map set form a group containing
+    +-identity (neg is the permutation of -identity).
+
+    The vertices span R^d, so a linear map is determined by its vertex
+    permutation and matrix composition and inversion are exactly the
+    permutations' composition and inversion.
+    """
+    n = len(neg)
+    if tuple(range(n)) not in perms or neg not in perms:
+        raise CrossCheckFailure("isometry group must contain +-identity")
+    for q in perms:
+        inv = [0] * n
+        for i, t in enumerate(q):
+            inv[t] = i
+        if tuple(inv) not in perms:
+            raise CrossCheckFailure("isometry set not closed under inverse")
+    for q in perms:
+        for r in perms:
+            if tuple([q[t] for t in r]) not in perms:
+                raise CrossCheckFailure("isometry set not closed under composition")
+
+
 def linear_isometry_group(
     ball: PolytopeBall, vertex_guard: int = 48
 ) -> list[LinearIsometry]:
     """Brute-force enumeration of all linear maps permuting the vertex set.
 
-    The result is verified to be a group containing +-identity.  Only
-    meant for small showcase balls, hence the vertex guard.
+    The result is verified to be a group containing +-identity, on the
+    maps' vertex permutations.  Only meant for small showcase balls, hence
+    the vertex guard.
     """
     vs = ball.vertices
     n = len(vs)
@@ -394,6 +417,7 @@ def linear_isometry_group(
 
     basis_idx = [index[b] for b in basis]
     found: list[LinearIsometry] = []
+    perms: set[tuple[int, ...]] = set()
     images: list[int] = []
 
     basis_cols = tuple(tuple(b[i] for b in basis) for i in range(d))
@@ -403,9 +427,10 @@ def linear_isometry_group(
         if k == d:
             img_cols = tuple(tuple(vs[t][i] for t in images) for i in range(d))
             matrix = linalg.matmul(img_cols, basis_cols_inv)
-            mapped = {linalg.matvec(matrix, v) for v in vs}
-            if mapped == set(vs):
+            perm = tuple([index.get(linalg.matvec(matrix, v)) for v in vs])
+            if None not in perm and len(set(perm)) == n:
                 found.append(LinearIsometry(matrix))
+                perms.add(perm)
             return
         for t in range(n):
             if t in images:
@@ -420,15 +445,5 @@ def linear_isometry_group(
 
     extend(0)
     found.sort(key=lambda q: q.matrix)
-    members = {q.matrix for q in found}
-    ident = linalg.identity_matrix(d)
-    neg_ident = tuple(tuple(-c for c in row) for row in ident)
-    if ident not in members or neg_ident not in members:
-        raise CrossCheckFailure("isometry group must contain +-identity")
-    for q in found:
-        if linalg.invert(q.matrix) not in members:
-            raise CrossCheckFailure("isometry set not closed under inverse")
-        for r in found:
-            if linalg.matmul(q.matrix, r.matrix) not in members:
-                raise CrossCheckFailure("isometry set not closed under composition")
+    _check_vertex_permutation_group(perms, tuple(index[vneg(v)] for v in vs))
     return found

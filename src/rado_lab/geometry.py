@@ -30,6 +30,7 @@ from .errors import (
     DuplicatePoint,
     NotOnSphere,
     NotSymmetric,
+    OutOfDomain,
     TooManyVertices,
 )
 from .linalg import Vec, vneg, vsub
@@ -215,7 +216,7 @@ def pairwise_norm_numerators(
 def closed_ball_membership(ball: PolytopeBall, center: Vec, r: Q, x: Vec) -> bool:
     """Exact test of norm(x - center) <= r."""
     if r < 0:
-        raise ValueError("radius must be nonnegative")
+        raise OutOfDomain("radius must be nonnegative")
     return norm(ball, vsub(x, center)) <= r
 
 
@@ -337,7 +338,7 @@ def dump_ball(ball: PolytopeBall, path: str) -> None:
 def cube_ball(d: int) -> PolytopeBall:
     """Unit ball of the max norm: vertices {-1,+1}^d."""
     if d < 1:
-        raise ValueError("dimension must be >= 1")
+        raise OutOfDomain("dimension must be >= 1")
     verts = []
     for bits in range(2 ** d):
         verts.append(tuple(Q(1) if bits >> i & 1 else Q(-1) for i in range(d)))
@@ -347,7 +348,7 @@ def cube_ball(d: int) -> PolytopeBall:
 def cross_polytope_ball(d: int) -> PolytopeBall:
     """Unit ball of the sum norm: vertices +-e_i."""
     if d < 1:
-        raise ValueError("dimension must be >= 1")
+        raise OutOfDomain("dimension must be >= 1")
     verts = []
     for i in range(d):
         for s in (1, -1):

@@ -3,19 +3,18 @@
 "Almost all" conditions on countable dense sets become exact rejection
 sampling constraints here: no two sample points differ by an integer in
 any max-norm coordinate, and no two share a U-component.  Coordinates
-are uniform rationals with a fixed power-of-two denominator plus a
-per-point odd offset, so the constraints are near-impossible to trip by
-chance yet still audited exactly.
+are uniform rationals on the shared 2**-33 grid (see `grid`), drawn as
+integer numerators with one odd offset per point, so the constraints are
+near-impossible to trip by chance yet still audited exactly.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -23,10 +22,8 @@ from .decomposition import LinfDecomposition
 from .errors import IndexOutOfRange, OutOfDomain, WindowTooSmall
 from .geometry import PolytopeBall, pairwise_norm_numerators
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py wraps random_graphs.norm)
+from .grid import DEN, draw_odd, frac, grid_max_num, grid_num
 from .linalg import Vec
-
-_DEN_POW = 33
-_DEN = 2 ** _DEN_POW
 
 LINF_INTEGER_FREE = "linf_integer_free"
 FIBRE_FREE = "fibre_free"
@@ -51,14 +48,6 @@ class GeomGraph:
     rng_seed: int | None
 
 
-def _random_coordinate(rng: random.Random, window: Q, odd_offset: int) -> Q:
-    max_num = (window * _DEN).__floor__()
-    if max_num <= odd_offset:
-        raise WindowTooSmall(f"window {window} too small for the sampler grid")
-    k = rng.randrange((max_num - odd_offset) // 2 + 1)
-    return Q(2 * k + odd_offset, _DEN)
-
-
 def sample_typical_points(
     ball: PolytopeBall,
     decomposition: LinfDecomposition,
@@ -80,6 +69,7 @@ def sample_typical_points(
     if not decomposition.u_basis:
         wanted.discard(FIBRE_FREE)
     rng = random.Random(seed)
+    max_num = grid_max_num(window)
     points: list[Vec] = []
     seen_points: set[Vec] = set()
     linf_fracs: list[set[Q]] = [set() for _ in range(decomposition.d_inf)]
@@ -89,13 +79,13 @@ def sample_typical_points(
         attempts += 1
         if attempts > 100 * n:
             raise WindowTooSmall(f"rejection budget exceeded after {attempts} draws")
-        odd = 2 * rng.randrange(2 ** 20) + 1
-        p = tuple(_random_coordinate(rng, window, odd) for _ in range(ball.dim))
+        odd = draw_odd(rng)
+        p = tuple(Q(grid_num(rng, max_num, odd), DEN) for _ in range(ball.dim))
         if p in seen_points:
             continue
         u_coords, w_coords = decomposition.coordinates(p)
         if LINF_INTEGER_FREE in wanted:
-            fr = [c - math.floor(c) for c in w_coords]
+            fr = [frac(c) for c in w_coords]
             if any(f in linf_fracs[i] for i, f in enumerate(fr)):
                 continue
         if FIBRE_FREE in wanted and u_coords in u_seen:
@@ -104,7 +94,7 @@ def sample_typical_points(
         seen_points.add(p)
         if LINF_INTEGER_FREE in wanted:
             for i, c in enumerate(w_coords):
-                linf_fracs[i].add(c - math.floor(c))
+                linf_fracs[i].add(frac(c))
         if FIBRE_FREE in wanted:
             u_seen.add(u_coords)
     return PointSample(

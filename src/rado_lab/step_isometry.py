@@ -32,10 +32,6 @@ from .linalg import Matrix, Vec, vadd, vsub
 _VERIFY_SEED = 0xFACADE
 
 
-def _frac(x: Q) -> Q:
-    return x - math.floor(x)
-
-
 @dataclass(frozen=True)
 class MonotoneBijection01:
     """Piecewise-linear increasing bijection of [0,1), anchored at (0,0).
@@ -49,12 +45,12 @@ class MonotoneBijection01:
     def __post_init__(self):
         bps = self.breakpoints
         if not bps or bps[0] != (Q(0), Q(0)):
-            raise ValueError("breakpoints must start at (0, 0)")
+            raise OutOfDomain("breakpoints must start at (0, 0)")
         for (t0, y0), (t1, y1) in zip(bps, bps[1:]):
             if not (t0 < t1 and y0 < y1):
-                raise ValueError("breakpoints must strictly increase")
+                raise OutOfDomain("breakpoints must strictly increase")
         if any(not (0 <= t < 1 and 0 <= y < 1) for t, y in bps):
-            raise ValueError("breakpoints must lie in [0,1) x [0,1)")
+            raise OutOfDomain("breakpoints must lie in [0,1) x [0,1)")
 
     def eval(self, t: Q) -> Q:
         if not 0 <= t < 1:
@@ -142,11 +138,11 @@ class StepIsometrySpec:
 
     def __post_init__(self):
         if sorted(self.sigma) != list(range(self.d)):
-            raise ValueError("sigma must be a permutation of range(d)")
+            raise OutOfDomain("sigma must be a permutation of range(d)")
         if len(self.eps) != self.d or any(e not in (1, -1) for e in self.eps):
-            raise ValueError("eps must be a vector of +-1 of length d")
+            raise OutOfDomain("eps must be a vector of +-1 of length d")
         if len(self.g) != self.d or len(self.offset) != self.d:
-            raise ValueError("g and offset must have length d")
+            raise OutOfDomain("g and offset must have length d")
 
     def inverse(self) -> "StepIsometrySpec":
         sigma_inv = [0] * self.d
@@ -272,7 +268,7 @@ def random_step_isometry(d: int, breakpoint_count: int, seed: int) -> StepIsomet
     """Seeded sampler over the family: uniform permutation and signs,
     sorted random rational breakpoints per axis, rational offset."""
     if d < 1 or breakpoint_count < 0:
-        raise ValueError("need d >= 1 and breakpoint_count >= 0")
+        raise OutOfDomain("need d >= 1 and breakpoint_count >= 0")
     rng = random.Random(seed)
     sigma = list(range(d))
     rng.shuffle(sigma)

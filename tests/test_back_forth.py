@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rado_lab import back_forth
 from rado_lab.back_forth import (
@@ -21,8 +24,9 @@ from rado_lab.back_forth import (
     make_fibred_sample,
     s0_experiment,
 )
-from rado_lab.errors import CrossCheckFailure, IndexOutOfRange, OutOfDomain
+from rado_lab.errors import CrossCheckFailure, IndexOutOfRange, OutOfDomain, WindowTooSmall
 from rado_lab.geometry import cube_ball, hexagon_ball, norm
+from rado_lab.grid import frac_key
 from rado_lab.linalg import vsub
 from rado_lab.step_isometry import apply_linf, random_step_isometry
 
@@ -31,6 +35,138 @@ U1 = cube_ball(1)
 
 def frac(x):
     return x - math.floor(x)
+
+
+# The Fraction sampler that the integer-grid sampler replaced, kept as the
+# reference for the seed stream: every draw and every accept/reject
+# decision must match it, so outputs stay byte-identical.
+_REF_DEN = 2 ** 33
+
+
+def _ref_rand_rational(rng, lo, width):
+    max_num = math.floor(width * _REF_DEN)
+    odd = 2 * rng.randrange(2 ** 20) + 1
+    if max_num <= odd:
+        raise WindowTooSmall(f"width {width} too small for the sampler grid")
+    k = rng.randrange((max_num - odd) // 2 + 1)
+    return lo + Q(2 * k + odd, _REF_DEN)
+
+
+def ref_fibred_sample(u_ball, n_u, fibre_n, window, seed):
+    """(u_points, fibres) as the Fraction sampler drew them."""
+    rng = random.Random(seed)
+    dim = u_ball.dim
+    u_side = Q(max(1, math.ceil(n_u ** (1 / dim))))
+    u_points, u_seen = [], set()
+    while len(u_points) < n_u:
+        u = tuple(_ref_rand_rational(rng, Q(2), u_side) for _ in range(dim))
+        if u not in u_seen:
+            u_seen.add(u)
+            u_points.append(u)
+    fracs, fibres = set(), []
+    for _ in range(n_u):
+        ws = []
+        while len(ws) < fibre_n:
+            w = _ref_rand_rational(rng, Q(0), window)
+            if frac(w) in fracs:
+                continue
+            fracs.add(frac(w))
+            ws.append(w)
+        fibres.append(tuple(ws))
+    return tuple(u_points), tuple(fibres)
+
+
+def ref_flat_order(fibres, seed, head_fibre=None):
+    """[(fibre, w)] in flat order: the head fibre first, the rest shuffled."""
+    head = [] if head_fibre is None else [(head_fibre, w) for w in fibres[head_fibre]]
+    flat = [(f, w) for f, ws in enumerate(fibres) for w in ws if (f, w) not in head]
+    random.Random(seed ^ 0x5A5A5A).shuffle(flat)
+    return head + flat
+
+
+def ref_gadget_fractions(fibres, window, seed):
+    """The gadget's fraction pass: resample fractions 0, 1/2 and repeats."""
+    rng = random.Random(seed ^ 0x60D6E7)
+    fibres = [list(ws) for ws in fibres]
+    fracs = set()
+    for ws in fibres:
+        for k, w in enumerate(ws):
+            while frac(w) in fracs or frac(w) in (Q(0), Q(1, 2)):
+                w = _ref_rand_rational(rng, Q(0), window)
+            fracs.add(frac(w))
+            ws[k] = w
+    return tuple(map(tuple, fibres))
+
+
+class TestSeedStream:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        u_ball=st.sampled_from([U1, hexagon_ball()]),
+        n_u=st.integers(1, 6),
+        fibre_n=st.integers(1, 8),
+        window=st.sampled_from([Q(1), Q(2), Q(3, 2), Q(1, 3)]),
+        seed=st.integers(0, 2 ** 40),
+    )
+    def test_sampler_and_gadget_match_the_fraction_reference(
+        self, u_ball, n_u, fibre_n, window, seed
+    ):
+        s = make_fibred_sample(u_ball, n_u, fibre_n, window, seed)
+        u_points, fibres = ref_fibred_sample(u_ball, n_u, fibre_n, window, seed)
+        assert (s.u_points, s.fibres) == (u_points, fibres)
+        assert list(zip(s.fibre_of, s.w_of)) == ref_flat_order(fibres, seed)
+        c = attach_s0_gadget(s, seed).combined
+        assert c.fibres[:-1] == ref_gadget_fractions(fibres, window, seed)
+        gadget_fibre = len(c.fibres) - 1
+        assert c.integer_exempt_fibres == (gadget_fibre,)
+        assert list(zip(c.fibre_of, c.w_of)) == ref_flat_order(c.fibres, seed, gadget_fibre)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions())
+    @example(Q(-7, 3))
+    @example(Q(-2))
+    @example(Q(5, 2))
+    @example(Q(2 ** 40 + 1, 2 ** 33))
+    def test_frac_key_is_the_reduced_fractional_part(self, x):
+        f = frac(x)
+        assert frac_key(x) == (f.numerator, f.denominator)
+
+    def test_r_components_dedupe_on_the_fractional_part(self, monkeypatch):
+        # Window 2 holds num and num + 2**33, which share a fractional part.
+        # Scripted (odd index, step) draws: one U-point, then R-numerators
+        # 11, 11 + 2**33 (rejected) and 17.
+        draws = iter([0, 3, 0, 5, 0, 5 + 2 ** 32, 1, 7])
+
+        class Scripted(random.Random):
+            def randrange(self, n):
+                return next(draws)
+
+        monkeypatch.setattr(random, "Random", Scripted)
+        s = make_fibred_sample(U1, 1, 2, Q(2), seed=1)
+        den = 2 ** 33
+        assert s.u_points == ((2 + Q(7, den),),)
+        assert s.fibres == ((Q(11, den), Q(17, den)),)
+
+    def test_off_grid_fibres_are_resampled_away_from_gadget_fractions(self):
+        s = make_fibred_sample(U1, 2, 2, Q(1), seed=37)
+        # 7/2 has the gadget fraction 1/2; 4/3 repeats the fraction of 1/3.
+        fibres = ((Q(7, 2), Q(1, 3)), (Q(4, 3), s.fibres[1][1]))
+        gadget = attach_s0_gadget(dataclasses.replace(s, fibres=fibres), seed=37)
+        got = gadget.combined.fibres[:-1]
+        assert got == ref_gadget_fractions(fibres, s.window, 37)
+        assert got[0][1] == Q(1, 3) and got[1][1] == s.fibres[1][1]
+        assert frac_key(got[0][0]) not in {(0, 1), (1, 2), (1, 3)}
+        assert frac_key(got[1][0]) not in {(0, 1), (1, 2), (1, 3)}
+        audit_gadget(gadget)
+
+    def test_gadget_audit_sees_an_off_grid_integer_difference(self):
+        gadget = attach_s0_gadget(make_fibred_sample(U1, 2, 2, Q(1), seed=37), seed=37)
+        c = gadget.combined
+        fibres = ((Q(1, 3), Q(4, 3)),) + c.fibres[1:]
+        with pytest.raises(CrossCheckFailure, match="integer R-difference"):
+            audit_gadget(dataclasses.replace(gadget, combined=dataclasses.replace(c, fibres=fibres)))
+        fibres = ((Q(5, 2), c.fibres[0][1]),) + c.fibres[1:]
+        with pytest.raises(CrossCheckFailure, match="integer R-difference"):
+            audit_gadget(dataclasses.replace(gadget, combined=dataclasses.replace(c, fibres=fibres)))
 
 
 class TestMakeFibredSample:
@@ -175,12 +311,8 @@ class TestBfRun:
             fibres2 = tuple(
                 tuple(apply_linf(spec, (w,))[0] for w in ws) for ws in s.fibres
             )
-            w2 = tuple(apply_linf(spec, (w,))[0] for w in s.w_of)
-            s2 = type(s)(
-                u_ball=s.u_ball, u_points=s.u_points, fibres=fibres2,
-                window=s.window, seed=s.seed, fibre_of=s.fibre_of, w_of=w2,
-                fibre_members=s.fibre_members,
-            )
+            s2 = dataclasses.replace(s, fibres=fibres2)
+            assert s2.w_of == tuple(apply_linf(spec, (w,))[0] for w in s.w_of)
             g = FibreGraph(s, Q(1, 2), seed=900 + seed, tag=0)
             g2 = FibreGraph(s2, Q(1, 2), seed=900 + seed, tag=0)
             rep = bf_run(g, g2, budget=50, seed=seed)
@@ -322,11 +454,7 @@ class TestGadget:
         s = make_fibred_sample(U1, 2, 2, Q(1), seed=37)
         fibres = list(s.fibres)
         fibres[0] = (Q(1, 2), fibres[0][1])
-        bad = type(s)(
-            u_ball=s.u_ball, u_points=s.u_points, fibres=tuple(fibres),
-            window=s.window, seed=s.seed, fibre_of=s.fibre_of, w_of=s.w_of,
-            fibre_members=s.fibre_members,
-        )
+        bad = dataclasses.replace(s, fibres=tuple(fibres))
         gadget = attach_s0_gadget(bad, seed=37)
         audit_gadget(gadget)
 

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import random_symmetric_ball
-from rado_lab import linalg
+from rado_lab import decomposition, linalg
 from rado_lab.decomposition import (
     LinfDirection,
     LinfRejection,
@@ -20,7 +20,7 @@ from rado_lab.decomposition import (
     linf_directions,
     max_well_spanned_subspace,
 )
-from rado_lab.errors import NotUnitNorm, TooManyVertices
+from rado_lab.errors import CrossCheckFailure, NotUnitNorm, TooManyVertices
 from rado_lab.geometry import (
     cross_polytope_ball,
     cube_ball,
@@ -253,6 +253,38 @@ class TestIsometryGroup:
     def test_guard(self):
         with pytest.raises(TooManyVertices):
             linear_isometry_group(square_ball(), vertex_guard=2)
+
+    @staticmethod
+    def square_perm(*rows):
+        """The permutation of square_ball()'s vertices under a 2x2 matrix."""
+        vs = square_ball().vertices
+        m = tuple(tuple(Q(c) for c in row) for row in rows)
+        return tuple(vs.index(linalg.matvec(m, x)) for x in vs)
+
+    def test_closure_is_checked_on_vertex_permutations(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            decomposition, "_check_vertex_permutation_group", lambda *a: seen.append(a)
+        )
+        group = linear_isometry_group(square_ball())
+        (perms, neg), = seen
+        assert neg == self.square_perm((-1, 0), (0, -1))
+        assert perms == {self.square_perm(*g.matrix) for g in group}
+
+    def test_set_that_is_not_a_group_is_rejected(self):
+        check = decomposition._check_vertex_permutation_group
+        ident = self.square_perm((1, 0), (0, 1))
+        neg = self.square_perm((-1, 0), (0, -1))
+        rot = self.square_perm((0, -1), (1, 0))  # its inverse is -rot
+        swap = self.square_perm((0, 1), (1, 0))  # an involution; -swap is missing
+        group = {self.square_perm(*g.matrix) for g in linear_isometry_group(square_ball())}
+        check(group, neg)
+        with pytest.raises(CrossCheckFailure, match="identity"):
+            check(group - {neg}, neg)
+        with pytest.raises(CrossCheckFailure, match="inverse"):
+            check({ident, neg, rot}, neg)
+        with pytest.raises(CrossCheckFailure, match="composition"):
+            check({ident, neg, swap}, neg)
 
     def test_isometries_permute_linf_directions(self):
         for maker in (square_ball, hexagonal_prism_ball):

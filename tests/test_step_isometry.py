@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from rado_lab.decomposition import linf_decomposition
+from rado_lab.decomposition import canonical_direction, linf_decomposition
 from rado_lab.errors import (
     DimensionMismatch,
     NotAffineBasis,
@@ -12,7 +12,14 @@ from rado_lab.errors import (
     NotInjective,
     OutOfDomain,
 )
-from rado_lab.geometry import cube_ball, hexagonal_prism_ball, norm, square_ball
+from rado_lab.geometry import (
+    closed_ball_membership,
+    cross_polytope_ball,
+    cube_ball,
+    hexagonal_prism_ball,
+    norm,
+    square_ball,
+)
 from rado_lab.linalg import identity_matrix, matvec, vsub, zero_vec
 from rado_lab.step_isometry import (
     IDENTITY_G,
@@ -329,3 +336,24 @@ class TestFactorizationConsistency:
             (v(1, 0, Q(1, 2)), v(2, 0, Q(1, 2))),
         ]
         assert not check_factorization_consistency(ball, dec, pairs)
+
+
+_BAD_ARGUMENTS = {
+    "canonical_direction of 0": lambda: canonical_direction(square_ball(), v(0, 0)),
+    "negative radius": lambda: closed_ball_membership(square_ball(), v(0, 0), Q(-1), v(0, 0)),
+    "cube_ball(0)": lambda: cube_ball(0),
+    "cross_polytope_ball(0)": lambda: cross_polytope_ball(0),
+    "breakpoints not from 0": lambda: MonotoneBijection01(((Q(1, 4), Q(1, 4)),)),
+    "breakpoints not increasing": lambda: MonotoneBijection01(((Q(0), Q(0)), (Q(1, 2), Q(0)))),
+    "breakpoint at 1": lambda: MonotoneBijection01(((Q(0), Q(0)), (Q(1, 2), Q(1)))),
+    "sigma": lambda: StepIsometrySpec(1, (1,), (1,), (IDENTITY_G,), v(0)),
+    "eps": lambda: StepIsometrySpec(1, (0,), (2,), (IDENTITY_G,), v(0)),
+    "offset length": lambda: StepIsometrySpec(1, (0,), (1,), (IDENTITY_G,), v(0, 0)),
+    "random spec d=0": lambda: random_step_isometry(0, 1, seed=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))
+def test_bad_arguments_raise_typed_out_of_domain(case):
+    with pytest.raises(OutOfDomain):
+        _BAD_ARGUMENTS[case]()
