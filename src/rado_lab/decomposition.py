@@ -14,7 +14,6 @@ independent ways and insists they agree:
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -22,12 +21,9 @@ from itertools import combinations
 
 from . import linalg
 from .errors import CrossCheckFailure, NotUnitNorm, OutOfDomain, TooManyVertices
-from .geometry import PolytopeBall, norm
+from .geometry import PolytopeBall, incident_facets, norm
 from .linalg import Matrix, Vec, vadd, vneg, vscale, vsub
 from .lp import OPTIMAL, LpProblem, solve
-
-_BATTERY_SEED = 0x5EED
-_BATTERY_RANDOM = 100
 
 
 @dataclass(frozen=True)
@@ -146,11 +142,8 @@ def _extreme_lines_cached(ball: PolytopeBall) -> tuple[ExtremeLine, ...]:
     vertices share no facet and the ball is its own extreme line.
     """
     vs = ball.vertices
-    normals, bound = ball.facets
-    incident = []
-    for v in vs:
-        dots = [sum(h * c for h, c in zip(row, v)) for row in normals]
-        incident.append({(f, dot > 0) for f, dot in enumerate(dots) if abs(dot) == bound})
+    normals = ball.facets[0]
+    incident = [incident_facets(ball.facets, v) for v in vs]
     lines = [
         ExtremeLine((vs[i], vs[j]), canonical_direction(ball, vsub(vs[i], vs[j])))
         for i, j in combinations(range(len(vs)), 2)
@@ -169,42 +162,12 @@ def extreme_line_directions(ball: PolytopeBall) -> tuple[Vec, ...]:
     return tuple(sorted({e.direction for e in extreme_lines(ball)}, reverse=True))
 
 
-def _rand_q(rng: random.Random, lo=-2, hi=2, den=64) -> Q:
-    return Q(rng.randrange(lo * den, hi * den + 1), den)
-
-
-def _assert_max_formula(ball, x, w_basis, pairs_u):
-    """Battery check of norm(a*x + u) = max(|a|, norm(u)); bug guard only.
-
-    Random samples form a 10 x 10 grid of (alpha, u) pairs so the exact
-    gauge LP for each u runs once.
-    """
-    rng = random.Random(_BATTERY_SEED)
-    samples = [(Q(1), u) for u in pairs_u] + [(Q(-1), u) for u in pairs_u]
-    alphas = [_rand_q(rng) for _ in range(10)]
-    for _ in range(_BATTERY_RANDOM // 10):
-        u = linalg.zero_vec(ball.dim)
-        for b in w_basis:
-            u = vadd(u, vscale(_rand_q(rng), b))
-        samples.extend((alpha, u) for alpha in alphas)
-    norm_cache: dict[Vec, Q] = {}
-    for alpha, u in samples:
-        nu = norm_cache.get(u)
-        if nu is None:
-            nu = norm_cache[u] = norm(ball, u)
-        combined = norm(ball, vadd(vscale(alpha, x), u))
-        if combined != max(abs(alpha), nu):
-            raise CrossCheckFailure(
-                f"max formula fails at alpha={alpha}, u={u}: {combined}"
-            )
-
-
 def is_linf_direction(ball: PolytopeBall, x: Vec) -> LinfDirection | LinfRejection:
     """Accept x iff the vertex set pairs across 2x and the midpoints span a complement.
 
-    The pairing plus span conditions are the actual criterion (they force
-    the ball to be conv(B_W + x, B_W - x)); the max-formula battery that
-    runs on acceptance is a belt-and-braces assertion.
+    The pairing plus span conditions are an exact certificate: they force
+    the ball to be conv(M) + [-x, x] for the midpoint set M in the
+    complement W, hence norm(a*x + u) = max(|a|, norm(u)) for u in W.
     """
     if norm(ball, x) != 1:
         raise NotUnitNorm(f"{x} does not have norm 1")
@@ -229,7 +192,6 @@ def is_linf_direction(ball: PolytopeBall, x: Vec) -> LinfDirection | LinfRejecti
     w_basis = linalg.span_basis(midpoints)
     if len(w_basis) != ball.dim - 1 or linalg.in_span(x, w_basis):
         return LinfRejection("midpoint_span_wrong", None)
-    _assert_max_formula(ball, x, w_basis, midpoints)
     return LinfDirection(x=x, pairing=tuple(pairs), complement_basis=tuple(w_basis))
 
 
@@ -275,7 +237,6 @@ class LinfDecomposition:
 
     linf_basis: tuple[LinfDirection, ...]
     u_basis: tuple[Vec, ...]
-    method_tag: str
     basis_inverse: Matrix
 
     @property
@@ -311,7 +272,11 @@ class LinfDecomposition:
 def linf_decomposition(ball: PolytopeBall) -> LinfDecomposition:
     """Compute the splitting by both methods and cross-check them.
 
-    A CrossCheckFailure here is an implementation bug, never bad input.
+    Exact certificate of the max-sum formula
+    norm(u + sum a_i x_i) = max(norm(u), max |a_i|): every basis vector
+    other than x_i lies in x_i's complement, so the formula peels off one
+    max direction at a time.  A CrossCheckFailure here is an
+    implementation bug, never bad input.
     """
     dirs = linf_directions(ball)
     xs = [d.x for d in dirs]
@@ -322,30 +287,15 @@ def linf_decomposition(ball: PolytopeBall) -> LinfDecomposition:
             f"direct method gives d_inf={len(xs)}, well-spanned complement "
             f"has dim {len(u_basis)}, ambient dim {ball.dim}"
         )
-    rng = random.Random(_BATTERY_SEED ^ 0xD1CE)
-    us = []
-    for _ in range(10):
-        u = linalg.zero_vec(ball.dim)
-        for b in u_basis:
-            u = vadd(u, vscale(_rand_q(rng), b))
-        us.append((u, norm(ball, u)))
-    for _ in range(_BATTERY_RANDOM // 10):
-        lam = [_rand_q(rng) for _ in xs]
-        w = linalg.zero_vec(ball.dim)
-        for c, b in zip(lam, xs):
-            w = vadd(w, vscale(c, b))
-        nw = norm(ball, w)
-        if xs and nw != max(abs(c) for c in lam):
-            raise CrossCheckFailure("linf part is not isometric to the max norm")
-        for u, nu in us:
-            if norm(ball, vadd(u, w)) != max(nu, nw):
-                raise CrossCheckFailure("decomposition is not a max-norm direct sum")
+    for i, d in enumerate(dirs):
+        others = list(u_basis) + xs[:i] + xs[i + 1:]
+        if linalg.rank(list(d.complement_basis) + others) != ball.dim - 1:
+            raise CrossCheckFailure(f"a basis vector leaves the complement of {d.x}")
     columns = [tuple(b[i] for b in full) for i in range(ball.dim)]
     inverse = linalg.invert(tuple(columns))
     return LinfDecomposition(
         linf_basis=tuple(dirs),
         u_basis=tuple(u_basis),
-        method_tag="pairing+well_spanned",
         basis_inverse=inverse,
     )
 

@@ -2,11 +2,14 @@
 
 A ball is a finite symmetric vertex set whose convex hull is the unit
 ball.  Its norm is the maximum of its facet functionals: the facet
-normals are enumerated once per ball, exactly over the integers, and
-cached on it, so every norm (one vector or all pairs of a point list)
-takes the same path whatever the ball's shape.  The Minkowski gauge by
-exact LP over convex coefficients stays as the reference implementation
-the tests compare against.
+normals are enumerated once per ball, exactly over the integers, when
+the ball is validated, and kept on it, so every norm (one vector or all
+pairs of a point list) takes the same path whatever the ball's shape.
+The same facets decide which input points are extreme, so no linear
+program runs at load; an input past `MAX_FACET_SUBSETS` vertex
+d-subsets raises `TooManyVertices` when the ball is built.  The
+Minkowski gauge and the convex-hull test by exact LP stay as the
+reference implementations the tests compare against.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ class PolytopeBall:
     def facets(self) -> Facets:
         """(normals, bound): one integer normal h of each facet pair +-h.x <= bound.
 
-        Enumerated at first use and kept on the ball; norm(x) = max |h.x| / bound.
+        `validate_ball` stores them on the balls it builds; a ball made
+        directly enumerates them at first use.  norm(x) = max |h.x| / bound.
         """
         return _enumerate_facets(self.dim, self.vertices)
 
@@ -113,8 +117,15 @@ def _enumerate_facets(dim: int, vertices: Sequence[Vec]) -> Facets:
     return tuple(sorted(tuple(x // g for x in h) for h in normals)), common // g
 
 
+def incident_facets(facets: Facets, v: Vec) -> frozenset[tuple[int, bool]]:
+    """(facet index, side) of every facet +-h.x = bound that v lies on."""
+    normals, bound = facets
+    dots = (sum((h * c for h, c in zip(row, v)), Q(0)) for row in normals)
+    return frozenset((f, dot > 0) for f, dot in enumerate(dots) if abs(dot) == bound)
+
+
 def _in_convex_hull(points: Sequence[Vec], target: Vec) -> bool:
-    """Exact feasibility of target = convex combination of points."""
+    """Reference: exact LP feasibility of target = convex combination of points."""
     if not points:
         return False
     d = len(target)
@@ -129,10 +140,13 @@ def _in_convex_hull(points: Sequence[Vec], target: Vec) -> bool:
 
 
 def validate_ball(vertices: Iterable[Vec]) -> PolytopeBall:
-    """Build a ball from a vertex set, dropping redundant interior points.
+    """Build a ball from a vertex set, dropping redundant points.
 
     Symmetry violations and degenerate spans are errors: silently fixing
-    either would change the norm the caller asked for.
+    either would change the norm the caller asked for.  The facets are
+    enumerated once on the input points (redundant points do not change
+    the hull's facets) and kept on the returned ball; a point is extreme
+    iff the normals of its incident facets have rank d.
     """
     vs = [tuple(Q(c) for c in v) for v in vertices]
     if not vs:
@@ -150,8 +164,14 @@ def validate_ball(vertices: Iterable[Vec]) -> PolytopeBall:
             raise NotSymmetric(f"vertex {v} has no mirror {vneg(v)}")
     if linalg.rank(vs) < dim:
         raise DegenerateSpan("vertices lie in a proper subspace")
-    extreme = [v for v in vs if not _in_convex_hull([w for w in vs if w != v], v)]
-    return PolytopeBall(dim=dim, vertices=tuple(sorted(extreme, reverse=True)))
+    facets = _enumerate_facets(dim, vs)
+    normals = facets[0]
+    extreme = [
+        v for v in vs if linalg.rank([normals[f] for f, _ in incident_facets(facets, v)]) == dim
+    ]
+    ball = PolytopeBall(dim=dim, vertices=tuple(sorted(extreme, reverse=True)))
+    ball.__dict__["facets"] = facets  # prime the cached_property
+    return ball
 
 
 def _gauge_via_lp(ball: PolytopeBall, x: Vec) -> Q:

@@ -3,7 +3,9 @@
 A small two-phase primal simplex with Bland's rule.  Bland's rule makes
 termination unconditional, with no perturbation or tolerance anywhere;
 all pivots are exact Fraction arithmetic.  Problem sizes in this library
-are tiny (tens of variables), so simplicity beats speed.
+are tiny (tens of variables), so simplicity beats speed.  No runtime path
+solves a linear program: the LP gauge, hull and face tests built on this
+module are the references the tests check the facet certificates against.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from rado_lab import cli
+from rado_lab import cli, decomposition, geometry, lp
 from rado_lab.errors import BadRational, OutOfDomain, UnknownBuiltin, UnknownSubcommand
 from rado_lab.geometry import ball_to_json, cube_ball
 
@@ -77,6 +77,60 @@ def test_out_of_domain_exits_2(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: OutOfDomain: ") and "Traceback" not in err
+
+
+def test_ball_past_facet_guard_exits_2_at_load(tmp_path, capsys):
+    # 25 symmetric pairs of points on the Euclidean unit sphere of R^4, all
+    # extreme: C(50, 4) vertex 4-subsets exceed geometry.MAX_FACET_SUBSETS,
+    # and validate_ball enumerates facets eagerly.
+    points = []
+    for a, b, c in [(a, b, c) for a in range(1, 4) for b in range(3) for c in range(3)][:25]:
+        n = a * a + b * b + c * c
+        points.append([Q(2 * a, n + 1), Q(2 * b, n + 1), Q(2 * c, n + 1), Q(n - 1, n + 1)])
+    points = [[str(x) for x in p] for p in points] + [[str(-x) for x in p] for p in points]
+    ball_path = tmp_path / "ball.json"
+    ball_path.write_text(json.dumps({"dim": 4, "vertices": points}))
+    code = cli.main(["decompose", str(ball_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: TooManyVertices: ")
+
+
+def test_no_linear_program_runs(tmp_path, monkeypatch, capsys):
+    # Every README command, at tiny sizes, on builtin balls and on a JSON
+    # ball with an interior point and edge midpoints: the exact simplex is
+    # a test reference only.
+    def refuse(problem):
+        raise AssertionError("a linear program ran")
+
+    for module in (geometry, decomposition, lp):
+        monkeypatch.setattr(module, "solve", refuse)
+    ball_path = tmp_path / "ball.json"
+    ball_path.write_text(json.dumps({"dim": 2, "vertices": [
+        ["1", "1"], ["1", "-1"], ["-1", "1"], ["-1", "-1"],
+        ["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"], ["0", "0"],
+        ["1/2", "1/3"], ["-1/2", "-1/3"],
+    ]}))
+    map_path = tmp_path / "map.json"
+    map_path.write_text(
+        json.dumps({"pairs": [[["0", "0"], ["0", "0"]], [["1/2", "3"], ["2/5", "3"]]]})
+    )
+    graph_path = tmp_path / "graph.json"
+    commands = [
+        ["decompose", "builtin:hexagonal_prism"],
+        ["decompose", str(ball_path)],
+        ["check-step-isometry", str(ball_path), str(map_path)],
+        ["sample-graph", "--ball", "builtin:hexagon", "--n", "30", "--window", "2",
+         "--p", "1/2", "--seed", "7", "--out", str(graph_path)],
+        ["bj-audit", "--graph", str(graph_path), "--kmax", "3"],
+        ["agreement", "--p", "3/10", "--trials", "20", "--seed", "1"],
+        ["bf-run", "--ball", "builtin:cube_1", "--nu", "6", "--fibre", "2", "--p", "1/2",
+         "--budget", "4", "--seed", "1"],
+        ["s0-experiment", "--p", "1/2", "--trials", "2", "--seed", "1", "--nu", "6",
+         "--fibre", "2", "--budget", "4"],
+    ]
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
 
 
 class TestDecompose:

@@ -1,8 +1,12 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_symmetric_ball
 from rado_lab import decomposition, linalg
@@ -29,12 +33,41 @@ from rado_lab.geometry import (
     l1_plane_ball,
     norm,
     square_ball,
+    validate_ball,
 )
-from rado_lab.linalg import vneg, vsub
+from rado_lab.linalg import vadd, vneg, vscale, vsub
 
 
 def v(*coords):
     return tuple(Q(c) for c in coords)
+
+
+def _random_ball_with_axes(seed: int, dim: int, axes: int):
+    """A random symmetric ball times `axes` max-norm axes: conv(B x {-1, 1}^axes).
+
+    Products past 24 vertices are skipped: enumerating the facets of 32
+    vertices in dimension 4 takes about 2 s.
+    """
+    ball = random_symmetric_ball(random.Random(seed), dim)
+    assume(len(ball.vertices) << axes <= 24)
+    signs = [tuple(Q(1 if bits >> i & 1 else -1) for i in range(axes)) for bits in range(2 ** axes)]
+    return validate_ball([p + s for p in ball.vertices for s in signs])
+
+
+def _combination(coeffs, vectors, dim):
+    out = linalg.zero_vec(dim)
+    for c, b in zip(coeffs, vectors):
+        out = vadd(out, vscale(c, b))
+    return out
+
+
+# (seed, dim, axes) with dim + axes <= 4.
+_BALLS_WITH_AXES = st.tuples(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 2)).filter(
+    lambda t: t[1] + t[2] <= 4
+)
+_COEFFS = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=64), min_size=5, max_size=5
+)
 
 
 class TestExtremeLines:
@@ -117,6 +150,19 @@ class TestIsLinfDirection:
         with pytest.raises(NotUnitNorm):
             is_linf_direction(square_ball(), v(2, 0))
 
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_BALLS_WITH_AXES, alpha=st.fractions(min_value=-3, max_value=3, max_denominator=64),
+           coeffs=_COEFFS)
+    def test_max_formula_for_every_accepted_direction(self, spec, alpha, coeffs):
+        # The pairing and span certificate must imply
+        # norm(alpha*x + u) = max(|alpha|, norm(u)) on the whole complement.
+        ball = _random_ball_with_axes(*spec)
+        dirs = linf_directions(ball)
+        assert len(dirs) >= spec[2]
+        for d in dirs:
+            u = _combination(coeffs, d.complement_basis, ball.dim)
+            assert norm(ball, vadd(vscale(alpha, d.x), u)) == max(abs(alpha), norm(ball, u))
+
 
 class TestLinfDirections:
     def test_square(self):
@@ -182,6 +228,26 @@ class TestLinfDecomposition:
             ball = random_symmetric_ball(rng, rng.choice((2, 3)))
             dec = linf_decomposition(ball)  # raises CrossCheckFailure on a bug
             assert dec.d_inf + len(dec.u_basis) == ball.dim
+
+    def test_complement_certificate_rejects_a_wrong_complement(self, monkeypatch):
+        # The square's axis (1, 0) with complement span{(1, 1)} would leave the
+        # other axis (0, 1) outside it: the max-sum certificate must refuse.
+        real = linf_directions(square_ball())
+        bent = [replace(d, complement_basis=(v(1, 1),)) if d.x == v(1, 0) else d for d in real]
+        monkeypatch.setattr(decomposition, "linf_directions", lambda ball: bent)
+        with pytest.raises(CrossCheckFailure):
+            linf_decomposition(square_ball())
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_BALLS_WITH_AXES, u_coeffs=_COEFFS, w_coeffs=_COEFFS)
+    def test_max_sum_formula(self, spec, u_coeffs, w_coeffs):
+        # norm(u + sum a_i x_i) = max(norm(u), max |a_i|) over the splitting.
+        ball = _random_ball_with_axes(*spec)
+        dec = linf_decomposition(ball)
+        u = _combination(u_coeffs, dec.u_basis, ball.dim)
+        lam = w_coeffs[:dec.d_inf]
+        x = vadd(u, _combination(lam, [d.x for d in dec.linf_basis], ball.dim))
+        assert norm(ball, x) == max([norm(ball, u)] + [abs(c) for c in lam])
 
     def test_every_linf_direction_is_an_extreme_line_direction(self):
         for maker in (square_ball, l1_plane_ball, hexagonal_prism_ball):

@@ -75,6 +75,41 @@ class TestValidateBall:
         with pytest.raises(DimensionMismatch):
             validate_ball([v(1, 0), v(-1, 0), v(1,)])
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), dim=st.integers(1, 4))
+    def test_facet_rank_rule_matches_convex_hull_lp(self, seed, dim):
+        # Random symmetric points plus redundant ones (midpoints, half-scaled
+        # copies, maybe the origin): the points validate_ball keeps must be
+        # exactly those outside the LP hull of the others.
+        rng = random.Random(seed)
+        base = [rand_vec(rng, dim, den=4) for _ in range(rng.randrange(dim, dim + 3))]
+        extra = [vscale(Q(1, 2), vadd(a, b)) for a, b in zip(base, base[1:])]
+        extra += [vscale(Q(1, 2), p) for p in base[:2]] + [v(*[0] * dim)] * rng.randrange(2)
+        pts = sorted({q for p in base + extra for q in (p, vneg(p))})
+        try:
+            ball = validate_ball(pts)
+        except DegenerateSpan:
+            return
+        want = {p for p in pts if not geometry._in_convex_hull([w for w in pts if w != p], p)}
+        assert set(ball.vertices) == want
+
+    def test_facets_enumerated_once_at_load(self, monkeypatch):
+        # The facets of the input points (a redundant pair included) are kept
+        # on the ball, so reading them enumerates nothing again.
+        ball = validate_ball(
+            [v(1, 0), v(-1, 0), v(0, 1), v(0, -1), v(Q(1, 2), Q(1, 2)), v(Q(-1, 2), Q(-1, 2))]
+        )
+        monkeypatch.setattr(geometry, "_enumerate_facets", None)
+        assert ball.facets == (((1, -1), (1, 1)), 1)
+
+    def test_facet_guard_raises_at_load(self):
+        # 25 symmetric pairs in dimension 4 give C(50, 4) > C(48, 4) subsets,
+        # so the guard trips when the ball is built, not at its first norm.
+        rng = random.Random(7)
+        half = [rand_vec(rng, 4) for _ in range(25)]
+        with pytest.raises(TooManyVertices):
+            validate_ball(half + [vneg(p) for p in half])
+
 
 class TestNorm:
     def test_square_is_max_norm(self):

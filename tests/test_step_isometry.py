@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from rado_lab.decomposition import canonical_direction, linf_decomposition
+from rado_lab import linalg, step_isometry
+from rado_lab.decomposition import canonical_direction, linear_isometry_group, linf_decomposition
 from rado_lab.errors import (
     DimensionMismatch,
     NotAffineBasis,
@@ -16,6 +17,7 @@ from rado_lab.geometry import (
     closed_ball_membership,
     cross_polytope_ball,
     cube_ball,
+    hexagon_ball,
     hexagonal_prism_ball,
     norm,
     square_ball,
@@ -266,7 +268,9 @@ class TestFactorized:
         pairs = [(p, apply_factorized(f, p)) for p in pts]
         assert verify_step_isometry(ball, pairs).ok
 
-    def test_cube_reduces_to_apply_linf(self):
+    def test_cube_reduces_to_apply_linf(self, monkeypatch):
+        # U = 0 leaves nothing to certify, so no U-ball is enumerated.
+        monkeypatch.setattr(step_isometry, "_enumerate_facets", None)
         ball = cube_ball(2)
         dec = linf_decomposition(ball)
         spec = random_step_isometry(2, 2, seed=9)
@@ -284,6 +288,40 @@ class TestFactorized:
             w_coords = dec.coordinates(x)[1]
             expect = dec.recompose((), apply_linf(f.w_map, w_coords))
             assert apply_factorized(f, x) == expect
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_prism_accepts_every_hexagon_isometry(self, index):
+        # A hexagon isometry M, written in U coordinates: P^-1 M P, where
+        # the columns of P are the U basis vectors restricted to the plane.
+        group = linear_isometry_group(hexagon_ball())
+        assert len(group) == 12
+        ball = hexagonal_prism_ball()
+        dec = linf_decomposition(ball)
+        assert all(b[2] == 0 for b in dec.u_basis)
+        p = tuple(tuple(b[i] for b in dec.u_basis) for i in range(2))
+        u_matrix = linalg.matmul(linalg.invert(p), linalg.matmul(group[index].matrix, p))
+        f = FactorizedStepIsometry(
+            ball=ball, decomposition=dec,
+            u_map=AffineMap(u_matrix, v(Q(1, 3), -2)), w_map=identity_spec(1),
+        )
+        rng = random.Random(index)
+        pts = {rand_point(rng, 3, den=16, span=2) for _ in range(20)}
+        assert verify_step_isometry(ball, [(x, apply_factorized(f, x)) for x in pts]).ok
+
+    @pytest.mark.parametrize(
+        "u_matrix",
+        [((1, 0), (0, 0)), ((0, 0), (0, 0)), ((1, 1), (1, 1)), ((Q(1, 2), 0), (0, Q(1, 2))),
+         ((1, 1), (0, 1))],
+        ids=["singular", "zero", "rank_one", "half_scaling", "shear"],
+    )
+    def test_non_isometric_u_map_rejected(self, u_matrix):
+        ball = hexagonal_prism_ball()
+        with pytest.raises(NotAnIsometry):
+            FactorizedStepIsometry(
+                ball=ball, decomposition=linf_decomposition(ball),
+                u_map=AffineMap(tuple(v(*row) for row in u_matrix), zero_vec(2)),
+                w_map=identity_spec(1),
+            )
 
     def test_norm_distorting_u_map_rejected(self):
         ball = hexagonal_prism_ball()
