@@ -9,6 +9,7 @@ fibred samples.
 """
 
 from .errors import (
+    BadGraph,
     BadRational,
     CrossCheckFailure,
     DegenerateSpan,

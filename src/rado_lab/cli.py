@@ -15,12 +15,17 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
+import numpy as np
+
 from . import back_forth, decomposition, random_graphs, step_isometry
-from .errors import OutOfDomain, RadoLabError, TooManyVertices, UnknownBuiltin, UnknownSubcommand
+from .errors import (
+    BadGraph, OutOfDomain, RadoLabError, TooManyVertices, UnknownBuiltin, UnknownSubcommand,
+)
 from .geometry import (
     BUILTIN_BALLS,
     PolytopeBall,
     ball_from_json,
+    ball_to_json,
     load_ball,
     parse_rational,
     vec_from_json,
@@ -125,8 +130,6 @@ def _run_check_step_isometry(opts: dict) -> int:
 
 
 def graph_to_json(g: random_graphs.GeomGraph) -> dict:
-    from .geometry import ball_to_json
-
     return {
         "ball": ball_to_json(g.sample.ball),
         "window": str(g.sample.window),
@@ -135,8 +138,25 @@ def graph_to_json(g: random_graphs.GeomGraph) -> dict:
         "points": [vec_to_json(p) for p in g.sample.points],
         "p": str(g.p),
         "rng_seed": g.rng_seed,
-        "edges": [list(e) for e in g.edges],
+        "edges": g.edges.tolist(),
     }
+
+
+def _edges_from_json(raw, n: int) -> np.ndarray:
+    """The (E, 2) int64 edges of a graph file: distinct integer pairs 0 <= i < j < n."""
+    try:
+        edges = np.array(raw if raw != [] else np.zeros((0, 2), dtype=np.int64))
+    except ValueError:  # ragged rows; the 0-d array fails the check below
+        edges = np.array(None)
+    if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind != "i":
+        raise BadGraph("edges must be a list of [i, j] integer pairs")
+    edges = edges.astype(np.int64, copy=False)
+    bad = (edges[:, 0] < 0) | (edges[:, 0] >= edges[:, 1]) | (edges[:, 1] >= n)
+    if bad.any():
+        raise BadGraph(f"edge {edges[np.argmax(bad)].tolist()} is not a pair 0 <= i < j < {n}")
+    if (np.diff(np.sort(edges[:, 0] * n + edges[:, 1])) == 0).any():
+        raise BadGraph("edges repeat a pair")
+    return edges
 
 
 def graph_from_json(obj: dict) -> random_graphs.GeomGraph:
@@ -150,7 +170,7 @@ def graph_from_json(obj: dict) -> random_graphs.GeomGraph:
     )
     return random_graphs.GeomGraph(
         sample=sample,
-        edges=tuple((int(i), int(j)) for i, j in obj["edges"]),
+        edges=_edges_from_json(obj["edges"], len(sample.points)),
         p=parse_rational(obj["p"]),
         rng_seed=obj["rng_seed"],
     )

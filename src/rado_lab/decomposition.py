@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import CrossCheckFailure, NotUnitNorm, OutOfDomain, TooManyVertices
-from .geometry import PolytopeBall, incident_facets, norm
+from .geometry import PolytopeBall, incident_facets, norm, pairwise_norm_numerators
 from .linalg import Matrix, Vec, vadd, vneg, vscale, vsub
 from .lp import OPTIMAL, LpProblem, solve
 
@@ -354,17 +354,9 @@ def linear_isometry_group(
         raise TooManyVertices(f"{n} vertices exceeds guard {vertex_guard}")
     d = ball.dim
     basis = linalg.independent_subset(vs, limit=d)
-    dist: dict[tuple[int, int], Q] = {}
-
+    # Distance numerators over one common denominator compare like distances.
+    dist = pairwise_norm_numerators(ball, vs)[0].tolist()
     index = {v: i for i, v in enumerate(vs)}
-
-    def distance(i: int, j: int) -> Q:
-        key = (min(i, j), max(i, j))
-        got = dist.get(key)
-        if got is None:
-            got = dist[key] = norm(ball, vsub(vs[key[0]], vs[key[1]]))
-        return got
-
     basis_idx = [index[b] for b in basis]
     found: list[LinearIsometry] = []
     perms: set[tuple[int, ...]] = set()
@@ -385,10 +377,7 @@ def linear_isometry_group(
         for t in range(n):
             if t in images:
                 continue
-            if all(
-                distance(basis_idx[j], basis_idx[k]) == distance(images[j], t)
-                for j in range(k)
-            ):
+            if all(dist[basis_idx[j]][basis_idx[k]] == dist[images[j]][t] for j in range(k)):
                 images.append(t)
                 extend(k + 1)
                 images.pop()

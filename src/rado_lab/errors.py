@@ -78,6 +78,10 @@ class BadRational(RadoLabError):
     """A config value was not an exact integer or p/q literal."""
 
 
+class BadGraph(RadoLabError):
+    """A graph file whose edges are not distinct integer pairs i < j of point indices."""
+
+
 class UnknownBuiltin(RadoLabError):
     pass
 

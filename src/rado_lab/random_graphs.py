@@ -6,6 +6,9 @@ any max-norm coordinate, and no two share a U-component.  Coordinates
 are uniform rationals on the shared 2**-33 grid (see `grid`), drawn as
 integer numerators with one odd offset per point, so the constraints are
 near-impossible to trip by chance yet still audited exactly.
+
+A graph's edges are one read-only (E, 2) int64 array of index pairs
+i < j in row-major order, from `unit_graph` through the audits to disk.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable
 
 import numpy as np
 
@@ -38,14 +40,21 @@ class PointSample:
     typicality: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeomGraph:
-    """Unit-distance graph (p = 1) or a Bernoulli edge subsample of one."""
+    """Unit-distance graph (p = 1) or a Bernoulli edge subsample of one.
+
+    `edges` is a read-only (E, 2) int64 array of pairs i < j in row-major
+    order; graphs compare by identity, as an array has no field-wise `==`.
+    """
 
     sample: PointSample
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     p: Q
     rng_seed: int | None
+
+    def __post_init__(self) -> None:
+        self.edges.setflags(write=False)
 
 
 def sample_typical_points(
@@ -54,20 +63,17 @@ def sample_typical_points(
     window: Q,
     n: int,
     seed: int,
-    constraints: Iterable[str] = (LINF_INTEGER_FREE, FIBRE_FREE),
 ) -> PointSample:
     """Sample n distinct points in [0, window)^d, rejecting typicality violations.
 
     The linf constraint forbids integer differences in any max-norm
     coordinate of the decomposition; the fibre constraint forbids equal
-    U-components.  The latter is dropped automatically when U = {0}.
+    U-components.  The latter is dropped when U = {0}.
     """
     window = Q(window)
     if n < 1 or window <= 0:
         raise OutOfDomain("need n >= 1 and window > 0")
-    wanted = set(constraints)
-    if not decomposition.u_basis:
-        wanted.discard(FIBRE_FREE)
+    wanted = {LINF_INTEGER_FREE, FIBRE_FREE} if decomposition.u_basis else {LINF_INTEGER_FREE}
     rng = random.Random(seed)
     max_num = grid_max_num(window)
     points: list[Vec] = []
@@ -106,33 +112,33 @@ def sample_typical_points(
 def unit_graph(sample: PointSample) -> GeomGraph:
     """Exact strict-inequality adjacency: an edge iff norm(x_i - x_j) < 1."""
     nums, den = pairwise_norm_numerators(sample.ball, sample.points)
-    ii, jj = np.nonzero(np.triu(nums < den, k=1))
-    edges = tuple(zip(ii.tolist(), jj.tolist()))
+    edges = np.argwhere(np.triu(nums < den, k=1))
     return GeomGraph(sample=sample, edges=edges, p=Q(1), rng_seed=None)
 
 
 def bernoulli_subgraph(g0: GeomGraph, p: Q, seed: int) -> GeomGraph:
-    """Keep each edge independently with exact probability p (rational)."""
+    """Keep each edge with exact probability p: one `randrange` per edge, in edge order."""
     p = Q(p)
     if g0.p != 1:
         raise OutOfDomain("bernoulli_subgraph expects the p=1 unit graph")
     if not 0 <= p <= 1:
         raise OutOfDomain("p must lie in [0, 1]")
     rng = random.Random(seed)
-    kept = tuple(e for e in g0.edges if rng.randrange(p.denominator) < p.numerator)
-    return GeomGraph(sample=g0.sample, edges=kept, p=p, rng_seed=seed)
+    den, num = p.denominator, p.numerator
+    keep = [rng.randrange(den) < num for _ in range(len(g0.edges))]
+    return GeomGraph(sample=g0.sample, edges=g0.edges[keep], p=p, rng_seed=seed)
 
 
 def adjacency_lists(g: GeomGraph) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in g.sample.points]
-    for i, j in g.edges:
+    for i, j in g.edges.tolist():
         adj[i].append(j)
         adj[j].append(i)
     return adj
 
 
 def graph_distance(g: GeomGraph, i: int, j: int) -> int | None:
-    """Breadth-first hop count; None when unreachable."""
+    """Breadth-first hop count; None when unreachable (the reference for `distance_matrix`)."""
     n = len(g.sample.points)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRange(f"indices ({i}, {j}) for {n} points")
@@ -155,52 +161,29 @@ def graph_distance(g: GeomGraph, i: int, j: int) -> int | None:
 def distance_matrix(g: GeomGraph) -> np.ndarray:
     """All-pairs hop counts as int64, -1 for unreachable pairs.
 
-    Level-by-level BFS over bitset rows (Python big ints); dense
-    unit-distance graphs have tiny diameters, so a handful of levels of
-    word-parallel unions beats per-source traversal by a wide margin.
+    One level-synchronous BFS per source over the adjacency packed into
+    uint64 words: a level's reach is the OR of its frontier's rows, so
+    dense unit-distance graphs, with their tiny diameters, take a handful
+    of vectorised levels per source.
     """
     n = len(g.sample.points)
+    adj = np.zeros((n, -(-n // 64) * 64), dtype=bool)  # rows padded to whole words
+    adj[g.edges[:, 0], g.edges[:, 1]] = True
+    adj[g.edges[:, 1], g.edges[:, 0]] = True
+    packed = np.packbits(adj, axis=1, bitorder="little").view(np.uint64)
     dist = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    adj = [0] * n
-    for i, j in g.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    nbytes = (n + 7) // 8
-    reach = [(1 << i) | adj[i] for i in range(n)]
-    frontier = list(adj)
-    for i in range(n):
-        if adj[i]:
-            bits = np.unpackbits(
-                np.frombuffer(adj[i].to_bytes(nbytes, "little"), dtype=np.uint8),
-                bitorder="little",
-            )[:n]
-            dist[i, bits.astype(bool)] = 1
-    level = 1
-    while True:
-        level += 1
-        any_new = False
-        for i in range(n):
-            f = frontier[i]
-            if not f:
-                continue
-            new = 0
-            while f:
-                low = f & -f
-                new |= adj[low.bit_length() - 1]
-                f ^= low
-            new &= ~reach[i]
-            frontier[i] = new
-            if new:
-                any_new = True
-                reach[i] |= new
-                bits = np.unpackbits(
-                    np.frombuffer(new.to_bytes(nbytes, "little"), dtype=np.uint8),
-                    bitorder="little",
-                )[:n]
-                dist[i, bits.astype(bool)] = level
-        if not any_new:
-            return dist
+    for source, row in enumerate(dist):
+        row[source] = 0
+        front = [source]
+        level = 0
+        while len(front):
+            level += 1
+            hit = np.bitwise_or.reduce(packed[front], axis=0)
+            new = np.unpackbits(hit.view(np.uint8), count=n, bitorder="little").view(bool)
+            new &= row < 0
+            row[new] = level
+            front = np.flatnonzero(new)
+    return dist
 
 
 @dataclass(frozen=True)

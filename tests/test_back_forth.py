@@ -469,6 +469,11 @@ class TestS0Experiment:
         for t, agreed, completed in res.rows:
             assert (completed is None) == (not agreed)
 
+    def test_process_pool_matches_inline(self):
+        params = S0Params(u_ball=U1, n_u=40, fibre_n=1, window=Q(1), budget=25, p=Q(1, 2))
+        inline = s0_experiment(params, trials=4, seed=91)
+        assert s0_experiment(params, trials=4, seed=91, threads=2) == inline
+
     def test_p_one_always_agrees(self):
         params = S0Params(u_ball=U1, n_u=10, fibre_n=2, window=Q(1), budget=10, p=Q(1))
         res = s0_experiment(params, trials=3, seed=5)

@@ -166,25 +166,57 @@ class TestCheckStepIsometry:
 class TestGraphPipeline:
     def test_sample_bj_roundtrip(self, tmp_path, capsys):
         graph_path = tmp_path / "graph.json"
-        code, _ = run_cli(
-            [
-                "sample-graph", "--ball", "builtin:cube_2", "--n", "80",
-                "--window", "3", "--p", "1/2", "--seed", "7",
-                "--out", str(graph_path),
-            ],
-            capsys,
-        )
-        assert code == 0
-        payload = json.loads(graph_path.read_text())
-        graph = cli.graph_from_json(payload)
-        assert cli.graph_to_json(graph) == payload  # exact rational round-trip
-        assert graph.p == Q(1, 2)
+        for n, p in (("5", "0"), ("80", "1/2")):  # p = 0 keeps no edge
+            code, _ = run_cli(
+                [
+                    "sample-graph", "--ball", "builtin:cube_2", "--n", n,
+                    "--window", "3", "--p", p, "--seed", "7",
+                    "--out", str(graph_path),
+                ],
+                capsys,
+            )
+            assert code == 0
+            payload = json.loads(graph_path.read_text())
+            graph = cli.graph_from_json(payload)
+            assert cli.graph_to_json(graph) == payload  # exact rational round-trip
+            assert graph.p == Q(p)
+            assert (payload["edges"] == []) == (p == "0")
 
         code, out = run_cli(["bj-audit", "--graph", str(graph_path), "--kmax", "3"], capsys)
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "k,pairs,satisfied,fraction"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[0, 9]],  # past the 5 points
+            [[-1, 2]],
+            [[1, 1]],
+            [[0.5, 2]],
+            [[0, 1], [1, 0]],  # i > j
+            [[0, 1], [0, 1]],
+            [[0, 1], [2]],
+            [[0, 1, 2]],
+            [[0, "1"]],
+            {"0": 1},
+        ],
+    )
+    def test_malformed_edges_exit_2(self, tmp_path, capsys, edges):
+        graph_path = tmp_path / "graph.json"
+        run_cli(
+            ["sample-graph", "--ball", "builtin:cube_2", "--n", "5", "--window", "3",
+             "--seed", "1", "--out", str(graph_path)],
+            capsys,
+        )
+        payload = json.loads(graph_path.read_text())
+        payload["edges"] = edges
+        graph_path.write_text(json.dumps(payload))
+        code = cli.main(["bj-audit", "--graph", str(graph_path), "--kmax", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: BadGraph: ")
 
     def test_identical_config_identical_bytes(self, tmp_path, capsys):
         outs = []

@@ -77,9 +77,7 @@ class TestSampler:
 
     def test_fibre_constraint_dropped_when_u_trivial(self, linf2):
         ball, dec = linf2
-        s = sample_typical_points(
-            ball, dec, Q(3), 5, seed=7, constraints=(LINF_INTEGER_FREE, FIBRE_FREE)
-        )
+        s = sample_typical_points(ball, dec, Q(3), 5, seed=7)
         assert s.typicality == (LINF_INTEGER_FREE,)
 
     def test_fibre_constraint_enforced_on_prism(self):
@@ -101,26 +99,26 @@ class TestSampler:
 class TestUnitGraph:
     def test_line_example(self):
         g = unit_graph(line_sample(0, Q(1, 2), Q(9, 8)))
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_exact_unit_distance_is_not_an_edge(self):
         g = unit_graph(line_sample(0, 1))
-        assert g.edges == ()
+        assert g.edges.shape == (0, 2)
 
     def test_cluster_is_complete(self):
         g = unit_graph(line_sample(0, Q(1, 4), Q(1, 2)))
-        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_fast_path_matches_reference(self, linf2):
         ball, dec = linf2
         s = sample_typical_points(ball, dec, Q(3), 60, seed=21)
-        fast = unit_graph(s).edges
-        slow = tuple(
-            (i, j)
+        fast = unit_graph(s).edges.tolist()
+        slow = [
+            [i, j]
             for i in range(60)
             for j in range(i + 1, 60)
             if norm(ball, vsub(s.points[i], s.points[j])) < 1
-        )
+        ]
         assert fast == slow
 
     def test_generic_ball_path(self):
@@ -148,8 +146,14 @@ class TestUnitGraph:
                     d = norm(ball, vsub(pts[i], pts[j]))
                     assert floors[i, j] == floors[j, i] == math.floor(d)
                     if d < 1:
-                        edges.append((i, j))
-            assert g.edges == tuple(edges)
+                        edges.append([i, j])
+            assert g.edges.tolist() == edges
+
+    def test_one_point_gives_empty_int64_array(self):
+        g = unit_graph(line_sample(0))
+        for edges in (g.edges, bernoulli_subgraph(g, Q(1, 2), seed=1).edges):
+            assert edges.shape == (0, 2) and edges.dtype == np.int64
+            assert not edges.flags.writeable
 
     def test_edge_soundness_audit(self, linf2):
         ball, dec = linf2
@@ -161,15 +165,15 @@ class TestUnitGraph:
 
 class TestBernoulli:
     def test_p_one_keeps_everything(self, g0):
-        assert bernoulli_subgraph(g0, Q(1), seed=1).edges == g0.edges
+        assert np.array_equal(bernoulli_subgraph(g0, Q(1), seed=1).edges, g0.edges)
 
     def test_p_zero_drops_everything(self, g0):
-        assert bernoulli_subgraph(g0, Q(0), seed=1).edges == ()
+        assert bernoulli_subgraph(g0, Q(0), seed=1).edges.shape == (0, 2)
 
     def test_subset_and_determinism(self, g0):
         gp = bernoulli_subgraph(g0, Q(1, 3), seed=6)
-        assert set(gp.edges) <= set(g0.edges)
-        assert gp.edges == bernoulli_subgraph(g0, Q(1, 3), seed=6).edges
+        assert set(map(tuple, gp.edges.tolist())) <= set(map(tuple, g0.edges.tolist()))
+        assert np.array_equal(gp.edges, bernoulli_subgraph(g0, Q(1, 3), seed=6).edges)
 
     def test_kept_count_within_binomial_bounds(self, g0):
         m = len(g0.edges)
@@ -206,15 +210,29 @@ class TestDistances:
             graph_distance(g, 0, 5)
 
     def test_matrix_matches_bfs(self, linf2):
+        # Every pair, on 1 to 129 points: word boundaries at 64, an edgeless
+        # graph, and two far-apart paths of 64 and 65 points (disconnected,
+        # diameters 63 and 64).
         ball, dec = linf2
-        s = sample_typical_points(ball, dec, Q(3), 70, seed=51)
-        g = bernoulli_subgraph(unit_graph(s), Q(1, 3), seed=52)
-        dm = distance_matrix(g)
-        rng = random.Random(0)
-        for _ in range(60):
-            i, j = rng.randrange(70), rng.randrange(70)
-            bfs = graph_distance(g, i, j)
-            assert dm[i, j] == (-1 if bfs is None else bfs)
+        graphs = [
+            unit_graph(line_sample(0)),
+            unit_graph(line_sample(0, 3)),
+            unit_graph(line_sample(0, Q(1, 2))),
+            unit_graph(line_sample(*[Q(3 * k, 4) + 100 * (k >= 64) for k in range(129)])),
+        ] + [
+            bernoulli_subgraph(
+                unit_graph(sample_typical_points(ball, dec, Q(3), n, seed=51)), Q(1, 3), seed=52
+            )
+            for n in (63, 64, 65, 70, 129)
+        ]
+        for g in graphs:
+            n = len(g.sample.points)
+            dm = distance_matrix(g)
+            assert dm.shape == (n, n) and np.array_equal(dm, dm.T)
+            for i in range(n):
+                for j in range(i, n):
+                    bfs = graph_distance(g, i, j)
+                    assert dm[i, j] == (-1 if bfs is None else bfs)
 
 
 class TestBjAudit:
