@@ -67,7 +67,6 @@ from .step_isometry import (
     apply_factorized,
     apply_linf,
     check_factorization_consistency,
-    eval_g,
     random_step_isometry,
     verify_step_isometry,
 )

@@ -101,13 +101,6 @@ class FibredSample:
     def n_points(self) -> int:
         return sum(map(len, self.fibres))
 
-    def members_of_fibre(self, f: int) -> tuple[int, ...]:
-        return self.fibre_members[f]
-
-    def flat_point(self, i: int) -> Vec:
-        """The point in ambient (U (+) R)_max coordinates."""
-        return self.u_points[self.fibre_of[i]] + (self.w_of[i],)
-
     def u_floor(self, fa: int, fb: int) -> int:
         """floor of the exact U-distance of two fibres, cached per fibre pair
         and shared by every graph over this sample."""
@@ -126,32 +119,30 @@ def _rand_rational(rng: random.Random, lo: Q, width: Q) -> Q:
     return lo + Q(grid_num(rng, grid_max_num(width), odd), DEN)
 
 
+def _draw_u_point(rng: random.Random, n_u: int, dim: int) -> Vec:
+    """One U-point of a sample of n_u: uniform on [2, 2 + side)^dim, with the
+    side chosen for density about one per unit volume."""
+    side = Q(max(1, math.ceil(n_u ** (1 / dim))))
+    return tuple(_rand_rational(rng, Q(2), side) for _ in range(dim))
+
+
 def make_fibred_sample(
-    u_ball: PolytopeBall,
-    n_u: int,
-    fibre_n: int,
-    window: Q,
-    seed: int,
-    u_offset: Q = Q(2),
-    u_side: Q | None = None,
+    u_ball: PolytopeBall, n_u: int, fibre_n: int, window: Q, seed: int
 ) -> FibredSample:
     """Sample n_u distinct U-points, each carrying fibre_n R-components.
 
-    U-points land in [u_offset, u_offset + u_side)^dim with u_side chosen
-    for density about one per unit volume, the finite stand-in for a
-    density-one process; R-components land in [0, window) with all
-    fractional parts distinct, so no two points differ by an integer.
-    R-components are drawn and deduplicated as integer grid numerators
-    (their fractional part is the low DEN_POW bits); a Fraction is built
-    only for each kept point.
+    U-points are drawn by `_draw_u_point`, at density about one per unit
+    volume, the finite stand-in for a density-one process; R-components
+    land in [0, window) with all fractional parts distinct, so no two
+    points differ by an integer.  R-components are drawn and deduplicated
+    as integer grid numerators (their fractional part is the low DEN_POW
+    bits); a Fraction is built only for each kept point.
     """
     if n_u < 1 or fibre_n < 1:
         raise OutOfDomain("need n_u >= 1 and fibre_n >= 1")
     window = Q(window)
     rng = random.Random(seed)
     dim = u_ball.dim
-    if u_side is None:
-        u_side = Q(max(1, math.ceil(n_u ** (1 / dim))))
     u_points: list[Vec] = []
     u_seen: set[Vec] = set()
     attempts = 0
@@ -159,7 +150,7 @@ def make_fibred_sample(
         attempts += 1
         if attempts > 100 * n_u:
             raise WindowTooSmall("could not place distinct U-points")
-        u = tuple(_rand_rational(rng, u_offset, u_side) for _ in range(dim))
+        u = _draw_u_point(rng, n_u, dim)
         if u in u_seen:
             continue
         u_seen.add(u)
@@ -348,7 +339,7 @@ def bf_step(
             constraints.append((ib, dom.adjacent(vertex, da)))
 
     found_in_interval = False
-    for cand in s_img.members_of_fibre(fibre):
+    for cand in s_img.fibre_members[fibre]:
         if cand in matched_img:
             continue
         wc = s_img.w_of[cand]
@@ -476,12 +467,11 @@ def bf_run(
 class S0Gadget:
     """The four-point gadget {0, u, 3u/2, 5u/2} adjoined on its own fibre.
 
-    u points along the distinguished R-axis, so the only pairs of the
-    combined sample at exact unit distance are {0,u} and {3u/2,5u/2},
+    u is the unit vector of the distinguished R-axis, so the only pairs of
+    the combined sample at exact unit distance are {0,u} and {3u/2,5u/2},
     and the unique potential edge is {u, 3u/2} at distance 1/2.
     """
 
-    u: Vec
     combined: FibredSample
     gadget_fibre: int
     gadget_indices: tuple[int, int, int, int]
@@ -491,15 +481,19 @@ class S0Gadget:
         return (self.gadget_indices[1], self.gadget_indices[2])
 
 
-def _unit_u_distance_pairs(sample: FibredSample) -> list[tuple[int, int]]:
-    """Fibre pairs at U-distance exactly one (exact check)."""
-    nums, den = pairwise_norm_numerators(sample.u_ball, sample.u_points)
-    ii, jj = np.nonzero(np.triu(nums == den, k=1))
-    return list(zip(ii.tolist(), jj.tolist()))
+def _u_clashes(u_ball: PolytopeBall, u_points: Sequence[Vec]) -> np.ndarray:
+    """Per U-point: at exact norm 1 from another U-point, or repeated."""
+    nums, den = pairwise_norm_numerators(u_ball, u_points)
+    return (nums == den).any(axis=1) | ((nums == 0).sum(axis=1) > 1)
 
 
 def audit_gadget(gadget: S0Gadget) -> None:
-    """Assert the exact unit-distance pairs are the two intended ones."""
+    """Assert the exact unit-distance pairs are the two intended ones.
+
+    The U-points, the gadget's origin among them, must be distinct and
+    pairwise off unit distance, and every fractional part outside the
+    gadget distinct and off the gadget's.
+    """
     s = gadget.combined
     g0, g1, g2_, g3 = gadget.gadget_indices
     unit_pairs = set()
@@ -510,8 +504,8 @@ def audit_gadget(gadget: S0Gadget) -> None:
                 unit_pairs.add((gadget.gadget_indices[x], gadget.gadget_indices[y]))
     if unit_pairs != {(g0, g1), (g2_, g3)}:
         raise CrossCheckFailure("gadget does not have exactly its two unit pairs")
-    if _unit_u_distance_pairs(s):
-        raise CrossCheckFailure("sample still contains a unit U-distance pair")
+    if _u_clashes(s.u_ball, s.u_points).any():
+        raise CrossCheckFailure("sample has a repeated U-point or a unit U-distance pair")
     keys = [frac_key(w) for f, ws in enumerate(s.fibres) if f != gadget.gadget_fibre for w in ws]
     # Distinct fractional parts, none of them the gadget's.
     if len(set(keys).union(_GADGET_FRAC_KEYS)) != len(keys) + len(_GADGET_FRAC_KEYS):
@@ -521,10 +515,12 @@ def audit_gadget(gadget: S0Gadget) -> None:
 def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
     """Adjoin the gadget fibre at u = 0 and re-audit unit distances exactly.
 
-    Sample points that collide (fractions 0 or 1/2, or a U-point at exact
-    norm 1 from the origin or unit U-distance from another) are resampled.
-    Fractional parts are compared as integer keys (see grid.frac_key), so
-    off-grid R-components are handled exactly too.
+    Sample points that collide are resampled: R-components whose fraction
+    is 0, 1/2 or an earlier one, and U-points that repeat, lie at the
+    origin, or lie at exact norm 1 from the origin or from another U-point
+    (redrawn by `_draw_u_point`).  Fractional parts are compared as integer
+    keys (see grid.frac_key), so off-grid R-components are handled exactly
+    too.
     """
     rng = random.Random(seed ^ 0x60D6E7)
     u_points = list(sample.u_points)
@@ -544,31 +540,24 @@ def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
                 key = frac_key(w)
             taken.add(key)
 
-    def clashes() -> np.ndarray:
-        """Per U-point: at norm 1 from the origin or another U-point, or repeated."""
-        nums, den = pairwise_norm_numerators(sample.u_ball, [zero_vec(dim)] + u_points)
-        return (nums[1:] == den).any(axis=1) | ((nums[1:, 1:] == 0).sum(axis=1) > 1)
-
-    side = Q(max(1, math.ceil(len(u_points) ** (1 / dim))))
-    clash = clashes()
-    for f in range(len(u_points)):
+    u_points.append(zero_vec(dim))  # the gadget fibre's, last in the combined order
+    clash = _u_clashes(sample.u_ball, u_points)
+    for f in range(len(fibres)):
         attempts = 0
         while clash[f]:
             attempts += 1
             if attempts > 200:
                 raise WindowTooSmall("cannot avoid unit U-distances")
-            u_points[f] = tuple(_rand_rational(rng, Q(2), side) for _ in range(dim))
-            clash = clashes()
+            u_points[f] = _draw_u_point(rng, len(fibres), dim)
+            clash = _u_clashes(sample.u_ball, u_points)
 
     gadget_fibre = len(fibres)
-    u_points.append(zero_vec(dim))
     fibres.append(list(GADGET_WS))
     combined = FibredSample(
         sample.u_ball, tuple(u_points), tuple(map(tuple, fibres)), sample.window,
         sample.seed, integer_exempt_fibres=(gadget_fibre,),
     )
     gadget = S0Gadget(
-        u=zero_vec(dim) + (Q(1),),
         combined=combined,
         gadget_fibre=gadget_fibre,
         gadget_indices=(0, 1, 2, 3),
@@ -606,8 +595,11 @@ class S0Result:
         return Q(self.completions, self.conditional_runs)
 
 
+_SEED_STRIDE = 1_000_003
+
+
 def _derive_seed(seed: int, idx: int) -> int:
-    return seed * 1_000_003 + idx
+    return seed * _SEED_STRIDE + idx
 
 
 def s0_run_trial(params: S0Params, trial_seed: int) -> tuple[bool, bool | None]:
@@ -633,18 +625,19 @@ def s0_run_trial(params: S0Params, trial_seed: int) -> tuple[bool, bool | None]:
 
 def s0_experiment(params: S0Params, trials: int, seed: int, threads: int = 1) -> S0Result:
     """Agreement frequency of the gadget edge and the conditional completion rate."""
-    if trials < 1:
-        raise OutOfDomain("trials must be >= 1")
+    if not 1 <= trials <= _SEED_STRIDE:
+        # Trial seeds of (seed, _SEED_STRIDE) and (seed + 1, 0) would coincide.
+        raise OutOfDomain(f"trials must lie in [1, {_SEED_STRIDE}], got {trials}")
     if params.budget < 1:  # bf_run checks it too, but only runs on agreeing trials
         raise OutOfDomain("budget must be >= 1")
-    jobs = [(params, _derive_seed(seed, t)) for t in range(trials)]
+    seeds = [_derive_seed(seed, t) for t in range(trials)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_s0_trial_star, jobs))
+            outcomes = list(pool.map(s0_run_trial, [params] * trials, seeds))
     else:
-        outcomes = [s0_run_trial(*job) for job in jobs]
+        outcomes = [s0_run_trial(params, s) for s in seeds]
     rows = tuple((t, a, c) for t, (a, c) in enumerate(outcomes))
     agreements = sum(1 for _, a, _ in rows if a)
     conditional = [c for _, a, c in rows if a]
@@ -655,10 +648,6 @@ def s0_experiment(params: S0Params, trials: int, seed: int, threads: int = 1) ->
         completions=sum(1 for c in conditional if c),
         rows=rows,
     )
-
-
-def _s0_trial_star(job: tuple[S0Params, int]) -> tuple[bool, bool | None]:
-    return s0_run_trial(*job)
 
 
 def bf_run_experiment(

@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import chain
 
 import numpy as np
 
@@ -150,6 +151,8 @@ def _edges_from_json(raw, n: int) -> np.ndarray:
         edges = np.array(None)
     if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind != "i":
         raise BadGraph("edges must be a list of [i, j] integer pairs")
+    if bool in set(map(type, chain.from_iterable(raw))):  # [true, 2] passes as int64
+        raise BadGraph("edge indices must be integers, not booleans")
     edges = edges.astype(np.int64, copy=False)
     bad = (edges[:, 0] < 0) | (edges[:, 0] >= edges[:, 1]) | (edges[:, 1] >= n)
     if bad.any():

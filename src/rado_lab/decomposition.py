@@ -73,12 +73,6 @@ class LinearIsometry:
     def apply(self, v: Vec) -> Vec:
         return linalg.matvec(self.matrix, v)
 
-    def compose(self, other: "LinearIsometry") -> "LinearIsometry":
-        return LinearIsometry(linalg.matmul(self.matrix, other.matrix))
-
-    def inverse(self) -> "LinearIsometry":
-        return LinearIsometry(linalg.invert(self.matrix))
-
 
 def canonical_direction(ball: PolytopeBall, d: Vec) -> Vec:
     """Scale to norm 1, then flip so the first nonzero coordinate is positive."""
@@ -259,13 +253,6 @@ class LinfDecomposition:
             out = vadd(out, vscale(c, b))
         for c, d in zip(w_coords, self.linf_basis):
             out = vadd(out, vscale(c, d.x))
-        return out
-
-    def u_component(self, v: Vec) -> Vec:
-        u_coords, _ = self.coordinates(v)
-        out = linalg.zero_vec(self.dim)
-        for c, b in zip(u_coords, self.u_basis):
-            out = vadd(out, vscale(c, b))
         return out
 
 

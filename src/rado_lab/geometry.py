@@ -314,12 +314,8 @@ def parse_rational(text: str) -> Q:
     return Q(s)
 
 
-def format_rational(q: Q) -> str:
-    return str(q)
-
-
 def vec_to_json(v: Vec) -> list[str]:
-    return [format_rational(c) for c in v]
+    return [str(c) for c in v]
 
 
 def vec_from_json(obj: Sequence[str]) -> Vec:

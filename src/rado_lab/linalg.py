@@ -9,17 +9,12 @@ floor-of-norm comparisons.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
 Vec = tuple[Q, ...]
 Matrix = tuple[Vec, ...]
-
-
-def vec(values: Iterable) -> Vec:
-    """Coerce an iterable of exact numbers to a vector of Fractions."""
-    return tuple(Q(v) for v in values)
 
 
 def zero_vec(dim: int) -> Vec:

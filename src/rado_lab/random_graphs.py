@@ -73,39 +73,32 @@ def sample_typical_points(
     window = Q(window)
     if n < 1 or window <= 0:
         raise OutOfDomain("need n >= 1 and window > 0")
-    wanted = {LINF_INTEGER_FREE, FIBRE_FREE} if decomposition.u_basis else {LINF_INTEGER_FREE}
     rng = random.Random(seed)
     max_num = grid_max_num(window)
     points: list[Vec] = []
-    seen_points: set[Vec] = set()
     linf_fracs: list[set[Q]] = [set() for _ in range(decomposition.d_inf)]
     u_seen: set[Vec] = set()
     attempts = 0
+    # A repeated point repeats its linf fractions, or its U-coordinates when
+    # d_inf = 0, so the two constraints also keep the points distinct.
     while len(points) < n:
         attempts += 1
         if attempts > 100 * n:
             raise WindowTooSmall(f"rejection budget exceeded after {attempts} draws")
         odd = draw_odd(rng)
         p = tuple(Q(grid_num(rng, max_num, odd), DEN) for _ in range(ball.dim))
-        if p in seen_points:
-            continue
         u_coords, w_coords = decomposition.coordinates(p)
-        if LINF_INTEGER_FREE in wanted:
-            fr = [frac(c) for c in w_coords]
-            if any(f in linf_fracs[i] for i, f in enumerate(fr)):
-                continue
-        if FIBRE_FREE in wanted and u_coords in u_seen:
+        fr = [frac(c) for c in w_coords]
+        if any(f in linf_fracs[i] for i, f in enumerate(fr)) or u_coords in u_seen:
             continue
         points.append(p)
-        seen_points.add(p)
-        if LINF_INTEGER_FREE in wanted:
-            for i, c in enumerate(w_coords):
-                linf_fracs[i].add(frac(c))
-        if FIBRE_FREE in wanted:
+        for i, f in enumerate(fr):
+            linf_fracs[i].add(f)
+        if u_coords:  # U = {0} gives () for every point, and no fibre constraint
             u_seen.add(u_coords)
+    typicality = (FIBRE_FREE, LINF_INTEGER_FREE) if decomposition.u_basis else (LINF_INTEGER_FREE,)
     return PointSample(
-        ball=ball, points=tuple(points), window=window, seed=seed,
-        typicality=tuple(sorted(wanted)),
+        ball=ball, points=tuple(points), window=window, seed=seed, typicality=typicality
     )
 
 
@@ -193,12 +186,6 @@ class BjReport:
     rows: tuple[tuple[int, int, int, Q], ...]  # (k, pairs, satisfied, fraction)
     one_sided_violations: int
 
-    @property
-    def aggregate_fraction(self) -> Q:
-        pairs = sum(r[1] for r in self.rows)
-        sat = sum(r[2] for r in self.rows)
-        return Q(sat, pairs) if pairs else Q(1)
-
 
 def norm_floor_matrix(g: GeomGraph) -> np.ndarray:
     """Exact n x n matrix of floor(norm(x_i - x_j)), int64 or object dtype.
@@ -230,7 +217,7 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
         graph_le = (dist_u >= 0) & (dist_u <= k)
         satisfied = int(np.count_nonzero(norm_lt == graph_le))
         pairs = len(dist_u)
-        rows.append((k, pairs, satisfied, Q(satisfied, pairs)))
+        rows.append((k, pairs, satisfied, Q(satisfied, pairs) if pairs else Q(1)))
     finite = dist_u >= 1
     violations = int(np.count_nonzero(finite & ~(floors_u < dist_u)))
     return BjReport(rows=tuple(rows), one_sided_violations=violations)

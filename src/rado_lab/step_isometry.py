@@ -70,11 +70,6 @@ class MonotoneBijection01:
 IDENTITY_G = MonotoneBijection01()
 
 
-def eval_g(g: MonotoneBijection01, t: Q) -> Q:
-    """Exact evaluation of a fractional-part bijection at rational t."""
-    return g.eval(Q(t))
-
-
 def _unfold(g: MonotoneBijection01, t: Q) -> Q:
     """The shift-equivariant extension floor(t) + g(frac(t))."""
     k = math.floor(t)

@@ -194,7 +194,6 @@ class TestMakeFibredSample:
             f = s.fibre_of[i]
             assert s.w_of[i] in s.fibres[f]
             assert i in s.fibre_members[f]
-            assert s.flat_point(i) == s.u_points[f] + (s.w_of[i],)
 
 
 class TestFibreGraph:
@@ -249,7 +248,7 @@ class TestBfStep:
     def test_identity_candidate_matches_first_fibre_point(self):
         s = make_fibred_sample(U1, 5, 3, Q(1), seed=9)
         g = FibreGraph(s, Q(1, 2), seed=9, tag=0)
-        vertex = min(s.members_of_fibre(s.fibre_of[0]))
+        vertex = min(s.fibre_members[s.fibre_of[0]])
         got = bf_step(g, g, PartialIso(), vertex, "forward")
         assert isinstance(got, PartialIso)
         assert got.fwd[vertex] == vertex
@@ -266,7 +265,7 @@ class TestBfStep:
         g = FibreGraph(s, Q(1), seed=13, tag=0)
         got = bf_step(g, g, PartialIso(), 0, "backward")
         assert isinstance(got, PartialIso)
-        assert got.bwd[0] in s.members_of_fibre(s.fibre_of[0])
+        assert got.bwd[0] in s.fibre_members[s.fibre_of[0]]
 
     def test_already_matched_vertex_rejected(self):
         s = make_fibred_sample(U1, 3, 2, Q(1), seed=14)
@@ -449,6 +448,23 @@ class TestGadget:
         audit_gadget(gadget)
         assert gadget.combined.n_points == 5
 
+    def test_audit_refuses_a_repeated_u_point(self):
+        gadget = attach_s0_gadget(make_fibred_sample(U1, 3, 2, Q(1), seed=37), seed=37)
+        c = gadget.combined
+        u_points = (c.u_points[1],) + c.u_points[1:]  # distance 0, not 1
+        with pytest.raises(CrossCheckFailure, match="repeated U-point"):
+            audit_gadget(dataclasses.replace(gadget, combined=dataclasses.replace(c, u_points=u_points)))
+
+    @pytest.mark.parametrize("bad", [(Q(1),), (Q(0),), "repeat"])
+    def test_u_point_collisions_are_resampled(self, bad):
+        # At norm 1 from the gadget's origin, at the origin, or repeated.
+        s = make_fibred_sample(U1, 3, 2, Q(1), seed=37)
+        bad = s.u_points[1] if bad == "repeat" else bad
+        gadget = attach_s0_gadget(dataclasses.replace(s, u_points=(bad,) + s.u_points[1:]), 37)
+        u_points = gadget.combined.u_points
+        assert u_points[0] != bad and u_points[1:] == s.u_points[1:] + ((Q(0),),)
+        audit_gadget(gadget)
+
     def test_resampling_clears_collisions(self):
         # Force a fraction collision with the gadget and check it is cleared.
         s = make_fibred_sample(U1, 2, 2, Q(1), seed=37)
@@ -473,6 +489,16 @@ class TestS0Experiment:
         params = S0Params(u_ball=U1, n_u=40, fibre_n=1, window=Q(1), budget=25, p=Q(1, 2))
         inline = s0_experiment(params, trials=4, seed=91)
         assert s0_experiment(params, trials=4, seed=91, threads=2) == inline
+
+    def test_trial_seed_collision_refused_before_any_trial(self, monkeypatch):
+        # Trial 1_000_003 of seed s would reuse trial 0 of seed s + 1.
+        def stub(params, trial_seed):
+            raise AssertionError("a trial ran before the trials check")
+
+        monkeypatch.setattr(back_forth, "s0_run_trial", stub)
+        params = S0Params(u_ball=U1, n_u=4, fibre_n=1)
+        with pytest.raises(OutOfDomain, match="trials"):
+            s0_experiment(params, trials=1_000_004, seed=3)
 
     def test_p_one_always_agrees(self):
         params = S0Params(u_ball=U1, n_u=10, fibre_n=2, window=Q(1), budget=10, p=Q(1))

@@ -188,6 +188,18 @@ class TestGraphPipeline:
         assert lines[0] == "k,pairs,satisfied,fraction"
         assert len(lines) == 3
 
+    def test_one_point_graph_audits_vacuously(self, tmp_path, capsys):
+        # No pair to audit: each row reports fraction 1.
+        graph_path = tmp_path / "graph.json"
+        run_cli(
+            ["sample-graph", "--ball", "builtin:cube_2", "--n", "1", "--window", "3",
+             "--seed", "1", "--out", str(graph_path)],
+            capsys,
+        )
+        code, out = run_cli(["bj-audit", "--graph", str(graph_path), "--kmax", "3"], capsys)
+        assert code == 0
+        assert out == "k,pairs,satisfied,fraction\n2,0,0,1.0\n3,0,0,1.0\n"
+
     @pytest.mark.parametrize(
         "edges",
         [
@@ -201,6 +213,8 @@ class TestGraphPipeline:
             [[0, 1, 2]],
             [[0, "1"]],
             {"0": 1},
+            [[True, 2]],  # a bool beside an int passes as int64
+            [[0, False]],
         ],
     )
     def test_malformed_edges_exit_2(self, tmp_path, capsys, edges):

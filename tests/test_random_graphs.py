@@ -7,7 +7,7 @@ import pytest
 
 from rado_lab.decomposition import linf_decomposition
 from rado_lab.errors import IndexOutOfRange, WindowTooSmall
-from rado_lab.geometry import cube_ball, hexagon_ball, norm, validate_ball
+from rado_lab.geometry import cube_ball, hexagon_ball, hexagonal_prism_ball, norm, validate_ball
 from rado_lab.linalg import vsub
 from rado_lab.random_graphs import (
     FIBRE_FREE,
@@ -70,10 +70,12 @@ class TestSampler:
             fracs = [p[axis] - math.floor(p[axis]) for p in s.points]
             assert len(set(fracs)) == len(fracs)
 
-    def test_points_inside_window(self, linf2):
-        ball, dec = linf2
-        s = sample_typical_points(ball, dec, Q(3), 40, seed=4)
-        assert all(0 <= c < 3 for p in s.points for c in p)
+    def test_points_inside_window(self):
+        # U = {0}, d_inf = 0 and mixed: the constraints alone keep points distinct.
+        for ball in (cube_ball(2), hexagon_ball(), hexagonal_prism_ball()):
+            s = sample_typical_points(ball, linf_decomposition(ball), Q(3), 40, seed=4)
+            assert all(0 <= c < 3 for p in s.points for c in p)
+            assert len(set(s.points)) == 40
 
     def test_fibre_constraint_dropped_when_u_trivial(self, linf2):
         ball, dec = linf2
@@ -81,8 +83,6 @@ class TestSampler:
         assert s.typicality == (LINF_INTEGER_FREE,)
 
     def test_fibre_constraint_enforced_on_prism(self):
-        from rado_lab.geometry import hexagonal_prism_ball
-
         ball = hexagonal_prism_ball()
         dec = linf_decomposition(ball)
         s = sample_typical_points(ball, dec, Q(2), 30, seed=11)

@@ -33,7 +33,6 @@ from rado_lab.step_isometry import (
     apply_factorized,
     apply_linf,
     check_factorization_consistency,
-    eval_g,
     identity_spec,
     random_step_isometry,
     verify_step_isometry,
@@ -53,20 +52,20 @@ G_HALF_QUARTER = MonotoneBijection01(((Q(0), Q(0)), (Q(1, 2), Q(1, 4))))
 
 class TestMonotoneBijection:
     def test_identity(self):
-        assert eval_g(IDENTITY_G, Q(2, 3)) == Q(2, 3)
+        assert IDENTITY_G.eval(Q(2, 3)) == Q(2, 3)
 
     def test_breakpoint_hit(self):
-        assert eval_g(G_HALF_QUARTER, Q(1, 2)) == Q(1, 4)
+        assert G_HALF_QUARTER.eval(Q(1, 2)) == Q(1, 4)
 
     def test_interpolation(self):
         # On the segment (1/2, 1/4) -> (1, 1): 1/4 + (1/4)*(3/2) = 5/8.
-        assert eval_g(G_HALF_QUARTER, Q(3, 4)) == Q(5, 8)
+        assert G_HALF_QUARTER.eval(Q(3, 4)) == Q(5, 8)
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            eval_g(IDENTITY_G, Q(1))
+            IDENTITY_G.eval(Q(1))
         with pytest.raises(OutOfDomain):
-            eval_g(IDENTITY_G, Q(-1, 10))
+            IDENTITY_G.eval(Q(-1, 10))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -78,9 +77,9 @@ class TestMonotoneBijection:
         rng = random.Random(8)
         for seed in range(10):
             g = random_step_isometry(1, 5, seed).g[0]
-            assert eval_g(g, Q(0)) == 0
+            assert g.eval(Q(0)) == 0
             ts = sorted(Q(rng.randrange(0, 1024), 1024) for _ in range(20))
-            vals = [eval_g(g, t) for t in ts]
+            vals = [g.eval(t) for t in ts]
             for (t0, y0), (t1, y1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
                 if t0 != t1:
                     assert y0 < y1
@@ -89,7 +88,7 @@ class TestMonotoneBijection:
         g = G_HALF_QUARTER
         h = g.inverse()
         for t in (Q(0), Q(1, 8), Q(1, 4), Q(17, 32), Q(9, 10)):
-            assert eval_g(h, eval_g(g, t)) == t
+            assert h.eval(g.eval(t)) == t
 
 
 class TestApplyLinf:
