@@ -130,7 +130,8 @@ def _run_check_step_isometry(opts: dict) -> int:
     return 1
 
 
-def graph_to_json(g: random_graphs.GeomGraph) -> dict:
+def _graph_fields(g: random_graphs.GeomGraph) -> dict:
+    """Every graph-file field except `edges`."""
     return {
         "ball": ball_to_json(g.sample.ball),
         "window": str(g.sample.window),
@@ -139,8 +140,34 @@ def graph_to_json(g: random_graphs.GeomGraph) -> dict:
         "points": [vec_to_json(p) for p in g.sample.points],
         "p": str(g.p),
         "rng_seed": g.rng_seed,
-        "edges": g.edges.tolist(),
     }
+
+
+def graph_to_json(g: random_graphs.GeomGraph) -> dict:
+    """The graph file as a JSON object: what `graph_from_json` reads back."""
+    return {**_graph_fields(g), "edges": g.edges.tolist()}
+
+
+_EDGE = "  [\n   %d,\n   %d\n  ]"  # one edge row as `_json_text` indents it
+_EDGE_ROWS = 1 << 14  # edges formatted per %-operation
+
+
+def graph_text(g: random_graphs.GeomGraph) -> str:
+    """The graph file, byte for byte `_json_text(graph_to_json(g))`.
+
+    The edge block comes from the fixed `_EDGE` template, formatted from
+    the int64 array a chunk of rows at a time, instead of through the
+    pure-Python indenting JSON encoder and a list of every pair.
+    """
+    text = _json_text({**_graph_fields(g), "edges": []})
+    if not len(g.edges):
+        return text
+    head, tail = text.split('\n "edges": []', 1)  # a one-space indent is top level
+    rows = [
+        ",\n".join([_EDGE] * len(chunk)) % tuple(chunk.ravel().tolist())
+        for chunk in np.split(g.edges, range(_EDGE_ROWS, len(g.edges), _EDGE_ROWS))
+    ]
+    return "".join([head, '\n "edges": [\n', ",\n".join(rows), "\n ]", tail])
 
 
 def _edges_from_json(raw, n: int) -> np.ndarray:
@@ -188,7 +215,7 @@ def _run_sample_graph(opts: dict) -> int:
     graph = random_graphs.unit_graph(sample)
     if opts["p"] != 1:
         graph = random_graphs.bernoulli_subgraph(graph, opts["p"], opts["seed"])
-    _emit(_json_text(graph_to_json(graph)), opts["out"])
+    _emit(graph_text(graph), opts["out"])
     return 0
 
 

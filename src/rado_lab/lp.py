@@ -10,7 +10,7 @@ module are the references the tests check the facet certificates against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Sequence
 

@@ -109,16 +109,93 @@ def unit_graph(sample: PointSample) -> GeomGraph:
     return GeomGraph(sample=sample, edges=edges, p=Q(1), rng_seed=None)
 
 
+# MT19937 (Matsumoto & Nishimura 1998), the generator behind `random.Random`.
+_UPPER, _LOWER = np.uint32(0x80000000), np.uint32(0x7FFFFFFF)
+_MATRIX_A = np.uint32(0x9908B0DF)
+_BLOCKS = 64  # at most this many 624-word states per chunk in `_coins`; at least 2
+
+
+def _twist(old: np.ndarray, new: np.ndarray) -> None:
+    """new = the MT19937 state after `old`, 624 uint32 words.
+
+    Word i mixes in word (i + 397) mod 624 as it stands when i is reached:
+    the old word for i < 227, a rebuilt one after that.  So the words are
+    rebuilt in runs of 227, each from the run before, and word 623 last.
+    """
+    y = (old[:-1] & _UPPER) | (old[1:] & _LOWER)
+    x = (y >> 1) ^ (_MATRIX_A * (y & 1))
+    np.bitwise_xor(old[397:], x[:227], out=new[:227])
+    np.bitwise_xor(new[:227], x[227:454], out=new[227:454])
+    np.bitwise_xor(new[227:396], x[454:], out=new[454:623])
+    y = (old[623] & _UPPER) | (new[0] & _LOWER)
+    new[623] = new[396] ^ (y >> 1) ^ (_MATRIX_A * (y & 1))
+
+
+def _temper(y: np.ndarray) -> np.ndarray:
+    """The 32-bit outputs of MT19937 state words."""
+    y = y ^ (y >> 11)
+    y ^= (y << 7) & np.uint32(0x9D2C5680)
+    y ^= (y << 15) & np.uint32(0xEFC60000)
+    return y ^ (y >> 18)
+
+
+def _loop_coins(rng: random.Random, p: Q, count: int) -> np.ndarray:
+    """The coin rule itself: coin i is `rng.randrange(den) < num`, drawn in order."""
+    den, num = p.denominator, p.numerator
+    return np.fromiter((rng.randrange(den) < num for _ in range(count)), dtype=bool, count=count)
+
+
+def _coins(rng: random.Random, p: Q, count: int) -> np.ndarray:
+    """`_loop_coins(rng, p, count)` without a Python call per coin.
+
+    `rng`'s MT19937 stream is replayed from its state, a chunk of whole
+    states at a time.  `randrange(den)` takes the top k = den.bit_length()
+    bits of one 32-bit output and redraws while they are >= den; that rule
+    runs vectorised, and `rng` is left just past the last output used, as
+    the loop leaves it.  Denominators above 32 bits take the loop.  (numpy's
+    own `MT19937` could replay the stream too, but importing `numpy.random`
+    adds about 5 MB resident and 14 ms to every process that draws coins.)
+    """
+    den, num = p.denominator, p.numerator
+    k = den.bit_length()
+    if k > 32:
+        return _loop_coins(rng, p, count)
+    version, internal, gauss_next = rng.getstate()
+    key, pos = np.array(internal[:-1], dtype=np.uint32), internal[-1]
+    coins = np.empty(count, dtype=bool)
+    got = 0
+    while got < count:
+        rows = min(_BLOCKS, 2 + 2 * (count - got) // 624)  # at least half the outputs pass
+        states = np.empty((rows, 624), dtype=np.uint32)
+        states[0] = key
+        for row in range(1, rows):
+            _twist(states[row - 1], states[row])
+        r = _temper(states.ravel()[pos:]) >> np.uint32(32 - k)
+        taken = np.flatnonzero(r < den)[: count - got]
+        coins[got : got + len(taken)] = r[taken] < num
+        got += len(taken)
+        if got < count:
+            key, pos = states[-1], 624
+        else:
+            row, index = divmod(pos + int(taken[-1]), 624)
+            key, pos = states[row], index + 1
+    rng.setstate((version, (*key.tolist(), pos), gauss_next))
+    return coins
+
+
 def bernoulli_subgraph(g0: GeomGraph, p: Q, seed: int) -> GeomGraph:
-    """Keep each edge with exact probability p: one `randrange` per edge, in edge order."""
+    """Keep each edge with exact probability p.
+
+    Edge i, in edge order, is kept iff the i-th `randrange(den) < num` draw
+    of `random.Random(seed)` holds; `_coins` replays that MT19937 stream
+    exactly, in numpy, instead of calling `randrange` once per edge.
+    """
     p = Q(p)
     if g0.p != 1:
         raise OutOfDomain("bernoulli_subgraph expects the p=1 unit graph")
     if not 0 <= p <= 1:
         raise OutOfDomain("p must lie in [0, 1]")
-    rng = random.Random(seed)
-    den, num = p.denominator, p.numerator
-    keep = [rng.randrange(den) < num for _ in range(len(g0.edges))]
+    keep = _coins(random.Random(seed), p, len(g0.edges))
     return GeomGraph(sample=g0.sample, edges=g0.edges[keep], p=p, rng_seed=seed)
 
 
@@ -226,17 +303,13 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
 def edge_agreement_probability(p: Q, trials: int, seed: int) -> Q:
     """Fraction of trials where two independent Bernoulli(p) indicators agree.
 
-    The expected value is p^2 + (1-p)^2.
+    The expected value is p^2 + (1-p)^2.  Trial t compares coins 2t and
+    2t + 1 of `random.Random(seed)`, under `_coins`' rule.
     """
     p = Q(p)
     if not 0 <= p <= 1:
         raise OutOfDomain("p must lie in [0, 1]")
     if trials < 1:
         raise OutOfDomain("trials must be >= 1")
-    rng = random.Random(seed)
-    agree = 0
-    for _ in range(trials):
-        a = rng.randrange(p.denominator) < p.numerator
-        b = rng.randrange(p.denominator) < p.numerator
-        agree += a == b
-    return Q(agree, trials)
+    a, b = _coins(random.Random(seed), p, 2 * trials).reshape(trials, 2).T
+    return Q(int(np.count_nonzero(a == b)), trials)

@@ -23,7 +23,7 @@ from rado_lab.decomposition import (
     linf_decomposition,
 )
 from rado_lab.geometry import BUILTIN_BALLS, cube_ball, norm
-from rado_lab.linalg import in_span, vsub
+from rado_lab.linalg import vsub
 from rado_lab.step_isometry import apply_linf, random_step_isometry, verify_step_isometry
 
 

@@ -1,12 +1,25 @@
 import json
 import os
 from fractions import Fraction as Q
+from itertools import zip_longest
+from unittest import mock
 
 import pytest
 
-from rado_lab import cli, decomposition, geometry, lp
+from rado_lab import cli, decomposition, geometry, lp, random_graphs
 from rado_lab.errors import BadRational, OutOfDomain, UnknownBuiltin, UnknownSubcommand
 from rado_lab.geometry import ball_to_json, cube_ball
+
+
+def first_difference(a: str, b: str):
+    """None, or the first line where two texts differ, with its index.
+
+    pytest's own diff of two large texts can take minutes.
+    """
+    for index, pair in enumerate(zip_longest(a.split("\n"), b.split("\n"))):
+        if pair[0] != pair[1]:
+            return index, pair
+    return None
 
 
 def run_cli(argv, capsys):
@@ -187,6 +200,24 @@ class TestGraphPipeline:
         lines = out.strip().split("\n")
         assert lines[0] == "k,pairs,satisfied,fraction"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("rows", [3, cli._EDGE_ROWS])
+    @pytest.mark.parametrize(
+        "ball, n, p, edges",
+        [("cube_2", 1, Q(1), 0), ("cube_2", 30, Q(0), 0), ("cube_2", 2, Q(1), 1),
+         ("cube_2", 300, Q(1), 13832), ("hexagon", 200, Q(1, 3), 1634)],
+    )
+    def test_graph_text_matches_the_json_encoder(self, ball, n, p, edges, rows):
+        ball = geometry.BUILTIN_BALLS[ball]()
+        dec = decomposition.linf_decomposition(ball)
+        g = random_graphs.unit_graph(random_graphs.sample_typical_points(ball, dec, Q(3), n, 7))
+        if p != 1:
+            g = random_graphs.bernoulli_subgraph(g, p, 7)
+        assert len(g.edges) == edges
+        with mock.patch.object(cli, "_EDGE_ROWS", rows):
+            text = cli.graph_text(g)
+        expected = json.dumps(cli.graph_to_json(g), sort_keys=True, indent=1) + "\n"
+        assert first_difference(text, expected) is None
 
     def test_one_point_graph_audits_vacuously(self, tmp_path, capsys):
         # No pair to audit: each row reports fraction 1.

@@ -1,4 +1,3 @@
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction as Q

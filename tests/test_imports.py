@@ -1,0 +1,48 @@
+"""No unused top-level import in the package or its tests.
+
+A name bound by a module-level import must be read somewhere in its file.
+An import line marked `# noqa` is exempt, for a binding kept on purpose
+for another module, and so is a package `__init__.py`, which re-exports
+what it imports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = [
+    path
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    if path.name != "__init__.py"
+]
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa" not in lines[alias.lineno - 1]:
+                    bound[(alias.asname or alias.name).split(".")[0]] = alias.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def test_checker_flags_an_unused_import_and_honours_noqa():
+    source = (
+        "from __future__ import annotations\nimport os\nimport sys\n"
+        "import json  # noqa: F401\nfrom a import (\n    b as c,\n    d,\n)\nimport e.f\n"
+        "sys.exit(c(e.f))\n"
+    )
+    assert unused_imports(source) == ["line 2: os", "line 7: d"]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_top_level_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction as Q
 
-import pytest
-
 from rado_lab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, check_certificate, solve
 
 

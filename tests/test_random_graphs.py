@@ -1,18 +1,21 @@
 import math
 import random
 from fractions import Fraction as Q
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rado_lab import random_graphs as rg
 from rado_lab.decomposition import linf_decomposition
 from rado_lab.errors import IndexOutOfRange, WindowTooSmall
-from rado_lab.geometry import cube_ball, hexagon_ball, hexagonal_prism_ball, norm, validate_ball
+from rado_lab.geometry import cube_ball, hexagon_ball, hexagonal_prism_ball, norm
 from rado_lab.linalg import vsub
 from rado_lab.random_graphs import (
     FIBRE_FREE,
     LINF_INTEGER_FREE,
-    GeomGraph,
     PointSample,
     bernoulli_subgraph,
     bj_audit,
@@ -163,6 +166,45 @@ class TestUnitGraph:
             assert norm(ball, vsub(s.points[i], s.points[j])) < 1
 
 
+@st.composite
+def coin_probabilities(draw):
+    # 2**32 and 2**32 + 1 need 33 bits, past one MT19937 word: the loop fallback.
+    den = draw(st.sampled_from([1, 2, 3, 2**31 + 11, 2**32, 2**32 + 1]))
+    return Q(draw(st.integers(0, den)), den)
+
+
+class TestCoins:
+    """`_coins` must give the `randrange` loop's coins and leave its generator state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=coin_probabilities(),
+        seed=st.integers(0, 2**80),
+        skip=st.sampled_from([0, 623]) | st.integers(0, 700),  # outputs drawn before
+        count=st.sampled_from([0, 1, 5000]) | st.integers(0, 300),
+        blocks=st.sampled_from([2, rg._BLOCKS]),
+    )
+    @example(p=Q(0), seed=2**40 + 1, skip=0, count=5000, blocks=2)
+    @example(p=Q(1), seed=2**40 + 1, skip=0, count=5000, blocks=2)
+    @example(p=Q(1, 3), seed=5, skip=1, count=70_000, blocks=rg._BLOCKS)  # past one chunk
+    @example(p=Q(1, 2**32 + 1), seed=5, skip=0, count=3000, blocks=rg._BLOCKS)
+    def test_coins_replay_the_randrange_loop(self, p, seed, skip, count, blocks):
+        fast, loop = random.Random(seed), random.Random(seed)
+        for rng in (fast, loop):
+            rng.getrandbits(32 * skip)
+        with mock.patch.object(rg, "_BLOCKS", blocks):
+            coins = rg._coins(fast, p, count)
+        expected = rg._loop_coins(loop, p, count)
+        assert coins.dtype == bool and coins.shape == (count,)
+        assert np.array_equal(coins, expected)
+        assert fast.getstate() == loop.getstate()
+
+    @pytest.mark.parametrize("p", [Q(0), Q(1, 2), Q(1, 3), Q(1), Q(5, 2**32 + 1)])
+    def test_bernoulli_keeps_the_loop_edges(self, g0, p):
+        keep = rg._loop_coins(random.Random(17), p, len(g0.edges))
+        assert np.array_equal(bernoulli_subgraph(g0, p, seed=17).edges, g0.edges[keep])
+
+
 class TestBernoulli:
     def test_p_one_keeps_everything(self, g0):
         assert np.array_equal(bernoulli_subgraph(g0, Q(1), seed=1).edges, g0.edges)
@@ -280,6 +322,13 @@ class TestBjAudit:
 
 
 class TestAgreement:
+    @pytest.mark.parametrize("p, seed", [(Q(3, 10), 0xA9EE), (Q(1, 2), 2), (Q(2, 2**32 + 1), 4)])
+    def test_pairs_of_loop_coins(self, p, seed):
+        rng = random.Random(seed)
+        coins = [rng.randrange(p.denominator) < p.numerator for _ in range(6000)]
+        agree = sum(a == b for a, b in zip(coins[::2], coins[1::2]))
+        assert edge_agreement_probability(p, 3000, seed) == Q(agree, 3000)
+
     def test_p_one_always_agrees(self):
         assert edge_agreement_probability(Q(1), 500, seed=1) == 1
 
