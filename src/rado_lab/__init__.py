@@ -9,6 +9,7 @@ fibred samples.
 """
 
 from .errors import (
+    BadFile,
     BadGraph,
     BadRational,
     CrossCheckFailure,

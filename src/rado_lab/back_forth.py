@@ -192,6 +192,10 @@ class FibreGraph:
         self.p = Q(p)
         if not 0 <= self.p <= 1:
             raise OutOfDomain(f"p must lie in [0, 1], got {self.p}")
+        if tag not in (0, 1) or seed < 0:
+            # The coin key below would alias: (seed, 2) is (seed + 1, 0), and
+            # random.Random seeds from abs(key).
+            raise OutOfDomain(f"need tag 0 or 1 and seed >= 0, got tag {tag}, seed {seed}")
         if edges is None and self.p != 1 and sample.n_points >= _COIN_INDEX_LIMIT:
             # The coin key packs each index into 20 bits; past that, pairs
             # such as (0, 5) and (1, 2**20 + 5) would share one coin.

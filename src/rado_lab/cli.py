@@ -20,14 +20,14 @@ import numpy as np
 
 from . import back_forth, decomposition, random_graphs, step_isometry
 from .errors import (
-    BadGraph, OutOfDomain, RadoLabError, TooManyVertices, UnknownBuiltin, UnknownSubcommand,
+    BadFile, BadGraph, OutOfDomain, RadoLabError, TooManyVertices, UnknownBuiltin,
+    UnknownSubcommand,
 )
 from .geometry import (
     BUILTIN_BALLS,
     PolytopeBall,
     ball_from_json,
     ball_to_json,
-    load_ball,
     parse_rational,
     vec_from_json,
     vec_to_json,
@@ -40,6 +40,22 @@ class ExperimentConfig:
     options: dict
 
 
+def _load(path: str, parse):
+    """`parse` applied to the JSON document in the file at `path`.
+
+    A file that cannot be opened, is not JSON, or lacks a field or has one
+    of the wrong shape raises `BadFile`; errors the parse raises itself,
+    such as `BadRational`, pass through as they are.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except RadoLabError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise BadFile(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
 def resolve_ball(source: str) -> PolytopeBall:
     """A ball from 'builtin:<name>' or a JSON file path."""
     if source.startswith("builtin:"):
@@ -48,7 +64,7 @@ def resolve_ball(source: str) -> PolytopeBall:
         if maker is None:
             raise UnknownBuiltin(f"no builtin ball named {name!r}")
         return maker()
-    return load_ball(source)
+    return _load(source, ball_from_json)
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
@@ -109,11 +125,9 @@ def _run_decompose(opts: dict) -> int:
 
 def _run_check_step_isometry(opts: dict) -> int:
     ball = resolve_ball(opts["ball"])
-    with open(opts["map"], "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    pairs = [
-        (vec_from_json(src), vec_from_json(dst)) for src, dst in payload["pairs"]
-    ]
+    pairs = _load(
+        opts["map"], lambda obj: [(vec_from_json(a), vec_from_json(b)) for a, b in obj["pairs"]]
+    )
     check = step_isometry.verify_step_isometry(ball, pairs)
     if check.ok:
         sys.stdout.write("ok\n")
@@ -220,8 +234,7 @@ def _run_sample_graph(opts: dict) -> int:
 
 
 def _run_bj_audit(opts: dict) -> int:
-    with open(opts["graph"], "r", encoding="utf-8") as fh:
-        graph = graph_from_json(json.load(fh))
+    graph = _load(opts["graph"], graph_from_json)
     report = random_graphs.bj_audit(graph, opts["kmax"])
     lines = ["k,pairs,satisfied,fraction"]
     for k, pairs, satisfied, fraction in report.rows:
@@ -261,10 +274,14 @@ def _run_bf(opts: dict) -> int:
 
 
 def _threads() -> int:
+    raw = os.environ.get("RADO_LAB_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("RADO_LAB_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise OutOfDomain(f"RADO_LAB_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
 
 
 def _run_s0(opts: dict) -> int:

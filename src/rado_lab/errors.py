@@ -82,6 +82,10 @@ class BadGraph(RadoLabError):
     """A graph file whose edges are not distinct integer pairs i < j of point indices."""
 
 
+class BadFile(RadoLabError):
+    """An input file that cannot be read, is not JSON, or lacks a field of its format."""
+
+
 class UnknownBuiltin(RadoLabError):
     pass
 

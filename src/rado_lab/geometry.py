@@ -336,11 +336,6 @@ def ball_from_json(obj: dict) -> PolytopeBall:
     return ball
 
 
-def load_ball(path: str) -> PolytopeBall:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ball_from_json(json.load(fh))
-
-
 def dump_ball(ball: PolytopeBall, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(ball_to_json(ball), fh, sort_keys=True)

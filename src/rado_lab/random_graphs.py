@@ -109,34 +109,7 @@ def unit_graph(sample: PointSample) -> GeomGraph:
     return GeomGraph(sample=sample, edges=edges, p=Q(1), rng_seed=None)
 
 
-# MT19937 (Matsumoto & Nishimura 1998), the generator behind `random.Random`.
-_UPPER, _LOWER = np.uint32(0x80000000), np.uint32(0x7FFFFFFF)
-_MATRIX_A = np.uint32(0x9908B0DF)
-_BLOCKS = 64  # at most this many 624-word states per chunk in `_coins`; at least 2
-
-
-def _twist(old: np.ndarray, new: np.ndarray) -> None:
-    """new = the MT19937 state after `old`, 624 uint32 words.
-
-    Word i mixes in word (i + 397) mod 624 as it stands when i is reached:
-    the old word for i < 227, a rebuilt one after that.  So the words are
-    rebuilt in runs of 227, each from the run before, and word 623 last.
-    """
-    y = (old[:-1] & _UPPER) | (old[1:] & _LOWER)
-    x = (y >> 1) ^ (_MATRIX_A * (y & 1))
-    np.bitwise_xor(old[397:], x[:227], out=new[:227])
-    np.bitwise_xor(new[:227], x[227:454], out=new[227:454])
-    np.bitwise_xor(new[227:396], x[454:], out=new[454:623])
-    y = (old[623] & _UPPER) | (new[0] & _LOWER)
-    new[623] = new[396] ^ (y >> 1) ^ (_MATRIX_A * (y & 1))
-
-
-def _temper(y: np.ndarray) -> np.ndarray:
-    """The 32-bit outputs of MT19937 state words."""
-    y = y ^ (y >> 11)
-    y ^= (y << 7) & np.uint32(0x9D2C5680)
-    y ^= (y << 15) & np.uint32(0xEFC60000)
-    return y ^ (y >> 18)
+_WORDS = 1 << 16  # most 32-bit outputs `_coins` draws per `getrandbits` call
 
 
 def _loop_coins(rng: random.Random, p: Q, count: int) -> np.ndarray:
@@ -148,38 +121,26 @@ def _loop_coins(rng: random.Random, p: Q, count: int) -> np.ndarray:
 def _coins(rng: random.Random, p: Q, count: int) -> np.ndarray:
     """`_loop_coins(rng, p, count)` without a Python call per coin.
 
-    `rng`'s MT19937 stream is replayed from its state, a chunk of whole
-    states at a time.  `randrange(den)` takes the top k = den.bit_length()
-    bits of one 32-bit output and redraws while they are >= den; that rule
-    runs vectorised, and `rng` is left just past the last output used, as
-    the loop leaves it.  Denominators above 32 bits take the loop.  (numpy's
-    own `MT19937` could replay the stream too, but importing `numpy.random`
-    adds about 5 MB resident and 14 ms to every process that draws coins.)
+    `randrange(den)` takes the top k = den.bit_length() bits of one 32-bit
+    output and redraws while they are >= den.  `rng.getrandbits(32 * m)` is
+    the next m outputs, least significant word first, so each round draws
+    one output per coin still owed (at most `_WORDS`) and applies that rule
+    vectorised.  No round draws past the last coin, so `rng` ends where the
+    loop leaves it.  Denominators above 32 bits take the loop.
     """
     den, num = p.denominator, p.numerator
     k = den.bit_length()
     if k > 32:
         return _loop_coins(rng, p, count)
-    version, internal, gauss_next = rng.getstate()
-    key, pos = np.array(internal[:-1], dtype=np.uint32), internal[-1]
     coins = np.empty(count, dtype=bool)
     got = 0
     while got < count:
-        rows = min(_BLOCKS, 2 + 2 * (count - got) // 624)  # at least half the outputs pass
-        states = np.empty((rows, 624), dtype=np.uint32)
-        states[0] = key
-        for row in range(1, rows):
-            _twist(states[row - 1], states[row])
-        r = _temper(states.ravel()[pos:]) >> np.uint32(32 - k)
-        taken = np.flatnonzero(r < den)[: count - got]
-        coins[got : got + len(taken)] = r[taken] < num
-        got += len(taken)
-        if got < count:
-            key, pos = states[-1], 624
-        else:
-            row, index = divmod(pos + int(taken[-1]), 624)
-            key, pos = states[row], index + 1
-    rng.setstate((version, (*key.tolist(), pos), gauss_next))
+        m = min(count - got, _WORDS)
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        r = words >> np.uint32(32 - k)
+        r = r[r < den]
+        coins[got : got + len(r)] = r < num
+        got += len(r)
     return coins
 
 
@@ -187,8 +148,8 @@ def bernoulli_subgraph(g0: GeomGraph, p: Q, seed: int) -> GeomGraph:
     """Keep each edge with exact probability p.
 
     Edge i, in edge order, is kept iff the i-th `randrange(den) < num` draw
-    of `random.Random(seed)` holds; `_coins` replays that MT19937 stream
-    exactly, in numpy, instead of calling `randrange` once per edge.
+    of `random.Random(seed)` holds; `_coins` draws those coins in bulk from
+    the generator's own `getrandbits` output.
     """
     p = Q(p)
     if g0.p != 1:

@@ -221,6 +221,14 @@ class TestFibreGraph:
         FibreGraph(SimpleNamespace(n_points=2 ** 20 - 1), Q(1, 2), seed=1)
         FibreGraph(SimpleNamespace(n_points=2 ** 20), Q(1), seed=1)  # p = 1 draws no coins
 
+    @pytest.mark.parametrize("seed, tag", [(5, 2), (6, -1), (-5, 0), (-5, 1)])
+    def test_aliasing_coin_keys_refused(self, seed, tag):
+        # The key ((seed * 2 + tag) << 40) ^ (a << 20) ^ b gives (5, 2) the
+        # coins of (6, 0), and random.Random seeds from abs(key).
+        s = make_fibred_sample(U1, 6, 2, Q(1), seed=3)
+        with pytest.raises(OutOfDomain):
+            FibreGraph(s, Q(1, 2), seed=seed, tag=tag)
+
     def test_distance_floor_matches_direct_norm(self):
         s = make_fibred_sample(hexagon_ball(), 6, 3, Q(3), seed=10)
         g = FibreGraph(s, Q(1, 2), seed=10)

@@ -1,12 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 from itertools import zip_longest
 from unittest import mock
 
 import pytest
 
-from rado_lab import cli, decomposition, geometry, lp, random_graphs
+from rado_lab import back_forth, cli, decomposition, geometry, lp, random_graphs
 from rado_lab.errors import BadRational, OutOfDomain, UnknownBuiltin, UnknownSubcommand
 from rado_lab.geometry import ball_to_json, cube_ball
 
@@ -90,6 +92,64 @@ def test_out_of_domain_exits_2(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: OutOfDomain: ") and "Traceback" not in err
+
+
+_AUDIT = ["bj-audit", "--kmax", "3", "--graph"]
+
+
+@pytest.mark.parametrize(
+    "argv, text, error",
+    [
+        (["decompose", "{}"], "not json", "BadFile"),
+        (["decompose", "{}"], '{"dim": 2}', "BadFile"),
+        (_AUDIT + ["{}"], None, "BadFile"),  # no such file
+        (_AUDIT + ["{}"], '{"points": []}', "BadFile"),
+        (_AUDIT + ["{}"], "[1, 2]", "BadFile"),
+        (["check-step-isometry", "builtin:cube_1", "{}"], '{"map": []}', "BadFile"),
+        # An error of the format's own parser passes through as it is.
+        (["decompose", "{}"], '{"dim": "x", "vertices": []}', "BadRational"),
+    ],
+)
+def test_malformed_input_file_exits_2(tmp_path, capsys, argv, text, error):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    code = cli.main([arg.format(path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {error}: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+def test_bad_thread_count_exits_2(monkeypatch, capsys, value):
+    # The stub keeps the run inline and instant should the value slip through.
+    monkeypatch.setenv("RADO_LAB_THREADS", value)
+    monkeypatch.setattr(back_forth, "s0_run_trial", lambda params, seed: (False, None))
+    code = cli.main(_S0 + ["--p", "1/2", "--trials", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: OutOfDomain: RADO_LAB_THREADS ")
+
+
+def test_coins_do_not_import_numpy_random(tmp_path):
+    # Importing numpy.random adds about 5 MB resident to every process that
+    # draws coins.  A fresh process, since hypothesis imports it into this one.
+    script = "\n".join([
+        "import sys",
+        "from rado_lab import cli",
+        "assert cli.main(%r) == 0" % ["sample-graph", "--ball", "builtin:cube_2", "--n", "30",
+                                      "--window", "2", "--p", "1/2", "--seed", "1",
+                                      "--out", str(tmp_path / "graph.json")],
+        "assert cli.main(['agreement', '--p', '1/3', '--trials', '50', '--seed', '1']) == 0",
+        "print('numpy.random' in sys.modules)",
+    ])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_ball_past_facet_guard_exits_2_at_load(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction as Q
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -182,18 +181,18 @@ class TestCoins:
         seed=st.integers(0, 2**80),
         skip=st.sampled_from([0, 623]) | st.integers(0, 700),  # outputs drawn before
         count=st.sampled_from([0, 1, 5000]) | st.integers(0, 300),
-        blocks=st.sampled_from([2, rg._BLOCKS]),
     )
-    @example(p=Q(0), seed=2**40 + 1, skip=0, count=5000, blocks=2)
-    @example(p=Q(1), seed=2**40 + 1, skip=0, count=5000, blocks=2)
-    @example(p=Q(1, 3), seed=5, skip=1, count=70_000, blocks=rg._BLOCKS)  # past one chunk
-    @example(p=Q(1, 2**32 + 1), seed=5, skip=0, count=3000, blocks=rg._BLOCKS)
-    def test_coins_replay_the_randrange_loop(self, p, seed, skip, count, blocks):
+    @example(p=Q(0), seed=2**40 + 1, skip=0, count=5000)
+    @example(p=Q(1), seed=2**40 + 1, skip=0, count=5000)
+    @example(p=Q(1, 3), seed=5, skip=1, count=70_000)  # more coins than one round's words
+    @example(p=Q(2**30, 2**31 + 11), seed=6, skip=0, count=70_000)  # about half redrawn
+    @example(p=Q(5, 2**32), seed=5, skip=0, count=3000)  # 33 bits: the loop
+    @example(p=Q(1, 2**32 + 1), seed=5, skip=0, count=3000)
+    def test_coins_replay_the_randrange_loop(self, p, seed, skip, count):
         fast, loop = random.Random(seed), random.Random(seed)
         for rng in (fast, loop):
             rng.getrandbits(32 * skip)
-        with mock.patch.object(rg, "_BLOCKS", blocks):
-            coins = rg._coins(fast, p, count)
+        coins = rg._coins(fast, p, count)
         expected = rg._loop_coins(loop, p, count)
         assert coins.dtype == bool and coins.shape == (count,)
         assert np.array_equal(coins, expected)
