@@ -95,11 +95,15 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """`text` to stdout, or to the file `out`; one that cannot be written raises `BadFile`."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise BadFile(f"{out}: {type(exc).__name__}: {exc}") from exc
 
 
 def _json_text(obj) -> str:

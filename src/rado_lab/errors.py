@@ -83,7 +83,7 @@ class BadGraph(RadoLabError):
 
 
 class BadFile(RadoLabError):
-    """An input file that cannot be read, is not JSON, or lacks a field of its format."""
+    """A file that cannot be read or written, is not JSON, or lacks a field of its format."""
 
 
 class UnknownBuiltin(RadoLabError):

@@ -328,7 +328,7 @@ def ball_to_json(ball: PolytopeBall) -> dict:
 
 def ball_from_json(obj: dict) -> PolytopeBall:
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # isinstance(True, int) holds
         raise BadRational(f"dim must be a positive integer, got {dim!r}")
     ball = validate_ball([vec_from_json(v) for v in obj["vertices"]])
     if ball.dim != dim:

@@ -26,8 +26,8 @@ from .errors import (
     NotInjective,
     OutOfDomain,
 )
-from .geometry import PolytopeBall, _enumerate_facets, norm, pairwise_norm_numerators
-from .linalg import Matrix, Vec, vadd, vneg, vsub
+from .geometry import PolytopeBall, norm, pairwise_norm_numerators
+from .linalg import Matrix, Vec, vadd, vsub
 
 
 @dataclass(frozen=True)
@@ -180,34 +180,17 @@ class AffineMap:
         return vadd(linalg.matvec(self.matrix, v), self.translation)
 
 
-def _u_ball_vertices(ball: PolytopeBall, decomposition: LinfDecomposition) -> set[Vec]:
-    """Vertices, in U coordinates, of U's unit ball {a : |g_f.a| <= bound}, scaled.
-
-    g_f = h_f o recompose_U is facet f's functional on U.  The ball is
-    the polar of conv(+-g_f / bound), so its vertices are that hull's
-    facet normals n, each n * bound / c for the hull's common bound c.
-    The common factor bound / c is dropped: a linear map permutes a
-    symmetric set iff it permutes any multiple of it.
-    """
-    normals = ball.facets[0]
-    gs = {
-        tuple(sum((h * c for h, c in zip(row, b)), Q(0)) for b in decomposition.u_basis)
-        for row in normals
-    }
-    points = sorted({p for g in gs if any(g) for p in (g, vneg(g))})
-    tips = _enumerate_facets(len(decomposition.u_basis), points)[0]
-    return set(tips) | {vneg(t) for t in tips}
-
-
 @dataclass(frozen=True)
 class FactorizedStepIsometry:
     """f = f_U (+) f_linf in the coordinates of a decomposition.
 
     u_map acts on U coordinates (affine, its linear part an exact isometry
     of the U part); w_map acts on the max-norm coordinates.  The isometry
-    is certified exactly: the linear part must permute the vertex set of
-    U's unit ball, as `affine_isometry_from_basis` requires of the whole
-    ball.  With U = 0 there is nothing to check.
+    is certified exactly on the ball's own vertices.  In the
+    decomposition's coordinates the ball is U's unit ball times a cube, so
+    the linear part of u_map (+) identity permutes the ball's vertices iff
+    u_map's linear part permutes U's, as `affine_isometry_from_basis`
+    requires of the whole ball.  With U = 0 there is nothing to check.
     """
 
     ball: PolytopeBall
@@ -222,8 +205,12 @@ class FactorizedStepIsometry:
         if self.w_map.d != self.decomposition.d_inf:
             raise DimensionMismatch("w_map dimension != d_inf")
         if k:
-            verts = _u_ball_vertices(self.ball, self.decomposition)
-            if {linalg.matvec(self.u_map.matrix, a) for a in verts} != verts:
+            dec, m = self.decomposition, self.u_map.matrix
+            image = {
+                dec.recompose(linalg.matvec(m, u), w)
+                for u, w in map(dec.coordinates, self.ball.vertices)
+            }
+            if image != set(self.ball.vertices):
                 raise NotAnIsometry("u_map does not permute the vertices of U's unit ball")
 
 
@@ -259,7 +246,9 @@ def verify_step_isometry(
     floors_domain = nums // den
     nums, den = pairwise_norm_numerators(ball, ys)
     floors_image = nums // den
-    bad = np.flatnonzero(np.triu(floors_domain != floors_image, k=1))
+    # Both floor matrices are symmetric with zero diagonals, so the first
+    # mismatch in row-major order already has i < j.
+    bad = np.flatnonzero(floors_domain != floors_image)
     if bad.size:
         i, j = divmod(int(bad[0]), len(pairs))
         return StepIsometryCheck(

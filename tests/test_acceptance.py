@@ -5,7 +5,7 @@ lines.  Criterion 9's dense side is expected to fail.  Its measured
 cause: traced runs block at steps 14-30, not near step 50, after a mirror
 step; the following forward step meets a pinched candidate interval
 (width 0.009-0.023, 1-4 candidates, 2 adjacency constraints) and no
-candidate satisfies it (see ROADMAP item 4).
+candidate satisfies it (see ROADMAP item 1).
 """
 
 import random

@@ -108,6 +108,7 @@ _AUDIT = ["bj-audit", "--kmax", "3", "--graph"]
         (["check-step-isometry", "builtin:cube_1", "{}"], '{"map": []}', "BadFile"),
         # An error of the format's own parser passes through as it is.
         (["decompose", "{}"], '{"dim": "x", "vertices": []}', "BadRational"),
+        (["decompose", "{}"], '{"dim": true, "vertices": [["1"], ["-1"]]}', "BadRational"),
     ],
 )
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, text, error):
@@ -118,6 +119,17 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, argv, text, error):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {error}: ")
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    for argv, out in [
+        (["agreement", "--p", "1/2", "--trials", "5", "--seed", "1"], tmp_path / "no-dir" / "x"),
+        (["decompose", "builtin:cube_2"], tmp_path),
+    ]:
+        code = cli.main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: BadFile: {out}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])

@@ -1,9 +1,11 @@
-"""No unused top-level import in the package or its tests.
+"""No unused top-level import in the package or its tests, and no private
+name imported across the package's modules.
 
 A name bound by a module-level import must be read somewhere in its file.
 An import line marked `# noqa` is exempt, for a binding kept on purpose
 for another module, and so is a package `__init__.py`, which re-exports
-what it imports.
+what it imports.  A module under `src/` imports no underscore-prefixed
+name from another `rado_lab` module: such a name is private to its module.
 """
 
 import ast
@@ -12,10 +14,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src").rglob("*.py"))
 FILES = [
-    path
-    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
-    if path.name != "__init__.py"
+    path for path in SRC + sorted((ROOT / "tests").rglob("*.py")) if path.name != "__init__.py"
 ]
 
 
@@ -46,3 +47,28 @@ def test_checker_flags_an_unused_import_and_honours_noqa():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names imported from a `rado_lab` module, at any depth."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "rado_lab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_checker_flags_a_private_import():
+    source = (
+        "from __future__ import annotations\nfrom .geometry import norm, _facets\n"
+        "from os import _exit\ndef f():\n    from rado_lab.cli import _load\n"
+    )
+    assert private_imports(source) == ["line 2: _facets", "line 5: _load"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_name_imported_across_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

@@ -15,6 +15,7 @@ from rado_lab.linalg import vsub
 from rado_lab.random_graphs import (
     FIBRE_FREE,
     LINF_INTEGER_FREE,
+    GeomGraph,
     PointSample,
     bernoulli_subgraph,
     bj_audit,
@@ -276,7 +277,64 @@ class TestDistances:
                     assert dm[i, j] == (-1 if bfs is None else bfs)
 
 
+def _audit_graph(name):
+    """A graph for the audit reference test, built on demand by name."""
+    if name == "hand_built_violation":  # one edge whose norm is 3/2: a violation
+        return GeomGraph(sample=line_sample(0, Q(3, 2)), edges=np.array([[0, 1]]), p=Q(1),
+                         rng_seed=None)
+    if name == "n1":
+        return unit_graph(line_sample(0))
+    if name == "n2":
+        return unit_graph(line_sample(0, Q(1, 2)))
+    if name == "object_floors":  # a common denominator past int64
+        rng = random.Random(8)
+        big = 3 ** 45
+        pts = tuple(
+            tuple(Q(rng.randrange(0, 6 * big), big) for _ in range(2)) for _ in range(20)
+        )
+        s = PointSample(ball=hexagon_ball(), points=pts, window=Q(6), seed=0, typicality=())
+        return bernoulli_subgraph(unit_graph(s), Q(2, 3), seed=4)
+    ball, window, n, p = {
+        "cube_2": (cube_ball(2), Q(3), 70, Q(1, 2)),
+        "hexagon": (hexagon_ball(), Q(3), 50, Q(1, 2)),
+        "prism": (hexagonal_prism_ball(), Q(2), 40, Q(1)),
+        "sparse_cube_1": (cube_ball(1), Q(12), 30, Q(1, 3)),
+    }[name]
+    s = sample_typical_points(ball, linf_decomposition(ball), window, n, seed=17)
+    return bernoulli_subgraph(unit_graph(s), p, seed=18) if p != 1 else unit_graph(s)
+
+
 class TestBjAudit:
+    @pytest.mark.parametrize(
+        "name",
+        ["cube_2", "hexagon", "prism", "sparse_cube_1", "n1", "n2", "object_floors",
+         "hand_built_violation"],
+    )
+    def test_matches_a_direct_count_over_pairs(self, name):
+        # Rows and violations against a count over i < j of BFS hops and
+        # floors of the exact norm, one pair at a time.
+        g = _audit_graph(name)
+        pts, k_max = g.sample.points, 6
+        hops = distance_matrix(g)
+        pairs = [
+            (math.floor(norm(g.sample.ball, vsub(pts[i], pts[j]))), int(hops[i, j]))
+            for i in range(len(pts))
+            for j in range(i + 1, len(pts))
+        ]
+        rows = []
+        for k in range(2, k_max + 1):
+            sat = sum((floor < k) == (0 <= hop <= k) for floor, hop in pairs)
+            rows.append((k, len(pairs), sat, Q(sat, len(pairs)) if pairs else Q(1)))
+        report = bj_audit(g, k_max)
+        assert report.rows == tuple(rows)
+        assert report.one_sided_violations == sum(1 <= hop <= floor for floor, hop in pairs)
+        if name == "sparse_cube_1":
+            assert any(hop < 0 for _, hop in pairs)
+        if name == "object_floors":
+            assert norm_floor_matrix(g).dtype == object
+        if name == "hand_built_violation":
+            assert report.one_sided_violations == 1
+
     def test_two_isolated_points_fail_biconditional(self):
         g = unit_graph(line_sample(0, Q(3, 2)))
         report = bj_audit(g, 2)

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from rado_lab import linalg, step_isometry
+from rado_lab import linalg
 from rado_lab.decomposition import canonical_direction, linear_isometry_group, linf_decomposition
 from rado_lab.errors import (
     DimensionMismatch,
@@ -267,14 +267,17 @@ class TestFactorized:
         pairs = [(p, apply_factorized(f, p)) for p in pts]
         assert verify_step_isometry(ball, pairs).ok
 
-    def test_cube_reduces_to_apply_linf(self, monkeypatch):
-        # U = 0 leaves nothing to certify, so no U-ball is enumerated.
-        monkeypatch.setattr(step_isometry, "_enumerate_facets", None)
-        ball = cube_ball(2)
-        dec = linf_decomposition(ball)
+    def test_cube_reduces_to_apply_linf(self):
+        # U = 0 leaves nothing to certify, so the ball's vertices are never read.
+        class NoVertices:
+            @property
+            def vertices(self):
+                raise AssertionError("certificate ran with U = 0")
+
+        dec = linf_decomposition(cube_ball(2))
         spec = random_step_isometry(2, 2, seed=9)
         f = FactorizedStepIsometry(
-            ball=ball,
+            ball=NoVertices(),
             decomposition=dec,
             u_map=AffineMap((), ()),
             w_map=StepIsometrySpec(
