@@ -184,10 +184,9 @@ class FibreGraph:
     Every unordered pair at distance strictly below one holds an edge with
     exact probability p, decided by a per-pair seeded coin; distance floors
     are max(floor U-distance, floor |delta w|), computed exactly.
-    An explicit edge set can be supplied instead (for relabeling tests).
     """
 
-    def __init__(self, sample, p: Q, seed: int, tag: int = 0, edges=None):
+    def __init__(self, sample, p: Q, seed: int, tag: int = 0):
         self.sample = sample
         self.p = Q(p)
         if not 0 <= self.p <= 1:
@@ -196,7 +195,7 @@ class FibreGraph:
             # The coin key below would alias: (seed, 2) is (seed + 1, 0), and
             # random.Random seeds from abs(key).
             raise OutOfDomain(f"need tag 0 or 1 and seed >= 0, got tag {tag}, seed {seed}")
-        if edges is None and self.p != 1 and sample.n_points >= _COIN_INDEX_LIMIT:
+        if self.p != 1 and sample.n_points >= _COIN_INDEX_LIMIT:
             # The coin key packs each index into 20 bits; past that, pairs
             # such as (0, 5) and (1, 2**20 + 5) would share one coin.
             raise IndexOutOfRange(
@@ -204,7 +203,6 @@ class FibreGraph:
             )
         self.seed = seed
         self.tag = tag
-        self._edges = None if edges is None else {tuple(sorted(e)) for e in edges}
         self._coins: dict[tuple[int, int], bool] = {}
 
     def distance_lt_1(self, i: int, j: int) -> bool:
@@ -221,8 +219,6 @@ class FibreGraph:
         if i == j:
             return False
         a, b = (i, j) if i < j else (j, i)
-        if self._edges is not None:
-            return (a, b) in self._edges
         got = self._coins.get((a, b))
         if got is None:
             if not self.distance_lt_1(a, b):

@@ -28,6 +28,7 @@ from .geometry import (
     PolytopeBall,
     ball_from_json,
     ball_to_json,
+    cube_ball,
     parse_rational,
     vec_from_json,
     vec_to_json,
@@ -289,8 +290,6 @@ def _threads() -> int:
 
 
 def _run_s0(opts: dict) -> int:
-    from .geometry import cube_ball
-
     params = back_forth.S0Params(
         u_ball=cube_ball(1),
         n_u=opts["nu"],

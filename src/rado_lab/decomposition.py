@@ -58,10 +58,7 @@ class LatticeCoeffs:
 
     @property
     def point(self) -> Vec:
-        out = linalg.zero_vec(len(self.spanning_extremes[0]))
-        for c, x in zip(self.coeffs, self.spanning_extremes):
-            out = vadd(out, vscale(c, x))
-        return out
+        return linalg.matvec(linalg.transpose(self.spanning_extremes), self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,7 @@ def is_linf_direction(ball: PolytopeBall, x: Vec) -> LinfDirection | LinfRejecti
         unused.discard(partner)
         pairs.append((v, partner))
     midpoints = [vscale(Q(1, 2), vadd(a, b)) for a, b in pairs]
-    w_basis = linalg.span_basis(midpoints)
+    w_basis = linalg.independent_subset(midpoints)
     if len(w_basis) != ball.dim - 1 or linalg.in_span(x, w_basis):
         return LinfRejection("midpoint_span_wrong", None)
     return LinfDirection(x=x, pairing=tuple(pairs), complement_basis=tuple(w_basis))
@@ -222,7 +219,7 @@ def max_well_spanned_subspace(ball: PolytopeBall) -> tuple[Vec, ...]:
                 remaining.pop(i)
                 changed = True
                 break
-    return linalg.span_basis(remaining)
+    return tuple(linalg.independent_subset(remaining))
 
 
 @dataclass(frozen=True)
@@ -248,12 +245,8 @@ class LinfDecomposition:
         return coords[:k], coords[k:]
 
     def recompose(self, u_coords: Vec, w_coords: Vec) -> Vec:
-        out = linalg.zero_vec(self.dim)
-        for c, b in zip(u_coords, self.u_basis):
-            out = vadd(out, vscale(c, b))
-        for c, d in zip(w_coords, self.linf_basis):
-            out = vadd(out, vscale(c, d.x))
-        return out
+        basis = self.u_basis + tuple(d.x for d in self.linf_basis)
+        return linalg.matvec(linalg.transpose(basis), u_coords + w_coords)
 
 
 def linf_decomposition(ball: PolytopeBall) -> LinfDecomposition:
@@ -278,12 +271,10 @@ def linf_decomposition(ball: PolytopeBall) -> LinfDecomposition:
         others = list(u_basis) + xs[:i] + xs[i + 1:]
         if linalg.rank(list(d.complement_basis) + others) != ball.dim - 1:
             raise CrossCheckFailure(f"a basis vector leaves the complement of {d.x}")
-    columns = [tuple(b[i] for b in full) for i in range(ball.dim)]
-    inverse = linalg.invert(tuple(columns))
     return LinfDecomposition(
         linf_basis=tuple(dirs),
-        u_basis=tuple(u_basis),
-        basis_inverse=inverse,
+        u_basis=u_basis,
+        basis_inverse=linalg.invert(linalg.transpose(full)),
     )
 
 
@@ -294,7 +285,7 @@ def lattice_cover(ball: PolytopeBall, v: Vec) -> LatticeCoeffs:
     v in the ball's norm; the bound is checked exactly on every call.
     """
     spanning = linalg.independent_subset(ball.vertices, limit=ball.dim)
-    a = linalg.solve_columns([tuple(s) for s in spanning], v)
+    a = linalg.matvec(linalg.invert(linalg.transpose(spanning)), v)
     coeffs = tuple(math.floor(c + Q(1, 2)) for c in a)
     result = LatticeCoeffs(spanning_extremes=tuple(spanning), coeffs=coeffs)
     gap = norm(ball, vsub(v, result.point))
@@ -326,9 +317,10 @@ def _check_vertex_permutation_group(perms: set[tuple[int, ...]], neg: tuple[int,
                 raise CrossCheckFailure("isometry set not closed under composition")
 
 
-def linear_isometry_group(
-    ball: PolytopeBall, vertex_guard: int = 48
-) -> list[LinearIsometry]:
+VERTEX_GUARD = 48
+
+
+def linear_isometry_group(ball: PolytopeBall) -> list[LinearIsometry]:
     """Brute-force enumeration of all linear maps permuting the vertex set.
 
     The result is verified to be a group containing +-identity, on the
@@ -337,8 +329,8 @@ def linear_isometry_group(
     """
     vs = ball.vertices
     n = len(vs)
-    if n > vertex_guard:
-        raise TooManyVertices(f"{n} vertices exceeds guard {vertex_guard}")
+    if n > VERTEX_GUARD:
+        raise TooManyVertices(f"{n} vertices exceeds guard {VERTEX_GUARD}")
     d = ball.dim
     basis = linalg.independent_subset(vs, limit=d)
     # Distance numerators over one common denominator compare like distances.
@@ -349,13 +341,11 @@ def linear_isometry_group(
     perms: set[tuple[int, ...]] = set()
     images: list[int] = []
 
-    basis_cols = tuple(tuple(b[i] for b in basis) for i in range(d))
-    basis_cols_inv = linalg.invert(basis_cols)
+    basis_cols_inv = linalg.invert(linalg.transpose(basis))
 
     def extend(k: int) -> None:
         if k == d:
-            img_cols = tuple(tuple(vs[t][i] for t in images) for i in range(d))
-            matrix = linalg.matmul(img_cols, basis_cols_inv)
+            matrix = linalg.matmul(linalg.transpose([vs[t] for t in images]), basis_cols_inv)
             perm = tuple([index.get(linalg.matvec(matrix, v)) for v in vs])
             if None not in perm and len(set(perm)) == n:
                 found.append(LinearIsometry(matrix))

@@ -50,10 +50,6 @@ def vdot(x: Vec, y: Vec) -> Q:
     return sum((a * b for a, b in zip(x, y)), Q(0))
 
 
-def is_zero_vec(x: Vec) -> bool:
-    return all(a == 0 for a in x)
-
-
 def matvec(rows: Matrix, x: Vec) -> Vec:
     return tuple(vdot(row, x) for row in rows)
 
@@ -103,12 +99,7 @@ def rank(rows: Sequence[Vec]) -> int:
 
 def in_span(x: Vec, vectors: Sequence[Vec]) -> bool:
     """Exact membership of x in the linear span of the given vectors."""
-    if is_zero_vec(x):
-        return True
-    if not vectors:
-        return False
-    base = rank(vectors)
-    return rank(list(vectors) + [x]) == base
+    return rank([*vectors, x]) == rank(vectors)
 
 
 def independent_subset(vectors: Sequence[Vec], limit: int | None = None) -> list[Vec]:
@@ -120,25 +111,6 @@ def independent_subset(vectors: Sequence[Vec], limit: int | None = None) -> list
         if not in_span(v, chosen):
             chosen.append(v)
     return chosen
-
-
-def span_basis(vectors: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Deterministic basis of the span (greedy over the input order)."""
-    return tuple(independent_subset(vectors))
-
-
-def solve_columns(columns: Sequence[Vec], b: Vec) -> Vec:
-    """Solve sum_i x_i * columns[i] = b for a square independent column set."""
-    n = len(columns)
-    if n == 0 or any(len(c) != n for c in columns) or len(b) != n:
-        raise DimensionMismatch("solve_columns needs a square system")
-    aug = [[columns[j][i] for j in range(n)] + [b[i]] for i in range(n)]
-    reduced, pivots = rref(aug)
-    if pivots[: n if len(pivots) >= n else len(pivots)] != list(range(n)):
-        if n in pivots:
-            raise SingularMatrix("inconsistent system")
-        raise SingularMatrix("singular column set")
-    return tuple(reduced[i][n] for i in range(n))
 
 
 def invert(rows: Matrix) -> Matrix:

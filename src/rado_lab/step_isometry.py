@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -54,11 +56,7 @@ class MonotoneBijection01:
         if not 0 <= t < 1:
             raise OutOfDomain(f"argument {t} outside [0, 1)")
         bps = self.breakpoints
-        lo = 0
-        for i in range(len(bps) - 1, -1, -1):
-            if bps[i][0] <= t:
-                lo = i
-                break
+        lo = bisect_right(bps, t, key=itemgetter(0)) - 1
         t0, y0 = bps[lo]
         t1, y1 = bps[lo + 1] if lo + 1 < len(bps) else (Q(1), Q(1))
         return y0 + (t - t0) * (y1 - y0) / (t1 - t0)
@@ -76,44 +74,24 @@ def _unfold(g: MonotoneBijection01, t: Q) -> Q:
     return k + g.eval(t - k)
 
 
-def _reflect(g: MonotoneBijection01) -> MonotoneBijection01:
-    """u -> 1 - g(1 - u), the conjugate under reflection of the circle."""
-    pts = [(Q(0), Q(0))]
-    for t, y in g.breakpoints:
-        if t != 0:
-            pts.append((1 - t, 1 - y))
-    return MonotoneBijection01(tuple(sorted(pts)))
-
-
-def _shift_precompose(g: MonotoneBijection01, rho: Q) -> tuple[MonotoneBijection01, Q]:
-    """Split the unfolded map at a shift: returns (g2, c) with
-
-    floor(s) + g(frac(s + rho)) ... more precisely
-    unfold(g, s + rho) = floor(s) + g2(frac(s)) + c   for all s.
-    """
-    if rho == 0:
-        return g, Q(0)
-    g_rho = g.eval(rho)
-    pts = {(Q(0), Q(0))}
-    for t, y in g.breakpoints:
-        if t >= rho:
-            pts.add((t - rho, y - g_rho))
-        else:
-            pts.add((t + 1 - rho, y + 1 - g_rho))
-    return MonotoneBijection01(tuple(sorted(pts))), g_rho
-
-
 def _invert_axis(eps: int, g: MonotoneBijection01, o: Q) -> tuple[int, MonotoneBijection01, Q]:
-    """Family form (eps', g', o') of the inverse of t -> eps*unfold(g, t) + o."""
-    h = g.inverse()
-    beta = -o
-    b_int = math.floor(beta)
-    rho = beta - b_int
-    if eps == 1:
-        g2, c = _shift_precompose(h, rho)
-        return 1, g2, c + b_int
-    g2, c = _shift_precompose(_reflect(h), rho)
-    return -1, g2, -(c + b_int)
+    """Family form (eps, g', o') of the inverse of f(t) = eps*unfold(g, t) + o.
+
+    The inverse keeps eps, and its offset is o' = f^-1(0) = unfold(g^-1, -eps*o).
+    On [0, 1), g'(s) = eps*(f^-1(s) - o') is piecewise linear with breaks
+    where f^-1(s) is a breakpoint k + t_i of unfold(g), that is at
+    s = f(k + t_i) = eps*(k + y_i) + o.  As s runs over [0, 1), f^-1(s) stays
+    within 1 of o', so k ranges over floor(o') - 1 .. floor(o') + 1.
+    """
+    o_inv = _unfold(g.inverse(), -eps * o)
+    k0 = math.floor(o_inv)
+    pts = {(Q(0), Q(0))}
+    for k in (k0 - 1, k0, k0 + 1):
+        for t, y in g.breakpoints:
+            s = eps * (k + y) + o
+            if 0 <= s < 1:
+                pts.add((s, eps * (k + t - o_inv)))
+    return eps, MonotoneBijection01(tuple(sorted(pts))), o_inv
 
 
 @dataclass(frozen=True)
@@ -138,19 +116,21 @@ class StepIsometrySpec:
             raise OutOfDomain("g and offset must have length d")
 
     def inverse(self) -> "StepIsometrySpec":
+        """The inverse map, again in the family.
+
+        Input axis i lands on output axis j = sigma[i] with offset
+        offset[j]; the inverse sends axis j back to axis i through
+        `_invert_axis(eps[i], g[i], offset[j])`.
+        """
         sigma_inv = [0] * self.d
         for i, j in enumerate(self.sigma):
             sigma_inv[j] = i
-        eps2, g2, off2 = [0] * self.d, [IDENTITY_G] * self.d, [Q(0)] * self.d
-        for j in range(self.d):
-            i = sigma_inv[j]
-            e, gg, oo = _invert_axis(self.eps[i], self.g[i], self.offset[j])
-            eps2[j] = e
-            g2[j] = gg
-            off2[i] = oo
+        axes = [
+            _invert_axis(self.eps[i], self.g[i], self.offset[j]) for j, i in enumerate(sigma_inv)
+        ]
         return StepIsometrySpec(
-            d=self.d, sigma=tuple(sigma_inv), eps=tuple(eps2), g=tuple(g2),
-            offset=tuple(off2),
+            d=self.d, sigma=tuple(sigma_inv), eps=tuple(a[0] for a in axes),
+            g=tuple(a[1] for a in axes), offset=tuple(axes[j][2] for j in self.sigma),
         )
 
 
@@ -226,8 +206,14 @@ class StepIsometryCheck:
     floor_domain: int | None = None
     floor_image: int | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
+
+def _injective_sides(pairs: Sequence[tuple[Vec, Vec]]) -> tuple[list[Vec], list[Vec]]:
+    """The domain and image points of a finite map, refusing repeats on either side."""
+    xs = [p[0] for p in pairs]
+    ys = [p[1] for p in pairs]
+    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
+        raise NotInjective("repeated domain or image point")
+    return xs, ys
 
 
 def verify_step_isometry(
@@ -238,10 +224,7 @@ def verify_step_isometry(
     The pair list represents a finite bijection x_i -> y_i; repeated
     domain or image points are rejected.
     """
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
-        raise NotInjective("repeated domain or image point")
+    xs, ys = _injective_sides(pairs)
     nums, den = pairwise_norm_numerators(ball, xs)
     floors_domain = nums // den
     nums, den = pairwise_norm_numerators(ball, ys)
@@ -293,9 +276,7 @@ def affine_isometry_from_basis(
     img = [vsub(q, q0) for q in image_points[1:]]
     if linalg.rank(dom) != d:
         raise NotAffineBasis("domain points are affinely dependent")
-    dom_cols = tuple(tuple(v[i] for v in dom) for i in range(d))
-    img_cols = tuple(tuple(v[i] for v in img) for i in range(d))
-    matrix = linalg.matmul(img_cols, linalg.invert(dom_cols))
+    matrix = linalg.matmul(linalg.transpose(img), linalg.invert(linalg.transpose(dom)))
     if {linalg.matvec(matrix, v) for v in ball.vertices} != set(ball.vertices):
         raise NotAnIsometry("linear part does not preserve the vertex set")
     translation = vsub(q0, linalg.matvec(matrix, p0))
@@ -310,12 +291,8 @@ def check_factorization_consistency(
     """Necessary conditions for a finite map to factor over the decomposition:
     equal U-components map to equal U-components, and the induced U-map is
     exactly distance preserving on the observed points."""
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
-        raise NotInjective("repeated domain or image point")
     induced: dict[Vec, Vec] = {}
-    for x, y in pairs:
+    for x, y in zip(*_injective_sides(pairs)):
         ux, _ = decomposition.coordinates(x)
         uy, _ = decomposition.coordinates(y)
         if ux in induced and induced[ux] != uy:

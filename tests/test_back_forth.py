@@ -374,15 +374,24 @@ class TestPartialIsoInvariants:
             state._with_pair(1, 1, Q(1, 2), Q(1, 2))  # shift 0
 
 
+class EdgeSetGraph(FibreGraph):
+    """A FibreGraph whose edges are a fixed set of index pairs i < j, not coins."""
+
+    def __init__(self, sample, edges):
+        super().__init__(sample, Q(1), seed=41)
+        self.edges = edges
+
+    def adjacent(self, i, j):
+        return (min(i, j), max(i, j)) in self.edges
+
+
 class TestAuditState:
     @staticmethod
     def graphs_disagreeing_on(pair):
         """Two explicit-edge graphs over one sample that differ only on pair."""
         s = make_fibred_sample(U1, 3, 3, Q(1), seed=41)
         edges = {(0, 1), (0, 2), (1, 2), (3, 5), pair}
-        g = FibreGraph(s, Q(1), seed=41, edges=edges)
-        g2 = FibreGraph(s, Q(1), seed=41, edges=edges - {pair})
-        return s, g, g2
+        return s, EdgeSetGraph(s, edges), EdgeSetGraph(s, edges - {pair})
 
     def test_vertex_audit_names_the_disagreeing_pair(self):
         s, g, g2 = self.graphs_disagreeing_on((2, 6))

@@ -315,9 +315,10 @@ class TestIsometryGroup:
         assert ident in mats
         assert tuple(tuple(-c for c in row) for row in ident) in mats
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(decomposition, "VERTEX_GUARD", 2)
         with pytest.raises(TooManyVertices):
-            linear_isometry_group(square_ball(), vertex_guard=2)
+            linear_isometry_group(square_ball())
 
     @staticmethod
     def square_perm(*rows):

@@ -32,13 +32,6 @@ def test_independent_subset_deterministic():
     assert linalg.independent_subset(vecs, limit=1) == [v(1, 1)]
 
 
-def test_solve_columns():
-    cols = [v(1, 1), v(1, -1)]
-    assert linalg.solve_columns(cols, v(Q(1, 4), Q(3, 4))) == (Q(1, 2), Q(-1, 4))
-    with pytest.raises(SingularMatrix):
-        linalg.solve_columns([v(1, 1), v(2, 2)], v(1, 0))
-
-
 def test_invert_round_trip():
     m = (v(2, 1), v(1, 1))
     inv = linalg.invert(m)

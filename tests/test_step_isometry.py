@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rado_lab import linalg
 from rado_lab.decomposition import canonical_direction, linear_isometry_group, linf_decomposition
@@ -29,6 +31,7 @@ from rado_lab.step_isometry import (
     FactorizedStepIsometry,
     MonotoneBijection01,
     StepIsometrySpec,
+    _invert_axis,
     affine_isometry_from_basis,
     apply_factorized,
     apply_linf,
@@ -48,6 +51,82 @@ def rand_point(rng, d, den=512, span=4):
 
 
 G_HALF_QUARTER = MonotoneBijection01(((Q(0), Q(0)), (Q(1, 2), Q(1, 4))))
+
+
+# The two-step axis inversion that `_invert_axis` replaced, kept as its
+# reference: reflect g^-1 when eps = -1, then rotate it by frac(-o).
+def _reflect(g):
+    """u -> 1 - g(1 - u), the conjugate under reflection of the circle."""
+    pts = [(Q(0), Q(0))]
+    for t, y in g.breakpoints:
+        if t != 0:
+            pts.append((1 - t, 1 - y))
+    return MonotoneBijection01(tuple(sorted(pts)))
+
+
+def _shift_precompose(g, rho):
+    """(g2, c) with unfold(g, s + rho) = floor(s) + g2(frac(s)) + c for all s."""
+    if rho == 0:
+        return g, Q(0)
+    g_rho = g.eval(rho)
+    pts = {(Q(0), Q(0))}
+    for t, y in g.breakpoints:
+        if t >= rho:
+            pts.add((t - rho, y - g_rho))
+        else:
+            pts.add((t + 1 - rho, y + 1 - g_rho))
+    return MonotoneBijection01(tuple(sorted(pts))), g_rho
+
+
+def reference_invert_axis(eps, g, o):
+    h = g.inverse()
+    b_int = math.floor(-o)
+    rho = -o - b_int
+    if eps == 1:
+        g2, c = _shift_precompose(h, rho)
+        return 1, g2, c + b_int
+    g2, c = _shift_precompose(_reflect(h), rho)
+    return -1, g2, -(c + b_int)
+
+
+def reference_eval(g, t):
+    """Piece lookup by a backward scan over the breakpoints."""
+    bps = g.breakpoints
+    lo = next(i for i in range(len(bps) - 1, -1, -1) if bps[i][0] <= t)
+    t0, y0 = bps[lo]
+    t1, y1 = bps[lo + 1] if lo + 1 < len(bps) else (Q(1), Q(1))
+    return y0 + (t - t0) * (y1 - y0) / (t1 - t0)
+
+
+@st.composite
+def bijections(draw):
+    """0-6 breakpoints on a grid of 8, 64 or 2^16, with the grid's denominator."""
+    n = draw(st.integers(0, 6))
+    den = draw(st.sampled_from((8, 64, 2 ** 16)))
+    inner = st.sets(st.integers(1, den - 1), min_size=n, max_size=n).map(sorted)
+    ts, ys = draw(inner), draw(inner)
+    bps = ((Q(0), Q(0)),) + tuple((Q(t, den), Q(y, den)) for t, y in zip(ts, ys))
+    return MonotoneBijection01(bps), den
+
+
+@st.composite
+def axes(draw):
+    """(eps, g, offset) with an integer, on-grid or off-grid offset of either sign."""
+    g, den = draw(bijections())
+    offset = draw(st.one_of(
+        st.integers(-10 ** 4, 10 ** 4).map(Q),
+        st.integers(-4 * den, 4 * den).map(lambda k: Q(k, den)),
+        st.fractions(-10 ** 4, 10 ** 4, max_denominator=997),
+    ))
+    return draw(st.sampled_from((1, -1))), g, offset
+
+
+@st.composite
+def specs(draw):
+    d = draw(st.integers(1, 3))
+    eps, gs, offset = zip(*(draw(axes()) for _ in range(d)))
+    sigma = tuple(draw(st.permutations(range(d))))
+    return StepIsometrySpec(d=d, sigma=sigma, eps=eps, g=gs, offset=offset)
 
 
 class TestMonotoneBijection:
@@ -83,6 +162,15 @@ class TestMonotoneBijection:
             for (t0, y0), (t1, y1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
                 if t0 != t1:
                     assert y0 < y1
+
+    @settings(max_examples=200, deadline=None)
+    @given(bijections())
+    def test_eval_matches_a_backward_scan(self, g_den):
+        g, _ = g_den
+        ts = [t for t, _ in g.breakpoints] + [Q(1)]
+        probes = ts[:-1] + [(a + b) / 2 for a, b in zip(ts, ts[1:])] + [1 - Q(1, 10 ** 9)]
+        for t in probes:
+            assert g.eval(t) == reference_eval(g, t)
 
     def test_inverse_round_trip(self):
         g = G_HALF_QUARTER
@@ -120,6 +208,23 @@ class TestApplyLinf:
             for _ in range(20):
                 x = rand_point(rng, d)
                 assert apply_linf(inv, apply_linf(spec, x)) == x
+
+
+class TestInvertAxis:
+    @settings(max_examples=300, deadline=None)
+    @given(axes())
+    def test_matches_the_reflect_and_rotate_reference(self, axis):
+        assert _invert_axis(*axis) == reference_invert_axis(*axis)
+
+    @settings(max_examples=100, deadline=None)
+    @given(specs(), st.data())
+    def test_spec_inverse_round_trips(self, spec, data):
+        inv = spec.inverse()
+        point = st.tuples(*[st.fractions(-50, 50, max_denominator=256)] * spec.d)
+        for _ in range(5):
+            x = data.draw(point)
+            assert apply_linf(inv, apply_linf(spec, x)) == x
+            assert apply_linf(spec, apply_linf(inv, x)) == x
 
 
 class TestVerify:
@@ -350,6 +455,14 @@ class TestFactorizationConsistency:
         pts = {rand_point(rng, 3, den=32, span=2) for _ in range(30)}
         pairs = [(p, apply_factorized(f, p)) for p in pts]
         assert check_factorization_consistency(ball, dec, pairs)
+
+    def test_repeated_point_refused(self):
+        ball = hexagonal_prism_ball()
+        dec = linf_decomposition(ball)
+        for pairs in ([(v(0, 0, 0), v(1, 0, 0)), (v(0, 0, 0), v(2, 0, 0))],
+                      [(v(0, 0, 0), v(1, 0, 0)), (v(2, 0, 0), v(1, 0, 0))]):
+            with pytest.raises(NotInjective):
+                check_factorization_consistency(ball, dec, pairs)
 
     def test_single_pair_vacuous(self):
         ball = hexagonal_prism_ball()
