@@ -41,16 +41,20 @@ class ExperimentConfig:
     options: dict
 
 
-def _load(path: str, parse):
-    """`parse` applied to the JSON document in the file at `path`.
+def _json(data: bytes):
+    return json.loads(data.decode("utf-8"))
+
+
+def _load(path: str, parse, read=_json):
+    """`parse` applied to `read` of the bytes of the file at `path` (its JSON document).
 
     A file that cannot be opened, is not JSON, or lacks a field or has one
     of the wrong shape raises `BadFile`; errors the parse raises itself,
     such as `BadRational`, pass through as they are.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
+        with open(path, "rb") as fh:
+            return parse(read(fh.read()))
     except RadoLabError:
         raise
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -189,17 +193,76 @@ def graph_text(g: random_graphs.GeomGraph) -> str:
     return "".join([head, '\n "edges": [\n', ",\n".join(rows), "\n ]", tail])
 
 
+_EDGES_OPEN, _EDGES_CLOSE = b'\n "edges": [\n', b"\n ]"
+_EDGE_SKELETON = _EDGE.replace("%d", "").encode()
+_TO_SPACES = bytes.maketrans(b"[],\n", b"    ")
+
+
+def _edge_block(block: bytes) -> np.ndarray | None:
+    """The (E, 2) int64 array of an edges block in `graph_text`'s layout, else None.
+
+    The block must be `_EDGE` rows with nonempty digit runs in place of
+    each %d, written as JSON writes integers: no leading zero, which the
+    digit count of the values checks, and below 10**18, so that no run
+    saturates numpy's int64 parse.
+    """
+    skeleton = block.translate(None, b"0123456789")
+    rows, rest = divmod(len(skeleton) + 2, len(_EDGE_SKELETON) + 2)
+    if rest or skeleton != _EDGE_SKELETON + (b",\n" + _EDGE_SKELETON) * (rows - 1):
+        return None
+    values = np.fromstring(block.translate(_TO_SPACES), dtype=np.int64, sep=" ")
+    if len(values) != 2 * rows or values.max() >= 10 ** 18:
+        return None
+    digits, power = len(values), 10
+    while power <= values.max():
+        digits += int(np.count_nonzero(values >= power))
+        power *= 10
+    return values.reshape(rows, 2) if digits == len(block) - len(skeleton) else None
+
+
+def _graph_json(data: bytes):
+    """The graph file's JSON document, with an edges block in `graph_text`'s
+    layout read by `_edge_block` into an int64 array.
+
+    Any other file goes through `json.loads`, as does one whose remaining
+    text names a second "edges" or holds an escape: so both ways give the
+    same graph, or the same error.
+    """
+    start = data.find(_EDGES_OPEN)
+    # The block holds no quote, so it closes before the next key's quote.
+    stop = data.rfind(_EDGES_CLOSE, start, data.find(b'"', start + len(_EDGES_OPEN)))
+    if start < 0 or stop <= start:
+        return _json(data)
+    head, tail = data[:start], data[stop + len(_EDGES_CLOSE):]
+    if any(b'"edges"' in part or b"\\" in part for part in (head, tail)):
+        return _json(data)
+    edges = _edge_block(data[start + len(_EDGES_OPEN):stop])
+    if edges is None:
+        return _json(data)
+    obj = _json(head + b'\n "edges": []' + tail)
+    if not isinstance(obj, dict) or "edges" not in obj:
+        return _json(data)
+    obj["edges"] = edges
+    return obj
+
+
 def _edges_from_json(raw, n: int) -> np.ndarray:
-    """The (E, 2) int64 edges of a graph file: distinct integer pairs 0 <= i < j < n."""
-    try:
-        edges = np.array(raw if raw != [] else np.zeros((0, 2), dtype=np.int64))
-    except ValueError:  # ragged rows; the 0-d array fails the check below
-        edges = np.array(None)
-    if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind != "i":
-        raise BadGraph("edges must be a list of [i, j] integer pairs")
-    if bool in set(map(type, chain.from_iterable(raw))):  # [true, 2] passes as int64
-        raise BadGraph("edge indices must be integers, not booleans")
-    edges = edges.astype(np.int64, copy=False)
+    """The (E, 2) int64 edges of a graph file: distinct integer pairs 0 <= i < j < n.
+
+    `raw` is the JSON list, or the int64 array `_graph_json` reads.
+    """
+    if isinstance(raw, np.ndarray):
+        edges = raw
+    else:
+        try:
+            edges = np.array(raw if raw != [] else np.zeros((0, 2), dtype=np.int64))
+        except ValueError:  # ragged rows; the 0-d array fails the check below
+            edges = np.array(None)
+        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind != "i":
+            raise BadGraph("edges must be a list of [i, j] integer pairs")
+        if bool in set(map(type, chain.from_iterable(raw))):  # [true, 2] passes as int64
+            raise BadGraph("edge indices must be integers, not booleans")
+        edges = edges.astype(np.int64, copy=False)
     bad = (edges[:, 0] < 0) | (edges[:, 0] >= edges[:, 1]) | (edges[:, 1] >= n)
     if bad.any():
         raise BadGraph(f"edge {edges[np.argmax(bad)].tolist()} is not a pair 0 <= i < j < {n}")
@@ -239,7 +302,7 @@ def _run_sample_graph(opts: dict) -> int:
 
 
 def _run_bj_audit(opts: dict) -> int:
-    graph = _load(opts["graph"], graph_from_json)
+    graph = _load(opts["graph"], graph_from_json, _graph_json)
     report = random_graphs.bj_audit(graph, opts["kmax"])
     lines = ["k,pairs,satisfied,fraction"]
     for k, pairs, satisfied, fraction in report.rows:

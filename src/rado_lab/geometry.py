@@ -204,15 +204,13 @@ def norm(ball: PolytopeBall, x: Vec) -> Q:
     return Q(max(abs(sum(h * c for h, c in zip(row, p))) for row in normals), bound * den)
 
 
-def pairwise_norm_numerators(
-    ball: PolytopeBall, points: Sequence[Vec]
-) -> tuple[np.ndarray, int]:
-    """Exact n x n matrix N and one denominator D with norm(p_i - p_j) = N[i, j] / D.
+def norm_projections(ball: PolytopeBall, points: Sequence[Vec]) -> tuple[np.ndarray, int]:
+    """The points projected onto every facet normal, over one denominator D.
 
-    Each point is projected onto every facet normal once, so N[i, j] is
-    the largest |y_i - y_j| over the projections.  N is int64 when the
-    projections' differences provably fit, else numpy object dtype
-    holding Python ints; the arithmetic is exact either way.
+    Returns the (n, F) matrix Y and D with norm(p_i - p_j) equal to the
+    largest |Y[i, f] - Y[j, f]| over f, divided by D.  Y is int64 when those
+    differences provably fit, else numpy object dtype holding Python ints;
+    the arithmetic is exact either way.
     """
     if any(len(p) != ball.dim for p in points):
         raise DimensionMismatch(f"points of mixed length in dimension {ball.dim}")
@@ -224,13 +222,26 @@ def pairwise_norm_numerators(
     dtype = np.int64 if 2 * reach < 2 ** 63 and bound * den < 2 ** 63 else object
     n = len(points)
     proj = np.array(ints, dtype=dtype).reshape(n, ball.dim) @ np.array(normals, dtype=dtype).T
-    out = np.zeros((n, n), dtype=dtype)
-    diff = np.empty((n, n), dtype=dtype)
-    for y in proj.T:
-        np.subtract(y[:, None], y[None, :], out=diff)
+    return proj, bound * den
+
+
+def projection_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pairwise kernel: N[i, j] = max over f of |a[i, f] - b[j, f]|."""
+    out = np.zeros((len(a), len(b)), dtype=a.dtype)
+    diff = np.empty_like(out)
+    for ya, yb in zip(a.T, b.T):
+        np.subtract(ya[:, None], yb[None, :], out=diff)
         np.abs(diff, out=diff)
         np.maximum(out, diff, out=out)
-    return out, bound * den
+    return out
+
+
+def pairwise_norm_numerators(
+    ball: PolytopeBall, points: Sequence[Vec]
+) -> tuple[np.ndarray, int]:
+    """Exact n x n matrix N and one denominator D with norm(p_i - p_j) = N[i, j] / D."""
+    ys, den = norm_projections(ball, points)
+    return projection_distances(ys, ys), den
 
 
 def closed_ball_membership(ball: PolytopeBall, center: Vec, r: Q, x: Vec) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .decomposition import LinfDecomposition
 from .errors import IndexOutOfRange, OutOfDomain, WindowTooSmall
-from .geometry import PolytopeBall, pairwise_norm_numerators
+from .geometry import PolytopeBall, norm_projections, projection_distances
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py wraps random_graphs.norm)
 from .grid import DEN, draw_odd, frac, grid_max_num, grid_num
 from .linalg import Vec
@@ -102,10 +102,22 @@ def sample_typical_points(
     )
 
 
+_BLOCK_ROWS = 64  # source rows per block of the pairwise kernel and the BFS
+
+
 def unit_graph(sample: PointSample) -> GeomGraph:
-    """Exact strict-inequality adjacency: an edge iff norm(x_i - x_j) < 1."""
-    nums, den = pairwise_norm_numerators(sample.ball, sample.points)
-    edges = np.argwhere(np.triu(nums < den, k=1))
+    """Exact strict-inequality adjacency: an edge iff norm(x_i - x_j) < 1.
+
+    Rows are compared in blocks against the columns from the block's first
+    row on, so each block's pairs i < j come out in row-major order.
+    """
+    ys, den = norm_projections(sample.ball, sample.points)
+    blocks = [
+        np.argwhere(np.triu(projection_distances(ys[i0:i0 + _BLOCK_ROWS], ys[i0:]) < den, k=1))
+        + i0
+        for i0 in range(0, len(ys), _BLOCK_ROWS)
+    ]
+    edges = np.concatenate(blocks) if blocks else np.zeros((0, 2), dtype=np.int64)
     return GeomGraph(sample=sample, edges=edges, p=Q(1), rng_seed=None)
 
 
@@ -189,32 +201,56 @@ def graph_distance(g: GeomGraph, i: int, j: int) -> int | None:
     return None
 
 
-def distance_matrix(g: GeomGraph) -> np.ndarray:
-    """All-pairs hop counts as int64, -1 for unreachable pairs.
+def packed_adjacency(g: GeomGraph) -> np.ndarray:
+    """The adjacency as (n, ceil(n / 64)) uint64 words: row i, word j // 64, bit j % 64."""
+    n = len(g.sample.points)
+    packed = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    for i, j in (g.edges.T, g.edges.T[::-1]):
+        np.bitwise_or.at(packed, (i, j >> 6), np.uint64(1) << (j & 63).astype(np.uint64))
+    return packed
 
-    One level-synchronous BFS per source over the adjacency packed into
-    uint64 words: a level's reach is the OR of its frontier's rows, so
-    dense unit-distance graphs, with their tiny diameters, take a handful
-    of vectorised levels per source.
+
+def distance_matrix(
+    g: GeomGraph, start: int = 0, stop: int | None = None, cap: int | None = None,
+    packed: np.ndarray | None = None,
+) -> np.ndarray:
+    """Hop counts from sources start <= i < stop to targets start <= j < n.
+
+    Without `cap`, the whole n x n matrix as int64, -1 for unreachable
+    pairs.  With it, the BFS stops at depth `cap`, in the smallest unsigned
+    dtype holding cap + 1, the value of every pair it did not reach.  Per
+    source, a level is the OR of the frontier's rows of `packed_adjacency`
+    while the frontier is smaller than the unseen set, and after that the
+    unseen vertices whose rows meet the frontier's bits: the
+    direction-optimizing BFS of Beamer, Asanovic and Patterson (SC 2012).
     """
     n = len(g.sample.points)
-    adj = np.zeros((n, -(-n // 64) * 64), dtype=bool)  # rows padded to whole words
-    adj[g.edges[:, 0], g.edges[:, 1]] = True
-    adj[g.edges[:, 1], g.edges[:, 0]] = True
-    packed = np.packbits(adj, axis=1, bitorder="little").view(np.uint64)
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for source, row in enumerate(dist):
+    stop = n if stop is None else stop
+    beyond = n if cap is None else cap + 1
+    if packed is None:
+        packed = packed_adjacency(g)
+    levels = np.full((stop - start, n), beyond, dtype=np.min_scalar_type(beyond))
+    front_mask = np.zeros(packed.shape[1] * 64, dtype=bool)
+    for row, source in zip(levels, range(start, stop)):
         row[source] = 0
-        front = [source]
-        level = 0
-        while len(front):
+        front, unseen, level = np.array([source]), n - 1, 0
+        while len(front) and unseen and level < beyond - 1:
             level += 1
-            hit = np.bitwise_or.reduce(packed[front], axis=0)
-            new = np.unpackbits(hit.view(np.uint8), count=n, bitorder="little").view(bool)
-            new &= row < 0
-            row[new] = level
-            front = np.flatnonzero(new)
-    return dist
+            if len(front) < unseen:
+                hit = np.bitwise_or.reduce(packed.take(front, axis=0), axis=0)
+                new = np.unpackbits(hit.view(np.uint8), count=n, bitorder="little").view(bool)
+                front = np.flatnonzero(new & (row > level))
+            else:
+                np.equal(row, level - 1, out=front_mask[:n])
+                bits = np.packbits(front_mask, bitorder="little").view(np.uint64)
+                candidates = np.flatnonzero(row > level)
+                front = candidates[(packed.take(candidates, axis=0) & bits).any(axis=1)]
+            row[front] = level
+            unseen -= len(front)
+    if cap is None:
+        levels = levels.astype(np.int64)
+        levels[levels == beyond] = -1
+    return levels[:, start:]
 
 
 @dataclass(frozen=True)
@@ -225,14 +261,19 @@ class BjReport:
     one_sided_violations: int
 
 
-def norm_floor_matrix(g: GeomGraph) -> np.ndarray:
-    """Exact n x n matrix of floor(norm(x_i - x_j)), int64 or object dtype.
+def norm_floor_matrix(
+    g: GeomGraph, start: int = 0, stop: int | None = None,
+    projections: tuple[np.ndarray, int] | None = None,
+) -> np.ndarray:
+    """Exact floor(norm(x_i - x_j)) for start <= i < stop and start <= j < n.
 
-    Since floor(x) < k iff x < k for integer thresholds, floors decide
-    every strict comparison the audits need.
+    The whole n x n matrix by default, int64 or object dtype; `projections`
+    are `norm_projections` of the points, made here when not given.  Since
+    floor(x) < k iff x < k for integer thresholds, floors decide every
+    strict comparison the audits need.
     """
-    nums, den = pairwise_norm_numerators(g.sample.ball, g.sample.points)
-    return nums // den
+    ys, den = projections or norm_projections(g.sample.ball, g.sample.points)
+    return projection_distances(ys[start:stop], ys[start:]) // den
 
 
 def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
@@ -240,24 +281,50 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
 
     Also audits the one-sided implication that a path of length m forces
     norm < m, which holds in every sample by the triangle inequality.
-    Counts run over the whole floor and distance matrices: both are
-    symmetric, and each diagonal entry (floor 0, hop 0) satisfies every
-    row and violates nothing, so a count over pairs i < j is the count
-    over all entries less the diagonal, halved.
+
+    Source rows go in blocks of `_BLOCK_ROWS`, so nothing n x n is held.
+    The BFS stops at cap = max(k_max, largest floor), at most n - 1: past
+    it no row or violation tells a pair from an unreachable one.  Over the
+    pairs i < j, each block adds to histograms of the floors f, the hops h
+    (cap + 1 past the cap) and m = max(f + 1, h) for h <= cap.  A row is
+    then pairs - #{f < k} - #{h <= min(k, cap)} + 2 #{m <= k}, at a cost
+    that does not grow with k_max, and a pair is a violation iff m > h.
     """
     if k_max < 2:
         raise OutOfDomain("k_max must be >= 2")
     n = len(g.sample.points)
-    floors = norm_floor_matrix(g)
-    dist = distance_matrix(g)
     pairs = n * (n - 1) // 2
-    rows = []
-    for k in range(2, k_max + 1):
-        agree = int(np.count_nonzero((floors < k) == ((dist >= 0) & (dist <= k))))
-        satisfied = (agree - n) // 2
-        rows.append((k, pairs, satisfied, Q(satisfied, pairs) if pairs else Q(1)))
-    violations = int(np.count_nonzero((dist >= 1) & (floors >= dist))) // 2
-    return BjReport(rows=tuple(rows), one_sided_violations=violations)
+    ys, den = projections = norm_projections(g.sample.ball, g.sample.points)
+    max_floor = int((ys.max(axis=0) - ys.min(axis=0)).max()) // den if n > 1 else 0
+    cap = max(min(n - 1, max(k_max, max_floor)), 0)
+    top = max(k_max, cap)  # clipping floors here changes no comparison below
+    bins = max(min(max_floor, top), cap) + 2
+    packed = packed_adjacency(g)
+    hists = np.zeros((3, bins), dtype=np.int64)
+    violations = 0
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        floors = norm_floor_matrix(g, start, stop, projections)
+        above = ~np.tri(*floors.shape, dtype=bool)  # the pairs i < j
+        f = np.minimum(floors[above], top).astype(np.int64, copy=False)
+        h = distance_matrix(g, start, stop, cap, packed)[above]
+        m = np.maximum(f + 1, h)
+        m[h > cap] = 0
+        for hist, values in zip(hists, (f, h, m)):
+            hist += np.bincount(values, minlength=bins)
+        violations += int(np.count_nonzero(m > h))
+    hists[2, 0] = 0  # the pairs past the cap
+    cum_f, cum_h, cum_m = np.cumsum(hists, axis=1)
+    ks = np.arange(2, k_max + 1)
+    satisfied = (
+        pairs - cum_f[np.minimum(ks - 1, bins - 1)] - cum_h[np.minimum(ks, cap)]
+        + 2 * cum_m[np.minimum(ks, bins - 1)]
+    )
+    rows = tuple(
+        (k, pairs, sat, Q(sat, pairs) if pairs else Q(1))
+        for k, sat in zip(range(2, k_max + 1), satisfied.tolist())
+    )
+    return BjReport(rows=rows, one_sided_violations=violations)
 
 
 def edge_agreement_probability(p: Q, trials: int, seed: int) -> Q:

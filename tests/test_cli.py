@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
 from itertools import zip_longest
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from rado_lab import back_forth, cli, decomposition, geometry, lp, random_graphs
@@ -248,6 +250,63 @@ class TestCheckStepIsometry:
         assert code == 1 and "floors 0 vs 1" in out
 
 
+_SPLICE = 987654321987  # an edge index replaced by a raw JSON token
+
+
+def _graph_texts(payload: dict, edges=None, token: str | None = None) -> list[str]:
+    """A graph file as compact JSON and in `graph_text`'s layout (`json.dumps`,
+    sorted keys, indent 1), with `edges`; `token` replaces `_SPLICE` in both."""
+    if edges is not None:
+        payload = {**payload, "edges": edges}
+    texts = [json.dumps(payload), json.dumps(payload, sort_keys=True, indent=1) + "\n"]
+    if token is not None:
+        assert [text.count(str(_SPLICE)) for text in texts] == [1, 1]
+        texts = [text.replace(str(_SPLICE), token) for text in texts]
+    return texts
+
+
+_MALFORMED_EDGES = [  # (edges, token replacing _SPLICE, error, read by numpy)
+    ([[0, 9]], None, "BadGraph", True),  # past the 5 points
+    ([[-1, 2]], None, "BadGraph", False),
+    ([[1, 1]], None, "BadGraph", True),
+    ([[0.5, 2]], None, "BadGraph", False),
+    ([[0, 1], [1, 0]], None, "BadGraph", True),  # i > j
+    ([[0, 1], [0, 1]], None, "BadGraph", True),
+    ([[0, 1], [2]], None, "BadGraph", False),
+    ([[0, 1, 2]], None, "BadGraph", False),
+    ([[0, "1"]], None, "BadGraph", False),
+    ({"0": 1}, None, "BadGraph", False),
+    ([[True, 2]], None, "BadGraph", False),  # a bool beside an int passes as int64
+    ([[0, False]], None, "BadGraph", False),
+    ([[0, _SPLICE]], "01", "BadFile", False),  # JSON has no leading zeros
+    ([[0, _SPLICE]], "00", "BadFile", False),
+    ([[0, 10 ** 18 - 1]], None, "BadGraph", True),
+    ([[0, 9999999999999999999]], None, "BadGraph", False),  # past int64
+    ([[0, 99999999999999999999]], None, "BadGraph", False),
+    ([[0, _SPLICE]], "", "BadFile", False),
+]
+
+
+def _read_by_numpy(text: str) -> bool:
+    """Whether the graph reader parses the file's edges block with numpy."""
+    try:
+        return isinstance(cli._graph_json(text.encode())["edges"], np.ndarray)
+    except (ValueError, KeyError, TypeError):
+        return False
+
+
+def _audit_each(tmp_path, capsys, texts: list[str]) -> list[tuple[int, str, str]]:
+    """(exit code, stdout, error class) of `bj-audit --kmax 3` on each text."""
+    results = []
+    for text in texts:
+        path = tmp_path / "audited.json"
+        path.write_text(text)
+        code = cli.main(["bj-audit", "--graph", str(path), "--kmax", "3"])
+        out, err = capsys.readouterr()
+        results.append((code, out, ":".join(err.split(":")[:2])))
+    return results
+
+
 class TestGraphPipeline:
     def test_sample_bj_roundtrip(self, tmp_path, capsys):
         graph_path = tmp_path / "graph.json"
@@ -303,37 +362,66 @@ class TestGraphPipeline:
         assert code == 0
         assert out == "k,pairs,satisfied,fraction\n2,0,0,1.0\n3,0,0,1.0\n"
 
-    @pytest.mark.parametrize(
-        "edges",
-        [
-            [[0, 9]],  # past the 5 points
-            [[-1, 2]],
-            [[1, 1]],
-            [[0.5, 2]],
-            [[0, 1], [1, 0]],  # i > j
-            [[0, 1], [0, 1]],
-            [[0, 1], [2]],
-            [[0, 1, 2]],
-            [[0, "1"]],
-            {"0": 1},
-            [[True, 2]],  # a bool beside an int passes as int64
-            [[0, False]],
-        ],
-    )
-    def test_malformed_edges_exit_2(self, tmp_path, capsys, edges):
+    @pytest.fixture
+    def payload(self, tmp_path, capsys):
+        """The JSON object of a 5-point graph file."""
         graph_path = tmp_path / "graph.json"
         run_cli(
             ["sample-graph", "--ball", "builtin:cube_2", "--n", "5", "--window", "3",
              "--seed", "1", "--out", str(graph_path)],
             capsys,
         )
-        payload = json.loads(graph_path.read_text())
-        payload["edges"] = edges
-        graph_path.write_text(json.dumps(payload))
-        code = cli.main(["bj-audit", "--graph", str(graph_path), "--kmax", "3"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: BadGraph: ")
+        return json.loads(graph_path.read_text())
+
+    @pytest.mark.parametrize(
+        "edges, token, error, fast",
+        _MALFORMED_EDGES,
+        ids=[f"edges{i}" for i in range(len(_MALFORMED_EDGES))],
+    )
+    def test_malformed_edges_exit_2(self, tmp_path, capsys, payload, edges, token, error, fast):
+        # Compact JSON takes `json.loads`; `graph_text`'s layout the numpy reader.
+        texts = _graph_texts(payload, edges, token)
+        assert [_read_by_numpy(text) for text in texts] == [False, fast]
+        results = _audit_each(tmp_path, capsys, texts)
+        assert results[0] == results[1] == (2, "", f"error: {error}")
+
+    def test_truncated_or_nested_block_exits_2(self, tmp_path, capsys, payload):
+        payload["edges"] = [[0, 1], [0, 2], [1, 3]]
+        texts = [text[: len(text) // 2 + cut] for cut in (0, 7) for text in _graph_texts(payload)]
+        # A block in `graph_text`'s layout, but one level down: no top-level edges.
+        nested = json.dumps({**payload, "edges": None}).replace('"edges": null', '"x": {"y": 1')
+        texts.append(nested[:-1] + ',\n "edges": [\n  [\n   2,\n   3\n  ]\n ]}}')
+        assert [_read_by_numpy(text) for text in texts] == [False] * 5
+        assert {_audit_each(tmp_path, capsys, [text])[0] for text in texts} == {
+            (2, "", "error: BadFile")
+        }
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"extra": [[0, 1]], "z": 1},  # keys after the edges block
+         {"edges2": [[1, 2]]}, {"f": []}],  # `f` becomes a second "edges" key
+    )
+    def test_both_readers_give_the_same_graph(self, tmp_path, capsys, payload, extra):
+        texts = _graph_texts({**payload, **extra})
+        if "f" in extra:
+            texts = [text.replace('"f":', '"edges":') for text in texts]
+        assert [_read_by_numpy(text) for text in texts] == [False, "f" not in extra]
+        edges = [cli.graph_from_json(cli._graph_json(text.encode())).edges.tolist() for text in texts]
+        assert edges[0] == edges[1] == ([] if "f" in extra else payload["edges"])
+        results = _audit_each(tmp_path, capsys, texts)
+        assert results[0] == results[1] and results[0][0] == 0
+
+    def test_large_kmax_is_one_pass(self, tmp_path, capsys, payload):
+        # Rows come off one histogram, so k_max costs a row each, not a pass each.
+        path = tmp_path / "graph.json"
+        path.write_text(_graph_texts(payload, payload["edges"])[1])
+        code, short = run_cli(["bj-audit", "--graph", str(path), "--kmax", "6"], capsys)
+        started = time.perf_counter()
+        code, out = run_cli(["bj-audit", "--graph", str(path), "--kmax", "100000"], capsys)
+        assert time.perf_counter() - started < 1.0
+        lines = out.split("\n")
+        assert code == 0 and len(lines) == 1 + 99_999 + 1 and lines[-1] == ""
+        assert out.startswith(short)
 
     def test_identical_config_identical_bytes(self, tmp_path, capsys):
         outs = []

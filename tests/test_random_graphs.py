@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction as Q
@@ -15,6 +16,7 @@ from rado_lab.linalg import vsub
 from rado_lab.random_graphs import (
     FIBRE_FREE,
     LINF_INTEGER_FREE,
+    BjReport,
     GeomGraph,
     PointSample,
     bernoulli_subgraph,
@@ -277,11 +279,15 @@ class TestDistances:
                     assert dm[i, j] == (-1 if bfs is None else bfs)
 
 
+@functools.cache
 def _audit_graph(name):
-    """A graph for the audit reference test, built on demand by name."""
+    """A graph for the audit reference tests, built on demand by name."""
     if name == "hand_built_violation":  # one edge whose norm is 3/2: a violation
         return GeomGraph(sample=line_sample(0, Q(3, 2)), edges=np.array([[0, 1]]), p=Q(1),
                          rng_seed=None)
+    if name == "long_violations":  # a path of edges of norm 3/2: every pair violates
+        return GeomGraph(sample=line_sample(*[Q(3 * i, 2) for i in range(6)]),
+                         edges=np.array([[i, i + 1] for i in range(5)]), p=Q(1), rng_seed=None)
     if name == "n1":
         return unit_graph(line_sample(0))
     if name == "n2":
@@ -304,12 +310,68 @@ def _audit_graph(name):
     return bernoulli_subgraph(unit_graph(s), p, seed=18) if p != 1 else unit_graph(s)
 
 
+AUDIT_CORPUS = ["cube_2", "hexagon", "prism", "sparse_cube_1", "n1", "n2", "object_floors",
+                "hand_built_violation", "long_violations"]
+
+
+def _reference_bj_audit(g, k_max):
+    """`bj_audit` as a count over the whole floor and distance matrices.
+
+    Both are symmetric, and each diagonal entry (floor 0, hop 0) satisfies
+    every row and violates nothing, so a count over pairs i < j is the
+    count over all entries less the diagonal, halved.
+    """
+    n = len(g.sample.points)
+    floors = norm_floor_matrix(g)
+    dist = distance_matrix(g)
+    pairs = n * (n - 1) // 2
+    rows = []
+    for k in range(2, k_max + 1):
+        agree = int(np.count_nonzero((floors < k) == ((dist >= 0) & (dist <= k))))
+        satisfied = (agree - n) // 2
+        rows.append((k, pairs, satisfied, Q(satisfied, pairs) if pairs else Q(1)))
+    violations = int(np.count_nonzero((dist >= 1) & (floors >= dist))) // 2
+    return BjReport(rows=tuple(rows), one_sided_violations=violations)
+
+
+@st.composite
+def long_paths(draw):
+    """A path on a line, points 1/2 < gap < 1 apart, maybe thinned and shifted.
+
+    Its hop counts reach n - 1 while its floors stay below, so pairs pass
+    the audit's BFS cap unless k_max is near n; thinning adds unreachable
+    pairs, and a far shift puts huge floors on a second path.
+    """
+    n = draw(st.integers(2, 40))
+    gap = Q(draw(st.integers(5, 7)), 8)
+    far = draw(st.sampled_from([0, 10**6]))
+    points = [gap * i + (far if 2 * i >= n else 0) for i in range(n)]
+    g = unit_graph(line_sample(*points))
+    p = draw(st.sampled_from([Q(1), Q(9, 10), Q(1, 2)]))
+    return g if p == 1 else bernoulli_subgraph(g, p, seed=draw(st.integers(0, 99)))
+
+
 class TestBjAudit:
-    @pytest.mark.parametrize(
-        "name",
-        ["cube_2", "hexagon", "prism", "sparse_cube_1", "n1", "n2", "object_floors",
-         "hand_built_violation"],
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=st.sampled_from(AUDIT_CORPUS).map(_audit_graph) | long_paths(),
+        k_max=st.integers(2, 45),
+        rows=st.sampled_from([1, 7, 64, "n", "n+1"]),
     )
+    # A 30-point path: hops reach 29 past the cap of 21 (the largest floor),
+    # and k_max = 45 puts rows past the cap of n - 1.
+    @example(g=unit_graph(line_sample(*[Q(3 * i, 4) for i in range(30)])), k_max=4, rows=7)
+    @example(g=unit_graph(line_sample(*[Q(3 * i, 4) for i in range(30)])), k_max=45, rows=7)
+    # Violations at hops 3 to 5, past k_max: the cap is the largest floor.
+    @example(g=_audit_graph("long_violations"), k_max=2, rows=1)
+    def test_blocks_and_cap_match_the_whole_matrix_count(self, g, k_max, rows):
+        n = len(g.sample.points)
+        size = {"n": n, "n+1": n + 1}.get(rows, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rg, "_BLOCK_ROWS", size)
+            assert bj_audit(g, k_max) == _reference_bj_audit(g, k_max)
+
+    @pytest.mark.parametrize("name", AUDIT_CORPUS)
     def test_matches_a_direct_count_over_pairs(self, name):
         # Rows and violations against a count over i < j of BFS hops and
         # floors of the exact norm, one pair at a time.

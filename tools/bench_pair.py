@@ -1,0 +1,135 @@
+"""Alternating before/after benchmark pairs: a base revision against the working tree.
+
+Usage (from the repository root):
+
+    python3 tools/bench_pair.py --base HEAD --pr <pr> --pairs 10 --seed 700
+    python3 tools/bench_pair.py --base HEAD~1 --pr <pr> --workload graph_cube --pairs 12
+
+The base revision is exported with `git archive` into `.bench_build/<sha>`
+(a plain tree: no worktree is registered in `.git`).  For each workload,
+pair i runs `python3 <tree>/perfbench/run.py --workload W --seed S+i
+--trace 0` once in the base tree and once in the working tree, the base
+first on even pairs and last on odd ones, so slow drift of the machine
+falls on both sides alike.  Each pair uses one seed on both sides.
+
+The result, `BENCH_<pr>.json` at the repository root, holds for every
+workload and end-to-end metric both sides' runs and medians, the
+interquartile range of the base runs, and how many pairs the working tree
+won (lower is better for every end-to-end metric), plus the failed
+command count of every run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BUILD = ROOT / ".bench_build"
+WORKLOADS = ("kernel_generic", "graph_cube", "s0_gadget", "bf_extend")
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def export_base(rev: str) -> tuple[str, Path]:
+    """The full sha of `rev` and a plain tree of it under `.bench_build/`."""
+    sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    tree = BUILD / sha
+    if not (tree / "perfbench" / "run.py").is_file():
+        tree.mkdir(parents=True, exist_ok=True)
+        with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", sha))) as tar:
+            tar.extractall(tree, filter="data")
+    return sha, tree
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """The last stdout line of one `perfbench/run.py --trace 0` run: its JSON summary.
+
+    The run length is `run.py`'s own default, the same on both sides.
+    """
+    argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"{' '.join(argv)} printed nothing:\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def _quartile_spread(values: list[float]) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(runs: dict[str, list[dict]]) -> dict:
+    """Per-metric runs, medians, base IQR and pairs won, from each side's run summaries."""
+    out = {"failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()}, "metrics": {}}
+    for name, info in runs["base"][0]["metrics"].items():
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        head = [r["metrics"][name]["value"] for r in runs["head"]]
+        out["metrics"][name] = {
+            "unit": info["unit"],
+            "base_median": statistics.median(base),
+            "head_median": statistics.median(head),
+            "base_iqr": _quartile_spread(base),
+            "head_lower_in_pairs": sum(h < b for b, h in zip(base, head)),
+            "base": base,
+            "head": head,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--base", default="HEAD", help="revision to compare the working tree against")
+    ap.add_argument("--pr", required=True, help="the BENCH_<pr>.json file to write")
+    ap.add_argument("--workload", choices=WORKLOADS + ("all",), default="all")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=700, help="seed of the first pair; pair i uses seed + i")
+    args = ap.parse_args(argv)
+    if args.pairs < 4:
+        ap.error("--pairs must be at least 4 for quartiles")
+
+    sha, base_tree = export_base(args.base)
+    head = _git("rev-parse", "HEAD").decode().strip()
+    dirty = bool(_git("status", "--porcelain", "--untracked-files=no", "--", "src", "perfbench"))
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    report = {
+        "base": sha,
+        "head": head + (" plus uncommitted changes" if dirty else ""),
+        "command": "perfbench/run.py --trace 0",
+        "pairs": args.pairs,
+        "seeds": [args.seed + i for i in range(args.pairs)],
+        "workloads": {},
+    }
+    for workload in workloads:
+        runs = {"base": [], "head": []}
+        for i, seed in enumerate(report["seeds"]):
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            for side in order:
+                tree = base_tree if side == "base" else ROOT
+                runs[side].append(run_once(tree, workload, seed))
+            wall = [runs[s][-1]["metrics"]["wall_s"]["value"] for s in ("base", "head")]
+            print(f"{workload} pair {i} seed {seed}: wall_s base {wall[0]:.3f} head {wall[1]:.3f}",
+                  flush=True)
+        report["workloads"][workload] = summarize(runs)
+    path = ROOT / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for workload, summary in report["workloads"].items():
+        for name, m in summary["metrics"].items():
+            print(f"{workload} {name}: {m['base_median']:.4g} -> {m['head_median']:.4g} {m['unit']} "
+                  f"(lower in {m['head_lower_in_pairs']}/{args.pairs}, base IQR {m['base_iqr']:.3g})")
+    print(f"wrote {path.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
