@@ -271,11 +271,16 @@ class PartialIso:
         for (a, fa), (b, fb) in zip(pairs, pairs[1:]):
             if not (a < b and fa < fb):
                 raise CrossCheckFailure("fraction order not strictly increasing")
-        fwd = dict(self.fwd)
-        bwd = dict(self.bwd)
-        fwd[i] = j
-        bwd[j] = i
-        return PartialIso(fwd, bwd, tuple(pairs), shift)
+        return PartialIso({**self.fwd, i: j}, {**self.bwd, j: i}, tuple(pairs), shift)
+
+    def mirror(self) -> "PartialIso":
+        """The inverse partial map, sharing this one's dicts (`_with_pair`
+        copies before it writes); strict monotonicity keeps the swapped
+        fraction pairs sorted."""
+        return PartialIso(
+            self.bwd, self.fwd, tuple((b, a) for a, b in self.frac_pairs),
+            None if self.cell_shift is None else -self.cell_shift,
+        )
 
 
 def initial_identity(sample: FibredSample, indices: Sequence[int]) -> PartialIso:
@@ -286,22 +291,10 @@ def initial_identity(sample: FibredSample, indices: Sequence[int]) -> PartialIso
     return state
 
 
-def _interval(
-    pairs: Sequence[tuple[Q, Q]], t: Q, invert: bool
-) -> tuple[Q, Q]:
-    """Open image interval for a new fraction t, with virtual fixed ends 0 and 1.
-
-    With invert=True the pairs are read as (image, domain); strict
-    monotonicity makes the swapped list sorted as well.
-    """
-    view = [(b, a) for a, b in pairs] if invert else list(pairs)
-    lo, hi = Q(0), Q(1)
-    pos = bisect_left(view, (t, Q(-1)))
-    if pos > 0:
-        lo = view[pos - 1][1]
-    if pos < len(view):
-        hi = view[pos][1]
-    return lo, hi
+def _interval(pairs: Sequence[tuple[Q, Q]], t: Q) -> tuple[Q, Q]:
+    """Open image interval for a new fraction t, with virtual fixed ends 0 and 1."""
+    pos = bisect_left(pairs, (t, Q(-1)))
+    return pairs[pos - 1][1] if pos else Q(0), pairs[pos][1] if pos < len(pairs) else Q(1)
 
 
 def bf_step(
@@ -309,50 +302,50 @@ def bf_step(
 ) -> PartialIso | BlockReason:
     """Try to extend the partial isomorphism at one unmatched vertex.
 
-    Candidates live on the vertex's own fibre of the other graph, inside
-    the open fraction interval between the images of its fraction
-    neighbours (and in the cell fixed by the global shift).  Among those,
-    a candidate must agree with the vertex's adjacency to every matched
-    point within potential-edge range; the smallest index wins.  Matched
-    points out of range need no check: the interval discipline makes
-    their adjacency agree automatically.
+    A forward step extends the map from g to g2 at a vertex of g.  A
+    backward step extends its inverse at a vertex of g2, which is the
+    forward step from g2 to g of the mirrored map (see `_extend`).
     """
-    forward = direction == FORWARD
-    dom, img = (g, g2) if forward else (g2, g)
-    matched_dom = state.fwd if forward else state.bwd
-    matched_img = state.bwd if forward else state.fwd
-    if vertex in matched_dom:
+    if direction == FORWARD:
+        return _extend(g, g2, state, vertex, direction)
+    got = _extend(g2, g, state.mirror(), vertex, direction)
+    return got if isinstance(got, BlockReason) else got.mirror()
+
+
+def _extend(
+    dom: FibreGraph, img: FibreGraph, state: PartialIso, vertex: int, direction: str
+) -> PartialIso | BlockReason:
+    """The forward step of `state` from dom to img at an unmatched vertex of dom.
+
+    Candidates live on the vertex's own fibre of img, inside the open
+    fraction interval between the images of its fraction neighbours (and
+    in the cell fixed by the global shift).  Among those, a candidate must
+    agree with the vertex's adjacency to every matched point within
+    potential-edge range; the smallest index wins.  Matched points out of
+    range need no check: the interval discipline makes their adjacency
+    agree automatically.
+    """
+    if vertex in state.fwd:
         raise OutOfDomain(f"vertex {vertex} already matched")
-    s_dom, s_img = dom.sample, img.sample
-    w = s_dom.w_of[vertex]
-    fibre = s_dom.fibre_of[vertex]
-    t = frac(w)
-    lo, hi = _interval(state.frac_pairs, t, invert=not forward)
-    want_floor = None
-    if state.cell_shift is not None:
-        want_floor = math.floor(w) + (state.cell_shift if forward else -state.cell_shift)
-
-    constraints: list[tuple[int, bool]] = []  # (image-side index, wanted adjacency)
-    for a, b in state.fwd.items():
-        da, ib = (a, b) if forward else (b, a)
-        if dom.distance_lt_1(vertex, da):
-            constraints.append((ib, dom.adjacent(vertex, da)))
-
+    s_img = img.sample
+    w = dom.sample.w_of[vertex]
+    lo, hi = _interval(state.frac_pairs, frac(w))
+    want_floor = None if state.cell_shift is None else math.floor(w) + state.cell_shift
+    constraints = [  # (img index, wanted adjacency)
+        (b, dom.adjacent(vertex, a)) for a, b in state.fwd.items() if dom.distance_lt_1(vertex, a)
+    ]
     found_in_interval = False
-    for cand in s_img.fibre_members[fibre]:
-        if cand in matched_img:
+    for cand in s_img.fibre_members[dom.sample.fibre_of[vertex]]:
+        if cand in state.bwd:
             continue
         wc = s_img.w_of[cand]
         if want_floor is not None and math.floor(wc) != want_floor:
             continue
-        tc = frac(wc)
-        if not (lo < tc < hi):
+        if not lo < frac(wc) < hi:
             continue
         found_in_interval = True
         if all(img.adjacent(cand, other) == wanted for other, wanted in constraints):
-            if forward:
-                return state._with_pair(vertex, cand, w, wc)
-            return state._with_pair(cand, vertex, wc, w)
+            return state._with_pair(vertex, cand, w, wc)
     kind = "adjacency_unsatisfiable" if found_in_interval else "no_candidate_in_interval"
     return BlockReason(kind=kind, vertex=vertex, direction=direction)
 
@@ -426,33 +419,30 @@ def bf_run(
     state = initial if initial is not None else PartialIso()
     audit_state(g, g2, state)
     start_matched = state.matched
-    n, n2 = g.sample.n_points, g2.sample.n_points
+    sizes = (g.sample.n_points, g2.sample.n_points)
+    cursors = [0, 0]  # per side, where the scan for an unmatched vertex resumes
+    side = 0  # 0: forward, at a vertex of g; 1: backward, at a vertex of g2
     blocked: BlockReason | None = None
     steps = 0
-    forward = True
-    cursor_f, cursor_b = 0, 0
     while steps < budget:
-        if forward:
-            while cursor_f < n and cursor_f in state.fwd:
-                cursor_f += 1
-            vertex = cursor_f if cursor_f < n else None
-        else:
-            while cursor_b < n2 and cursor_b in state.bwd:
-                cursor_b += 1
-            vertex = cursor_b if cursor_b < n2 else None
-        if vertex is None:
-            if state.matched >= min(n, n2):
+        matched = state.bwd if side else state.fwd
+        vertex = cursors[side]
+        while vertex < sizes[side] and vertex in matched:
+            vertex += 1
+        cursors[side] = vertex
+        if vertex == sizes[side]:
+            if state.matched >= min(sizes):
                 break
-            forward = not forward
+            side ^= 1
             continue
         steps += 1
-        got = bf_step(g, g2, state, vertex, FORWARD if forward else BACKWARD)
+        got = bf_step(g, g2, state, vertex, BACKWARD if side else FORWARD)
         if isinstance(got, BlockReason):
             blocked = got
             break
         state = got
-        audit_state(g, g2, state, vertex if forward else state.bwd[vertex])
-        forward = not forward
+        audit_state(g, g2, state, state.bwd[vertex] if side else vertex)
+        side ^= 1
     return BfReport(
         steps_attempted=steps,
         matched_count=state.matched - start_matched,

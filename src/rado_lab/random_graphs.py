@@ -103,6 +103,8 @@ def sample_typical_points(
 
 
 _BLOCK_ROWS = 64  # source rows per block of the pairwise kernel and the BFS
+_K_MAX_LIMIT = 10 ** 6  # bj_audit writes a row per k
+_AGREEMENT_TRIALS = 10 ** 8  # two bool coins per trial: a 200 MB array
 
 
 def unit_graph(sample: PointSample) -> GeomGraph:
@@ -290,8 +292,8 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
     then pairs - #{f < k} - #{h <= min(k, cap)} + 2 #{m <= k}, at a cost
     that does not grow with k_max, and a pair is a violation iff m > h.
     """
-    if k_max < 2:
-        raise OutOfDomain("k_max must be >= 2")
+    if not 2 <= k_max <= _K_MAX_LIMIT:
+        raise OutOfDomain(f"k_max must lie in [2, {_K_MAX_LIMIT}], got {k_max}")
     n = len(g.sample.points)
     pairs = n * (n - 1) // 2
     ys, den = projections = norm_projections(g.sample.ball, g.sample.points)
@@ -336,7 +338,7 @@ def edge_agreement_probability(p: Q, trials: int, seed: int) -> Q:
     p = Q(p)
     if not 0 <= p <= 1:
         raise OutOfDomain("p must lie in [0, 1]")
-    if trials < 1:
-        raise OutOfDomain("trials must be >= 1")
+    if not 1 <= trials <= _AGREEMENT_TRIALS:
+        raise OutOfDomain(f"trials must lie in [1, {_AGREEMENT_TRIALS}], got {trials}")
     a, b = _coins(random.Random(seed), p, 2 * trials).reshape(trials, 2).T
     return Q(int(np.count_nonzero(a == b)), trials)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from rado_lab import back_forth
 from rado_lab.back_forth import (
+    BACKWARD,
+    FORWARD,
     BlockReason,
     FibreGraph,
     PartialIso,
@@ -281,6 +284,129 @@ class TestBfStep:
         state = bf_step(g, g, PartialIso(), 0, "forward")
         with pytest.raises(ValueError):
             bf_step(g, g, state, 0, "forward")
+
+
+def _reference_interval(pairs, t, invert):
+    """The image interval with the pairs read as (image, domain) if invert."""
+    view = [(b, a) for a, b in pairs] if invert else list(pairs)
+    lo, hi = Q(0), Q(1)
+    pos = bisect_left(view, (t, Q(-1)))
+    if pos > 0:
+        lo = view[pos - 1][1]
+    if pos < len(view):
+        hi = view[pos][1]
+    return lo, hi
+
+
+def _reference_bf_step(g, g2, state, vertex, direction):
+    """The step with both orientations written out, which `bf_step`'s
+    mirroring replaced; kept as the reference for it."""
+    forward = direction == FORWARD
+    dom, img = (g, g2) if forward else (g2, g)
+    matched_dom = state.fwd if forward else state.bwd
+    matched_img = state.bwd if forward else state.fwd
+    if vertex in matched_dom:
+        raise OutOfDomain(f"vertex {vertex} already matched")
+    s_dom, s_img = dom.sample, img.sample
+    w = s_dom.w_of[vertex]
+    fibre = s_dom.fibre_of[vertex]
+    t = frac(w)
+    lo, hi = _reference_interval(state.frac_pairs, t, invert=not forward)
+    want_floor = None
+    if state.cell_shift is not None:
+        want_floor = math.floor(w) + (state.cell_shift if forward else -state.cell_shift)
+    constraints = []
+    for a, b in state.fwd.items():
+        da, ib = (a, b) if forward else (b, a)
+        if dom.distance_lt_1(vertex, da):
+            constraints.append((ib, dom.adjacent(vertex, da)))
+    found_in_interval = False
+    for cand in s_img.fibre_members[fibre]:
+        if cand in matched_img:
+            continue
+        wc = s_img.w_of[cand]
+        if want_floor is not None and math.floor(wc) != want_floor:
+            continue
+        tc = frac(wc)
+        if not (lo < tc < hi):
+            continue
+        found_in_interval = True
+        if all(img.adjacent(cand, other) == wanted for other, wanted in constraints):
+            if forward:
+                return state._with_pair(vertex, cand, w, wc)
+            return state._with_pair(cand, vertex, wc, w)
+    kind = "adjacency_unsatisfiable" if found_in_interval else "no_candidate_in_interval"
+    return BlockReason(kind=kind, vertex=vertex, direction=direction)
+
+
+def _outcome(step, *args):
+    """A step's result, or the class and message of its error."""
+    try:
+        return step(*args)
+    except (OutOfDomain, CrossCheckFailure) as exc:
+        return type(exc), str(exc)
+
+
+def _fields(outcome):
+    """A PartialIso field by field, dict order included; any other outcome as it is."""
+    if not isinstance(outcome, PartialIso):
+        return outcome
+    fwd, bwd = list(outcome.fwd.items()), list(outcome.bwd.items())
+    return fwd, bwd, outcome.frac_pairs, outcome.cell_shift
+
+
+def _assert_mirror_is_an_involution(state):
+    m = state.mirror()
+    assert m.fwd is state.bwd and m.bwd is state.fwd
+    assert m.frac_pairs == tuple((b, a) for a, b in state.frac_pairs)
+    assert list(m.frac_pairs) == sorted(m.frac_pairs)
+    assert m.cell_shift == (None if state.cell_shift is None else -state.cell_shift)
+    back = m.mirror()
+    assert back == state and back.fwd is state.fwd and back.cell_shift == state.cell_shift
+
+
+class TestOrientation:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        u_ball=st.sampled_from([U1, hexagon_ball()]),
+        n_u=st.integers(1, 4),
+        fibre_n=st.integers(1, 6),
+        # Windows past 1 let a first match cross cells, so the shift is nonzero.
+        window=st.sampled_from([Q(1), Q(2), Q(3), Q(5, 2)]),
+        p=st.sampled_from([Q(1), Q(1, 2), Q(1, 3)]),
+        seed=st.integers(0, 2 ** 32),
+        start=st.sampled_from(["empty", "identity"]),
+        two_samples=st.booleans(),
+    )
+    def test_bf_step_matches_the_two_orientation_reference(
+        self, u_ball, n_u, fibre_n, window, p, seed, start, two_samples
+    ):
+        s = make_fibred_sample(u_ball, n_u, fibre_n, window, seed)
+        s2 = make_fibred_sample(u_ball, n_u, fibre_n, window, seed + 1) if two_samples else s
+        g, g2 = FibreGraph(s, p, seed, tag=0), FibreGraph(s2, p, seed, tag=1)
+        rng = random.Random(seed)
+        n = s.n_points
+        state = PartialIso()
+        if start == "identity":
+            state = initial_identity(s, sorted(rng.sample(range(n), rng.randint(0, n))))
+        for step in range(2 * n + 2):
+            direction = (FORWARD, BACKWARD)[step % 2]
+            matched = state.fwd if direction == FORWARD else state.bwd
+            free = [v for v in range(n) if v not in matched]
+            # Mostly an unmatched vertex; sometimes any, which both must refuse if matched.
+            vertex = rng.choice(free) if free and rng.random() < 0.8 else rng.randrange(n)
+            got = _outcome(bf_step, g, g2, state, vertex, direction)
+            want = _outcome(_reference_bf_step, g, g2, state, vertex, direction)
+            assert _fields(got) == _fields(want)
+            if isinstance(got, PartialIso):
+                state = got
+                _assert_mirror_is_an_involution(state)
+
+    def test_mirror_keeps_a_zero_shift_and_negates_others(self):
+        for shift in (None, 0, 2, -1):
+            state = PartialIso({3: 5}, {5: 3}, ((Q(1, 4), Q(1, 3)),), shift)
+            _assert_mirror_is_an_involution(state)
+        assert PartialIso(cell_shift=0).mirror().cell_shift == 0
 
 
 class TestBfRun:

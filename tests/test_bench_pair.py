@@ -1,0 +1,59 @@
+"""`tools/bench_pair.summarize` on synthetic run summaries."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH_PAIR = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
+
+
+@pytest.fixture(scope="module")
+def summarize():
+    spec = importlib.util.spec_from_file_location("bench_pair", BENCH_PAIR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.summarize
+
+
+def _runs(failed, **metrics):
+    """One side's run summaries, in `perfbench/run.py`'s last-line layout."""
+    return [
+        {
+            "failed": failed[i],
+            "metrics": {
+                name: {"value": values[i], "unit": unit} for name, (unit, values) in metrics.items()
+            },
+        }
+        for i in range(len(failed))
+    ]
+
+
+def test_medians_quartile_spread_and_pairs_won(summarize):
+    runs = {
+        "base": _runs([0, 0, 1, 0], wall_s=("s", [4.0, 1.0, 3.0, 2.0]), rss=("MB", [5, 5, 5, 5])),
+        "head": _runs([0, 0, 0, 2], wall_s=("s", [3.0, 1.0, 3.5, 0.5]), rss=("MB", [5, 4, 6, 5])),
+    }
+    out = summarize(runs)
+    assert out["failed"] == {"base": [0, 0, 1, 0], "head": [0, 0, 0, 2]}
+    wall = out["metrics"]["wall_s"]
+    assert wall["unit"] == "s"
+    assert (wall["base_median"], wall["head_median"]) == (2.5, 2.0)
+    # Inclusive quartiles of 1, 2, 3, 4 are 1.75 and 3.25; exclusive ones
+    # (1.25 and 3.75) would give 2.5.
+    assert wall["base_iqr"] == 1.5
+    # Pairs (4, 3) and (2, 0.5) go to the head; the tie (1, 1) to neither side.
+    assert wall["head_lower_in_pairs"] == 2
+    assert (wall["base"], wall["head"]) == ([4.0, 1.0, 3.0, 2.0], [3.0, 1.0, 3.5, 0.5])
+    rss = out["metrics"]["rss"]
+    assert (rss["unit"], rss["base_median"], rss["head_median"], rss["base_iqr"]) == ("MB", 5, 5, 0)
+    assert rss["head_lower_in_pairs"] == 1  # two ties, one higher, one lower
+
+
+def test_all_ties_win_no_pair(summarize):
+    values = [0.25, 0.5, 0.75, 1.0, 1.25]
+    runs = {"base": _runs([0] * 5, wall_s=("s", values)), "head": _runs([0] * 5, wall_s=("s", values))}
+    wall = summarize(runs)["metrics"]["wall_s"]
+    assert wall["head_lower_in_pairs"] == 0
+    assert wall["base_median"] == wall["head_median"] == 0.75
+    assert wall["base_iqr"] == 0.5  # inclusive quartiles 0.5 and 1.0

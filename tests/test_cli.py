@@ -423,6 +423,22 @@ class TestGraphPipeline:
         assert code == 0 and len(lines) == 1 + 99_999 + 1 and lines[-1] == ""
         assert out.startswith(short)
 
+    @pytest.mark.parametrize("kmax", [10 ** 6 + 1, 10 ** 20])
+    def test_kmax_past_the_row_cap_exits_2(self, tmp_path, capsys, monkeypatch, payload, kmax):
+        # 10**20 used to overflow int64 in `np.minimum`; both are refused
+        # before the audit projects or packs anything.
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(payload))
+
+        def no_arrays(*args):
+            raise AssertionError("array work before the k_max check")
+
+        monkeypatch.setattr(random_graphs, "norm_projections", no_arrays)
+        code = cli.main(["bj-audit", "--graph", str(path), "--kmax", str(kmax)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: OutOfDomain: k_max must lie in [2, 1000000]")
+
     def test_identical_config_identical_bytes(self, tmp_path, capsys):
         outs = []
         for name in ("a.json", "b.json"):
@@ -448,6 +464,18 @@ class TestAgreement:
         payload = json.loads(out)
         assert payload["trials"] == 2000
         assert abs(payload["rate_float"] - 0.58) < 0.05
+
+    @pytest.mark.parametrize("trials", [10 ** 8 + 1, 10 ** 30])
+    def test_trials_past_the_coin_cap_exit_2(self, capsys, monkeypatch, trials):
+        # 10**30 used to die in `np.empty`; no coin is drawn for either.
+        def no_coins(*args):
+            raise AssertionError("coins drawn before the trials check")
+
+        monkeypatch.setattr(random_graphs, "_coins", no_coins)
+        code = cli.main(["agreement", "--p", "1/2", "--trials", str(trials), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: OutOfDomain: trials must lie in [1, 100000000]")
 
 
 class TestBfCli:

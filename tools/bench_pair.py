@@ -4,13 +4,17 @@ Usage (from the repository root):
 
     python3 tools/bench_pair.py --base HEAD --pr <pr> --pairs 10 --seed 700
     python3 tools/bench_pair.py --base HEAD~1 --pr <pr> --workload graph_cube --pairs 12
+    python3 tools/bench_pair.py --pr <pr> --workload s0_gadget bf_extend --pairs 10
 
 The base revision is exported with `git archive` into `.bench_build/<sha>`
-(a plain tree: no worktree is registered in `.git`).  For each workload,
-pair i runs `python3 <tree>/perfbench/run.py --workload W --seed S+i
---trace 0` once in the base tree and once in the working tree, the base
-first on even pairs and last on odd ones, so slow drift of the machine
-falls on both sides alike.  Each pair uses one seed on both sides.
+(a plain tree: no worktree is registered in `.git`), and the working
+tree's tracked and unignored files are copied into `.bench_build/head`,
+so neither side reads `__pycache__` files that earlier runs left beside
+the sources.  For each workload, pair i runs `python3
+<tree>/perfbench/run.py --workload W --seed S+i --trace 0` once in each
+tree, the base first on even pairs and last on odd ones, so slow drift
+of the machine falls on both sides alike.  Each pair uses one seed on
+both sides.
 
 The result, `BENCH_<pr>.json` at the repository root, holds for every
 workload and end-to-end metric both sides' runs and medians, the
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,6 +53,18 @@ def export_base(rev: str) -> tuple[str, Path]:
         with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", sha))) as tar:
             tar.extractall(tree, filter="data")
     return sha, tree
+
+
+def export_working_tree() -> Path:
+    """A fresh copy of the working tree's tracked and unignored files."""
+    tree = BUILD / "head"
+    shutil.rmtree(tree, ignore_errors=True)
+    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split(b"\0")
+    for name in filter(None, map(bytes.decode, names)):
+        if (ROOT / name).is_file():  # a tracked file deleted in the working tree is left out
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, tree / name)
+    return tree
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -91,7 +108,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", default="HEAD", help="revision to compare the working tree against")
     ap.add_argument("--pr", required=True, help="the BENCH_<pr>.json file to write")
-    ap.add_argument("--workload", choices=WORKLOADS + ("all",), default="all")
+    ap.add_argument("--workload", nargs="+", choices=WORKLOADS + ("all",), default=["all"])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=700, help="seed of the first pair; pair i uses seed + i")
     args = ap.parse_args(argv)
@@ -99,9 +116,10 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 4 for quartiles")
 
     sha, base_tree = export_base(args.base)
+    head_tree = export_working_tree()
     head = _git("rev-parse", "HEAD").decode().strip()
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no", "--", "src", "perfbench"))
-    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    workloads = WORKLOADS if "all" in args.workload else tuple(args.workload)
     report = {
         "base": sha,
         "head": head + (" plus uncommitted changes" if dirty else ""),
@@ -115,7 +133,7 @@ def main(argv=None) -> int:
         for i, seed in enumerate(report["seeds"]):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                tree = base_tree if side == "base" else ROOT
+                tree = base_tree if side == "base" else head_tree
                 runs[side].append(run_once(tree, workload, seed))
             wall = [runs[s][-1]["metrics"]["wall_s"]["value"] for s in ("base", "head")]
             print(f"{workload} pair {i} seed {seed}: wall_s base {wall[0]:.3f} head {wall[1]:.3f}",
