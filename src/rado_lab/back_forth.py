@@ -8,9 +8,13 @@ through a monotone map g with g(x + k) = g(x) + k.  At finite scale the
 "infinitely many candidates" of the dense setting become "at least one in
 the window", and a missing candidate is a reported block, not an error.
 
-Samples live on the shared 2**-33 grid (see `grid`): R-components are
-drawn, deduplicated and gadget-checked as exact integer numerators and
-fractional-part keys, and each kept point becomes one Fraction.
+Samples live on the shared 2**-33 grid (see `grid`).  R-components are
+drawn in bulk from the generator's own words (`grid.grid_nums`) and kept
+as integer numerators over one denominator per sample; they are
+deduplicated, gadget-checked and compared as integers, in numpy where a
+whole sample is read.  A Fraction is built only for a point that a step
+extends at or matches, or that the gadget audit reads, or on demand
+through the `FibredSample.fibres` and `w_of` views.
 
 Edges are lazy: each unordered pair gets an independent seeded coin, so
 samples of a hundred thousand points cost nothing until a pair is probed.
@@ -28,9 +32,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CrossCheckFailure, IndexOutOfRange, OutOfDomain, WindowTooSmall
+from .errors import (
+    CrossCheckFailure, DimensionMismatch, IndexOutOfRange, OutOfDomain, WindowTooSmall,
+)
 from .geometry import PolytopeBall, norm, pairwise_norm_numerators
-from .grid import DEN, draw_odd, frac, frac_key, grid_max_num, grid_num
+from .grid import DEN, INT64_BOUND, draw_odd, frac, frac_key, grid_max_num, grid_num, grid_nums
 from .linalg import Vec, vsub, zero_vec
 
 FORWARD = "forward"
@@ -42,25 +48,26 @@ _GADGET_FRAC_KEYS = frozenset(map(frac_key, GADGET_WS))  # {(0, 1), (1, 2)}
 _COIN_INDEX_LIMIT = 2 ** 20
 
 
-def _floor_gap(a: Q, b: Q) -> int:
-    """floor(|a - b|), exactly, without normalising the difference."""
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    return abs(an * bd - bn * ad) // (ad * bd)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FibredSample:
     """Fibres over distinct U-points, flattened in a seeded shuffle order.
 
+    R-components are integer numerators ``r_nums`` over one sample-wide
+    denominator ``r_den``, stored fibre after fibre (``fibre_sizes``): int64
+    when every numerator and the denominator lie below `grid.INT64_BOUND`,
+    Python ints otherwise.  Sampled data sits on the grid (``r_den`` is
+    `grid.DEN`); `from_fibres` takes Fractions and uses their lcm.
     ``integer_exempt_fibres`` marks fibres (the S0 gadget) whose internal
     integer R-differences are intentional and excluded from audits; their
-    points come first in the flat order, the rest follow shuffled.
+    points come first in the flat order, the rest follow shuffled.  Two
+    samples are equal when they hold the same points.
     """
 
     u_ball: PolytopeBall
     u_points: tuple[Vec, ...]
-    fibres: tuple[tuple[Q, ...], ...]
+    r_nums: np.ndarray
+    r_den: int
+    fibre_sizes: tuple[int, ...]
     window: Q
     seed: int
     integer_exempt_fibres: tuple[int, ...] = ()
@@ -68,38 +75,94 @@ class FibredSample:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self):
+        if len(self.r_nums) != sum(self.fibre_sizes):
+            raise DimensionMismatch("fibre sizes do not add up to the R-components")
+        self.r_nums.flags.writeable = False
+
+    @classmethod
+    def from_fibres(
+        cls, u_ball: PolytopeBall, u_points: Sequence[Vec],
+        fibres: Sequence[Sequence[Q]], window: Q, seed: int,
+        integer_exempt_fibres: tuple[int, ...] = (),
+    ) -> "FibredSample":
+        """A sample whose R-components are given as rationals, fibre by fibre."""
+        nums, den = _common_den([Q(w) for ws in fibres for w in ws])
+        return cls(
+            u_ball, tuple(u_points), nums, den, tuple(map(len, fibres)), Q(window), seed,
+            tuple(integer_exempt_fibres),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, FibredSample):
+            return NotImplemented
+        return self._points() == other._points()
+
+    def __hash__(self):
+        return hash(self._points())
+
+    def _points(self) -> tuple:
+        return (self.u_ball, self.u_points, self.fibres, self.window, self.seed,
+                self.integer_exempt_fibres)
+
     @cached_property
-    def _flat(self) -> tuple[tuple[int, ...], tuple[Q, ...], tuple[tuple[int, ...], ...]]:
-        fibres, exempt = self.fibres, self.integer_exempt_fibres
-        order = [*exempt, *(f for f in range(len(fibres)) if f not in exempt)]
-        fs = [f for f in order for _ in fibres[f]]
-        ws = [w for f in order for w in fibres[f]]
-        head = sum(len(fibres[f]) for f in exempt)
+    def fibres(self) -> tuple[tuple[Q, ...], ...]:
+        """The R-components as Fractions, fibre by fibre (built on first use)."""
+        ws = [Q(n, self.r_den) for n in self.r_nums.tolist()]
+        ends = np.cumsum(self.fibre_sizes).tolist()
+        return tuple(tuple(ws[a:b]) for a, b in zip([0, *ends], ends))
+
+    @cached_property
+    def _flat(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        sizes, exempt = self.fibre_sizes, self.integer_exempt_fibres
+        fibre = np.repeat(np.arange(len(sizes)), sizes)
+        rank = np.full(len(sizes), len(exempt))
+        rank[list(exempt)] = range(len(exempt))
+        src = np.argsort(rank[fibre], kind="stable")  # exempt fibres first, in storage order
+        head = sum(sizes[f] for f in exempt)
         # Shuffling positions draws exactly what shuffling the points would.
-        perm = list(range(head, len(fs)))
+        perm = list(range(head, len(src)))
         random.Random(self.seed ^ 0x5A5A5A).shuffle(perm)
-        perm[:0] = range(head)
-        fibre_of = tuple([fs[i] for i in perm])
-        members: list[list[int]] = [[] for _ in fibres]
-        for i, f in enumerate(fibre_of):
-            members[f].append(i)
-        return fibre_of, tuple([ws[i] for i in perm]), tuple(map(tuple, members))
+        src = np.concatenate((src[:head], src[np.fromiter(perm, np.intp, len(perm))]))
+        fibre_of = fibre[src]
+        # In the smallest type that holds every fibre index, a stable sort is a radix sort.
+        small = fibre_of.astype(np.min_scalar_type(len(sizes)))
+        members = np.argsort(small, kind="stable").tolist()
+        ends = np.cumsum(sizes).tolist()
+        return (
+            tuple(fibre_of.tolist()), tuple(self.r_nums[src].tolist()),
+            tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)),
+        )
 
     @cached_property
     def fibre_of(self) -> tuple[int, ...]:
         return self._flat[0]
 
     @cached_property
-    def w_of(self) -> tuple[Q, ...]:
+    def w_num(self) -> tuple[int, ...]:
+        """Numerators of the flat points' R-components, over ``r_den``."""
         return self._flat[1]
 
     @cached_property
     def fibre_members(self) -> tuple[tuple[int, ...], ...]:
         return self._flat[2]
 
+    @cached_property
+    def w_of(self) -> tuple[Q, ...]:
+        """The flat points' R-components as Fractions (built on first use)."""
+        return tuple(Q(n, self.r_den) for n in self.w_num)
+
+    def w(self, i: int) -> Q:
+        """The R-component of flat point i."""
+        return Q(self.w_num[i], self.r_den)
+
+    def r_floor(self, i: int, j: int) -> int:
+        """floor |w_i - w_j|, from the integer numerators."""
+        return abs(self.w_num[i] - self.w_num[j]) // self.r_den
+
     @property
     def n_points(self) -> int:
-        return sum(map(len, self.fibres))
+        return len(self.r_nums)
 
     def u_floor(self, fa: int, fb: int) -> int:
         """floor of the exact U-distance of two fibres, cached per fibre pair
@@ -112,6 +175,29 @@ class FibredSample:
             got = math.floor(norm(self.u_ball, vsub(self.u_points[fa], self.u_points[fb])))
             self._u_floors[key] = got
         return got
+
+
+def _int_array(nums: list[int], den: int) -> np.ndarray:
+    """nums as int64 when they and den lie below INT64_BOUND in magnitude, else as Python ints."""
+    lo, hi = min(nums, default=0), max(nums, default=0)
+    fits = den < INT64_BOUND and -INT64_BOUND < lo and hi < INT64_BOUND
+    return np.array(nums, dtype=np.int64 if fits else object)
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys that no earlier key equals."""
+    first = np.ones(len(keys), dtype=bool)
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():  # only then pay for the stable sort
+        first[:] = False
+        first[np.unique(keys, return_index=True)[1]] = True
+    return first
+
+
+def _common_den(ws: Sequence[Q]) -> tuple[np.ndarray, int]:
+    """Numerators of ws over their least common denominator, and that denominator."""
+    den = math.lcm(*(w.denominator for w in ws))
+    return _int_array([w.numerator * (den // w.denominator) for w in ws], den), den
 
 
 def _rand_rational(rng: random.Random, lo: Q, width: Q) -> Q:
@@ -134,9 +220,11 @@ def make_fibred_sample(
     U-points are drawn by `_draw_u_point`, at density about one per unit
     volume, the finite stand-in for a density-one process; R-components
     land in [0, window) with all fractional parts distinct, so no two
-    points differ by an integer.  R-components are drawn and deduplicated
-    as integer grid numerators (their fractional part is the low DEN_POW
-    bits); a Fraction is built only for each kept point.
+    points differ by an integer.  R-components are drawn in bulk by
+    `grid.grid_nums` and kept in order at the first occurrence of their
+    fractional part (their low DEN_POW bits), as integer numerators over
+    DEN; each round draws the shortfall, and at most 100 draws per point
+    are made in all.
     """
     if n_u < 1 or fibre_n < 1:
         raise OutOfDomain("need n_u >= 1 and fibre_n >= 1")
@@ -156,26 +244,27 @@ def make_fibred_sample(
         u_seen.add(u)
         u_points.append(u)
     max_num = grid_max_num(window)
-    frac_mask = DEN - 1
-    fracs: set[int] = set()
-    fibres: list[tuple[Q, ...]] = []
     total = n_u * fibre_n
-    attempts = 0
-    for _ in range(n_u):
-        ws: list[Q] = []
-        while len(ws) < fibre_n:
-            attempts += 1
-            if attempts > 100 * total:
-                raise WindowTooSmall("could not place integer-free R-components")
-            odd = draw_odd(rng)
-            num = grid_num(rng, max_num, odd)
-            f = num & frac_mask
-            if f in fracs:
-                continue
-            fracs.add(f)
-            ws.append(Q(num, DEN))
-        fibres.append(tuple(ws))
-    return FibredSample(u_ball, tuple(u_points), tuple(fibres), window, seed)
+    cap = 100 * total  # R-draws allowed in all
+    drawn = grid_nums(rng, max_num, total)
+    while True:
+        first = _first_occurrences(drawn & (DEN - 1))
+        kept = int(np.count_nonzero(first))
+        if kept == total:
+            break
+        if len(drawn) == cap:
+            raise WindowTooSmall("could not place integer-free R-components")
+        more = grid_nums(rng, max_num, min(total - kept, cap - len(drawn)))
+        drawn = np.concatenate((drawn, more))
+    return FibredSample(u_ball, tuple(u_points), drawn[first], DEN, (fibre_n,) * n_u, window, seed)
+
+
+def _check_coin_indices(p: Q, n_points: int) -> None:
+    """Refuse a sample too large for the per-pair coin keys of a p != 1 graph."""
+    if p != 1 and n_points >= _COIN_INDEX_LIMIT:
+        # The coin key packs each index into 20 bits; past that, pairs
+        # such as (0, 5) and (1, 2**20 + 5) would share one coin.
+        raise IndexOutOfRange(f"{n_points} points; coin keys allow fewer than {_COIN_INDEX_LIMIT}")
 
 
 class FibreGraph:
@@ -195,25 +284,20 @@ class FibreGraph:
             # The coin key below would alias: (seed, 2) is (seed + 1, 0), and
             # random.Random seeds from abs(key).
             raise OutOfDomain(f"need tag 0 or 1 and seed >= 0, got tag {tag}, seed {seed}")
-        if self.p != 1 and sample.n_points >= _COIN_INDEX_LIMIT:
-            # The coin key packs each index into 20 bits; past that, pairs
-            # such as (0, 5) and (1, 2**20 + 5) would share one coin.
-            raise IndexOutOfRange(
-                f"{sample.n_points} points; coin keys allow fewer than {_COIN_INDEX_LIMIT}"
-            )
+        _check_coin_indices(self.p, sample.n_points)
         self.seed = seed
         self.tag = tag
         self._coins: dict[tuple[int, int], bool] = {}
 
     def distance_lt_1(self, i: int, j: int) -> bool:
         s = self.sample
-        if _floor_gap(s.w_of[i], s.w_of[j]):
+        if s.r_floor(i, j):
             return False
         return s.u_floor(s.fibre_of[i], s.fibre_of[j]) == 0
 
     def distance_floor(self, i: int, j: int) -> int:
         s = self.sample
-        return max(_floor_gap(s.w_of[i], s.w_of[j]), s.u_floor(s.fibre_of[i], s.fibre_of[j]))
+        return max(s.r_floor(i, j), s.u_floor(s.fibre_of[i], s.fibre_of[j]))
 
     def adjacent(self, i: int, j: int) -> bool:
         if i == j:
@@ -287,7 +371,7 @@ def initial_identity(sample: FibredSample, indices: Sequence[int]) -> PartialIso
     """Identity partial map on the given flat indices (e.g. the S0 gadget)."""
     state = PartialIso()
     for i in indices:
-        state = state._with_pair(i, i, sample.w_of[i], sample.w_of[i])
+        state = state._with_pair(i, i, sample.w(i), sample.w(i))
     return state
 
 
@@ -328,24 +412,26 @@ def _extend(
     if vertex in state.fwd:
         raise OutOfDomain(f"vertex {vertex} already matched")
     s_img = img.sample
-    w = dom.sample.w_of[vertex]
+    w = dom.sample.w(vertex)
     lo, hi = _interval(state.frac_pairs, frac(w))
     want_floor = None if state.cell_shift is None else math.floor(w) + state.cell_shift
     constraints = [  # (img index, wanted adjacency)
         (b, dom.adjacent(vertex, a)) for a, b in state.fwd.items() if dom.distance_lt_1(vertex, a)
     ]
+    den, nums = s_img.r_den, s_img.w_num
+    lo, hi = lo * den, hi * den  # the interval in units of 1/den
     found_in_interval = False
     for cand in s_img.fibre_members[dom.sample.fibre_of[vertex]]:
         if cand in state.bwd:
             continue
-        wc = s_img.w_of[cand]
-        if want_floor is not None and math.floor(wc) != want_floor:
+        cell, t = divmod(nums[cand], den)
+        if want_floor is not None and cell != want_floor:
             continue
-        if not lo < frac(wc) < hi:
+        if not lo < t < hi:
             continue
         found_in_interval = True
         if all(img.adjacent(cand, other) == wanted for other, wanted in constraints):
-            return state._with_pair(vertex, cand, w, wc)
+            return state._with_pair(vertex, cand, w, s_img.w(cand))
     kind = "adjacency_unsatisfiable" if found_in_interval else "no_candidate_in_interval"
     return BlockReason(kind=kind, vertex=vertex, direction=direction)
 
@@ -477,6 +563,13 @@ def _u_clashes(u_ball: PolytopeBall, u_points: Sequence[Vec]) -> np.ndarray:
     return (nums == den).any(axis=1) | ((nums == 0).sum(axis=1) > 1)
 
 
+def _frac_colliders(nums: np.ndarray, den: int) -> np.ndarray:
+    """Per numerator over den: is its fractional part the gadget's (0 or 1/2)
+    or that of an earlier numerator?"""
+    keys = nums % den
+    return ~_first_occurrences(keys) | np.isin(keys, [0, den // 2] if den % 2 == 0 else [0])
+
+
 def audit_gadget(gadget: S0Gadget) -> None:
     """Assert the exact unit-distance pairs are the two intended ones.
 
@@ -487,7 +580,7 @@ def audit_gadget(gadget: S0Gadget) -> None:
     s = gadget.combined
     g0, g1, g2_, g3 = gadget.gadget_indices
     unit_pairs = set()
-    ws = [s.w_of[i] for i in gadget.gadget_indices]
+    ws = [s.w(i) for i in gadget.gadget_indices]
     for x in range(4):
         for y in range(x + 1, 4):
             if abs(ws[x] - ws[y]) == 1:
@@ -496,10 +589,27 @@ def audit_gadget(gadget: S0Gadget) -> None:
         raise CrossCheckFailure("gadget does not have exactly its two unit pairs")
     if _u_clashes(s.u_ball, s.u_points).any():
         raise CrossCheckFailure("sample has a repeated U-point or a unit U-distance pair")
-    keys = [frac_key(w) for f, ws in enumerate(s.fibres) if f != gadget.gadget_fibre for w in ws]
-    # Distinct fractional parts, none of them the gadget's.
-    if len(set(keys).union(_GADGET_FRAC_KEYS)) != len(keys) + len(_GADGET_FRAC_KEYS):
+    outside = np.repeat(np.arange(len(s.fibre_sizes)), s.fibre_sizes) != gadget.gadget_fibre
+    if _frac_colliders(s.r_nums[outside], s.r_den).any():
         raise CrossCheckFailure("integer R-difference against sample or gadget")
+
+
+def _redrawn_fractions(sample: FibredSample, rng: random.Random) -> list[Q]:
+    """The R-components in storage order, each one whose fraction is 0, 1/2
+    or an earlier one's redrawn until it is none of these."""
+    ws = [w for fibre in sample.fibres for w in fibre]
+    taken = set(_GADGET_FRAC_KEYS)  # fractional parts of kept points, and the gadget's
+    for k, w in enumerate(ws):
+        key = frac_key(w)
+        attempts = 0
+        while key in taken:
+            attempts += 1
+            if attempts > 200:
+                raise WindowTooSmall("cannot avoid gadget fractions")
+            w = ws[k] = _rand_rational(rng, Q(0), sample.window)
+            key = frac_key(w)
+        taken.add(key)
+    return ws
 
 
 def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
@@ -508,50 +618,37 @@ def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
     Sample points that collide are resampled: R-components whose fraction
     is 0, 1/2 or an earlier one, and U-points that repeat, lie at the
     origin, or lie at exact norm 1 from the origin or from another U-point
-    (redrawn by `_draw_u_point`).  Fractional parts are compared as integer
-    keys (see grid.frac_key), so off-grid R-components are handled exactly
-    too.
+    (redrawn by `_draw_u_point`).  Fractional parts are found colliding as
+    integers over the sample's denominator, all at once; only then, or for
+    an odd denominator, are they redrawn one by one (`_redrawn_fractions`).
+    Grid samples never collide: their numerators are odd over 2**33 and
+    already distinct in their fractional parts.
     """
     rng = random.Random(seed ^ 0x60D6E7)
-    u_points = list(sample.u_points)
-    fibres = [list(ws) for ws in sample.fibres]
-    dim = sample.u_ball.dim
+    den = sample.r_den
+    if den % 2 == 0 and not _frac_colliders(sample.r_nums, den).any():
+        gadget_nums = _int_array([int(w * den) for w in GADGET_WS], den)
+        r_nums = np.concatenate((sample.r_nums, gadget_nums))
+    else:
+        r_nums, den = _common_den([*_redrawn_fractions(sample, rng), *GADGET_WS])
 
-    taken = set(_GADGET_FRAC_KEYS)  # fractional parts of kept points, and the gadget's
-    for ws in fibres:
-        for k, w in enumerate(ws):
-            key = frac_key(w)
-            attempts = 0
-            while key in taken:
-                attempts += 1
-                if attempts > 200:
-                    raise WindowTooSmall("cannot avoid gadget fractions")
-                w = ws[k] = _rand_rational(rng, Q(0), sample.window)
-                key = frac_key(w)
-            taken.add(key)
-
-    u_points.append(zero_vec(dim))  # the gadget fibre's, last in the combined order
+    n_u, dim = len(sample.u_points), sample.u_ball.dim
+    u_points = [*sample.u_points, zero_vec(dim)]  # the gadget fibre's, last in the combined order
     clash = _u_clashes(sample.u_ball, u_points)
-    for f in range(len(fibres)):
+    for f in range(n_u):
         attempts = 0
         while clash[f]:
             attempts += 1
             if attempts > 200:
                 raise WindowTooSmall("cannot avoid unit U-distances")
-            u_points[f] = _draw_u_point(rng, len(fibres), dim)
+            u_points[f] = _draw_u_point(rng, n_u, dim)
             clash = _u_clashes(sample.u_ball, u_points)
 
-    gadget_fibre = len(fibres)
-    fibres.append(list(GADGET_WS))
     combined = FibredSample(
-        sample.u_ball, tuple(u_points), tuple(map(tuple, fibres)), sample.window,
-        sample.seed, integer_exempt_fibres=(gadget_fibre,),
+        sample.u_ball, tuple(u_points), r_nums, den, (*sample.fibre_sizes, len(GADGET_WS)),
+        sample.window, sample.seed, integer_exempt_fibres=(n_u,),
     )
-    gadget = S0Gadget(
-        combined=combined,
-        gadget_fibre=gadget_fibre,
-        gadget_indices=(0, 1, 2, 3),
-    )
+    gadget = S0Gadget(combined=combined, gadget_fibre=n_u, gadget_indices=(0, 1, 2, 3))
     audit_gadget(gadget)
     return gadget
 
@@ -620,6 +717,8 @@ def s0_experiment(params: S0Params, trials: int, seed: int, threads: int = 1) ->
         raise OutOfDomain(f"trials must lie in [1, {_SEED_STRIDE}], got {trials}")
     if params.budget < 1:  # bf_run checks it too, but only runs on agreeing trials
         raise OutOfDomain("budget must be >= 1")
+    # FibreGraph checks it too, but only after a trial has drawn its sample.
+    _check_coin_indices(Q(params.p), params.n_u * params.fibre_n + len(GADGET_WS))
     seeds = [_derive_seed(seed, t) for t in range(trials)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -650,6 +749,7 @@ def bf_run_experiment(
     window: Q = Q(1),
 ) -> BfReport:
     """Two independent Bernoulli graphs over one fresh sample, then bf_run."""
+    _check_coin_indices(Q(p), n_u * fibre_n)  # before drawing a sample FibreGraph would refuse
     sample = make_fibred_sample(u_ball, n_u, fibre_n, window, seed)
     g = FibreGraph(sample, p, seed, tag=0)
     g2 = FibreGraph(sample, p, seed, tag=1)

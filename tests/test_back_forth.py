@@ -5,15 +5,17 @@ from bisect import bisect_left
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rado_lab import back_forth
+from rado_lab import back_forth, grid
 from rado_lab.back_forth import (
     BACKWARD,
     FORWARD,
     BlockReason,
+    FibredSample,
     FibreGraph,
     PartialIso,
     S0Params,
@@ -27,9 +29,11 @@ from rado_lab.back_forth import (
     make_fibred_sample,
     s0_experiment,
 )
-from rado_lab.errors import CrossCheckFailure, IndexOutOfRange, OutOfDomain, WindowTooSmall
+from rado_lab.errors import (
+    CrossCheckFailure, DimensionMismatch, IndexOutOfRange, OutOfDomain, WindowTooSmall,
+)
 from rado_lab.geometry import cube_ball, hexagon_ball, norm
-from rado_lab.grid import frac_key
+from rado_lab.grid import draw_odd, frac_key, grid_num, grid_nums
 from rado_lab.linalg import vsub
 from rado_lab.step_isometry import apply_linf, random_step_isometry
 
@@ -77,6 +81,54 @@ def ref_fibred_sample(u_ball, n_u, fibre_n, window, seed):
             ws.append(w)
         fibres.append(tuple(ws))
     return tuple(u_points), tuple(fibres)
+
+
+HIGH = 0xFFFFFFFF  # a word every odd-offset draw rejects
+
+
+def odd_word(j):
+    """The 32-bit word that `draw_odd` turns into the odd offset 2 j + 1."""
+    return j << 11
+
+
+class Words(random.Random):
+    """A generator that returns scripted 32-bit words as MT19937's
+    `getrandbits` returns its own: least significant word first, the last
+    one cut to its top bits.  Past the script every word is HIGH, up to a
+    bound that no bulk round reaches, so a draw that runs off the script
+    fails instead of rejecting forever.  Its state is its position."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words, self.pos = list(words), 0
+
+    def getrandbits(self, k):
+        n = -(-k // 32)
+        if self.pos + n > len(self.words) + 2 * grid._CHUNK:
+            raise IndexError("drew past the script")
+        ws = [self.words[i] if i < len(self.words) else HIGH for i in range(self.pos, self.pos + n)]
+        self.pos += n
+        if ws:
+            ws[-1] >>= 32 * n - k
+        return sum(w << (32 * i) for i, w in enumerate(ws))
+
+    def getstate(self):
+        return self.pos
+
+    def setstate(self, pos):
+        self.pos = pos
+
+
+def loop_nums(rng, max_num, count):
+    """The per-draw loop that `grid_nums` replays."""
+    return [grid_num(rng, max_num, draw_odd(rng)) for _ in range(count)]
+
+
+def with_fibres(s, fibres):
+    """s with its R-components replaced by the given rationals."""
+    return FibredSample.from_fibres(
+        s.u_ball, s.u_points, fibres, s.window, s.seed, s.integer_exempt_fibres
+    )
 
 
 def ref_flat_order(fibres, seed, head_fibre=None):
@@ -135,25 +187,54 @@ class TestSeedStream:
 
     def test_r_components_dedupe_on_the_fractional_part(self, monkeypatch):
         # Window 2 holds num and num + 2**33, which share a fractional part.
-        # Scripted (odd index, step) draws: one U-point, then R-numerators
-        # 11, 11 + 2**33 (rejected) and 17.
-        draws = iter([0, 3, 0, 5, 0, 5 + 2 ** 32, 1, 7])
-
-        class Scripted(random.Random):
-            def randrange(self, n):
-                return next(draws)
-
-        monkeypatch.setattr(random, "Random", Scripted)
+        # Scripted (odd index, step) draws: one U-point (0, 3), then
+        # R-numerators 11 (0, 5), 11 + 2**33 (0, 5 + 2**32; rejected) and
+        # 17 (1, 7).  Odd index 0 needs a 33-bit step at window 1 and a
+        # 34-bit one at window 2, odd index 1 a 33-bit one at window 2.
+        script = Words([0, 3, 0, 0, 5, 0, 0, 5, 1 << 30, odd_word(1), 7, 0])
+        monkeypatch.setattr(random, "Random", lambda seed: script)
         s = make_fibred_sample(U1, 1, 2, Q(2), seed=1)
         den = 2 ** 33
         assert s.u_points == ((2 + Q(7, den),),)
         assert s.fibres == ((Q(11, den), Q(17, den)),)
+        assert script.pos == 12
+
+    def test_bulk_r_components_dedupe_across_rounds(self, monkeypatch):
+        # Window 1, every step one word: numerators 23, 23 (repeat), 45 in
+        # the first round, 23 (repeat) in the second, 69 in the third.
+        script = Words([
+            odd_word(3), 5,  # U-point numerator 17
+            odd_word(1), 10, odd_word(1), 10, HIGH, odd_word(2), 20,
+            odd_word(1), 10,
+            odd_word(4), 30,
+        ])
+        monkeypatch.setattr(random, "Random", lambda seed: script)
+        s = make_fibred_sample(U1, 1, 3, Q(1), seed=1)
+        den = 2 ** 33
+        assert s.u_points == ((2 + Q(17, den),),)
+        assert s.fibres == ((Q(23, den), Q(45, den), Q(69, den)),)
+        assert script.pos == 13
+
+    def test_r_component_attempts_are_capped(self, monkeypatch):
+        # Every R-draw repeats numerator 23: the first is kept, and the
+        # 200 draws allowed for two points end without a second.
+        script = Words([odd_word(3), 5] + [odd_word(1), 10] * 200)
+        monkeypatch.setattr(random, "Random", lambda seed: script)
+        with pytest.raises(WindowTooSmall, match="^could not place integer-free R-components$"):
+            make_fibred_sample(U1, 1, 2, Q(1), seed=1)
+        assert script.pos == 2 + 400
+
+    def test_many_repeats_match_the_fraction_reference(self):
+        # About 2**20 grid numerators fit in a window of 2**-12: 20,000 draws
+        # repeat fractional parts a few hundred times.
+        s = make_fibred_sample(U1, 4, 5000, Q(1, 2 ** 12), seed=3)
+        assert (s.u_points, s.fibres) == ref_fibred_sample(U1, 4, 5000, Q(1, 2 ** 12), 3)
 
     def test_off_grid_fibres_are_resampled_away_from_gadget_fractions(self):
         s = make_fibred_sample(U1, 2, 2, Q(1), seed=37)
         # 7/2 has the gadget fraction 1/2; 4/3 repeats the fraction of 1/3.
         fibres = ((Q(7, 2), Q(1, 3)), (Q(4, 3), s.fibres[1][1]))
-        gadget = attach_s0_gadget(dataclasses.replace(s, fibres=fibres), seed=37)
+        gadget = attach_s0_gadget(with_fibres(s, fibres), seed=37)
         got = gadget.combined.fibres[:-1]
         assert got == ref_gadget_fractions(fibres, s.window, 37)
         assert got[0][1] == Q(1, 3) and got[1][1] == s.fibres[1][1]
@@ -166,10 +247,92 @@ class TestSeedStream:
         c = gadget.combined
         fibres = ((Q(1, 3), Q(4, 3)),) + c.fibres[1:]
         with pytest.raises(CrossCheckFailure, match="integer R-difference"):
-            audit_gadget(dataclasses.replace(gadget, combined=dataclasses.replace(c, fibres=fibres)))
+            audit_gadget(dataclasses.replace(gadget, combined=with_fibres(c, fibres)))
         fibres = ((Q(5, 2), c.fibres[0][1]),) + c.fibres[1:]
         with pytest.raises(CrossCheckFailure, match="integer R-difference"):
-            audit_gadget(dataclasses.replace(gadget, combined=dataclasses.replace(c, fibres=fibres)))
+            audit_gadget(dataclasses.replace(gadget, combined=with_fibres(c, fibres)))
+
+
+def _drawn(draw, rng, max_num, count):
+    """A draw's numerators, or the class and message of its error."""
+    try:
+        return [int(n) for n in draw(rng, max_num, count)]
+    except WindowTooSmall as exc:
+        return WindowTooSmall, str(exc)
+
+
+class TestGridNums:
+    """`grid_nums` against the per-draw loop: the same numerators or the
+    same error, and the generator left in the same state."""
+
+    @staticmethod
+    def assert_replays_the_loop(make_rng, window, count):
+        max_num = math.floor(window * _REF_DEN)
+        bulk, loop = make_rng(), make_rng()
+        got = _drawn(grid_nums, bulk, max_num, count)
+        assert got == _drawn(loop_nums, loop, max_num, count)
+        assert bulk.getstate() == loop.getstate()
+        if isinstance(got, list):
+            ref = make_rng()
+            assert got == [_ref_rand_rational(ref, Q(0), window) * _REF_DEN for _ in got]
+        return got
+
+    def test_scripted_words_replay_the_generator(self):
+        words = random.Random(5).getrandbits(32 * 400).to_bytes(1600, "little")
+        script = Words(int.from_bytes(words[i : i + 4], "little") for i in range(0, 1600, 4))
+        rng = random.Random(5)
+        for n in [2 ** 20, 2 ** 32 - 5, 2 ** 32, 2 ** 33 + 7, 2 ** 70 + 1, 1] * 10:
+            assert script.randrange(n) == rng.randrange(n)
+
+    def test_rejected_step_word(self):
+        # Odd offset 2**21 - 1 at window 1 leaves n = 2**32 - 2**20 + 1
+        # step values, so the all-ones step word is rejected and redrawn.
+        words = [odd_word(5), 7, odd_word(2 ** 20 - 1), HIGH, HIGH, 12, odd_word(9), 3]
+        got = self.assert_replays_the_loop(lambda: Words(words), Q(1), 3)
+        assert got == [2 * 7 + 11, 2 * 12 + 2 ** 21 - 1, 2 * 3 + 19]
+
+    def test_odd_one_at_window_one_takes_two_words(self):
+        # n = 2**32 step values: a 33-bit draw, least significant word
+        # first; 9 + 2**32 (words 9 and 1 << 31) is rejected, 9 kept.
+        words = [odd_word(5), 7, HIGH, odd_word(0), 9, 1 << 31, 9, 0, odd_word(9), 3]
+        got = self.assert_replays_the_loop(lambda: Words(words), Q(1), 3)
+        assert got == [2 * 7 + 11, 2 * 9 + 1, 2 * 3 + 19]
+
+    @pytest.mark.parametrize("window", [Q(2), Q(3, 2), Q(10 ** 12)])
+    def test_windows_above_one(self, window):
+        got = self.assert_replays_the_loop(lambda: random.Random(11), window, 300)
+        assert max(got) > window * _REF_DEN / 2
+        if window == 10 ** 12:
+            assert grid_nums(random.Random(11), math.floor(window * _REF_DEN), 3).dtype == object
+            assert max(got) >= 2 ** 63
+
+    def test_counts_past_one_chunk(self):
+        self.assert_replays_the_loop(lambda: random.Random(12), Q(1), 3 * grid._CHUNK)
+
+    @pytest.mark.parametrize("max_num, odd_index", [
+        (2 ** 20, 2 ** 19 + 3),  # the odd offset 2**20 + 7 passes max_num
+        (2049, 1024),  # the odd offset 2049 equals it, where one step value would remain
+    ])
+    def test_too_small_window_raises_at_the_same_draw(self, max_num, odd_index):
+        words = [odd_word(5), 7, odd_word(odd_index), 1, odd_word(1), 2]
+        got = self.assert_replays_the_loop(lambda: Words(words), Q(max_num, 2 ** 33), 3)
+        assert got == (WindowTooSmall, f"window of {max_num}/2**33 too small for the sampler grid")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32),
+        # 1 to 1/16 and 1 + 2**-20 take the bulk path, 1/16 with a step
+        # word rejected in up to one draw in 256; the rest take the loop.
+        window=st.sampled_from([
+            Q(1), Q(1, 2), Q(1, 16), 1 + Q(1, 2 ** 20), Q(1, 3), Q(3, 2), Q(2), Q(1, 2 ** 13),
+        ]),
+        count=st.integers(1, 400),
+        chunk=st.sampled_from([64, 1 << 14]),
+    )
+    def test_replays_the_loop_on_the_generator(self, seed, window, count, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "_CHUNK", chunk)
+            self.assert_replays_the_loop(lambda: random.Random(seed), window, count)
 
 
 class TestMakeFibredSample:
@@ -190,6 +353,14 @@ class TestMakeFibredSample:
         a = make_fibred_sample(U1, 6, 7, Q(2), seed=11)
         b = make_fibred_sample(U1, 6, 7, Q(2), seed=11)
         assert a == b
+        # Equal points make equal samples, whatever their denominator.
+        c = dataclasses.replace(a, r_nums=a.r_nums * 3, r_den=a.r_den * 3)
+        assert c == a and hash(c) == hash(a)
+        assert c != with_fibres(a, [ws[::-1] for ws in a.fibres])
+
+    def test_fibre_sizes_must_cover_the_r_components(self):
+        with pytest.raises(DimensionMismatch):
+            FibredSample(U1, ((Q(2),), (Q(3),)), np.array([1, 2, 3]), 4, (1, 1), Q(1), 0)
 
     def test_flat_structure(self):
         s = make_fibred_sample(U1, 4, 3, Q(1), seed=5)
@@ -223,6 +394,26 @@ class TestFibreGraph:
             FibreGraph(SimpleNamespace(n_points=2 ** 20), Q(1, 2), seed=1)
         FibreGraph(SimpleNamespace(n_points=2 ** 20 - 1), Q(1, 2), seed=1)
         FibreGraph(SimpleNamespace(n_points=2 ** 20), Q(1), seed=1)  # p = 1 draws no coins
+
+    def test_experiments_refuse_past_the_coin_keys_before_sampling(self, monkeypatch):
+        def no_sample(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(back_forth, "make_fibred_sample", no_sample)
+        refusal = "^1048576 points; coin keys allow fewer than 1048576$"
+        with pytest.raises(IndexOutOfRange, match=refusal):
+            bf_run_experiment(U1, 4, 2 ** 18, Q(1, 2), budget=5, seed=1)
+        # The S0 sample holds the gadget's four points too.
+        with pytest.raises(IndexOutOfRange, match=refusal):
+            s0_experiment(S0Params(U1, 4, 2 ** 18 - 1, p=Q(1, 2)), trials=3, seed=1)
+        # One point fewer, or p = 1, passes the check and goes on to sample.
+        for run in (
+            lambda: bf_run_experiment(U1, 4, 2 ** 18 - 1, Q(1, 2), budget=5, seed=1),
+            lambda: bf_run_experiment(U1, 4, 2 ** 18, Q(1), budget=5, seed=1),
+            lambda: s0_experiment(S0Params(U1, 1, 2 ** 20 - 5, p=Q(1, 2)), trials=1, seed=1),
+        ):
+            with pytest.raises(AssertionError, match="sampled"):
+                run()
 
     @pytest.mark.parametrize("seed, tag", [(5, 2), (6, -1), (-5, 0), (-5, 1)])
     def test_aliasing_coin_keys_refused(self, seed, tag):
@@ -444,7 +635,7 @@ class TestBfRun:
             fibres2 = tuple(
                 tuple(apply_linf(spec, (w,))[0] for w in ws) for ws in s.fibres
             )
-            s2 = dataclasses.replace(s, fibres=fibres2)
+            s2 = with_fibres(s, fibres2)
             assert s2.w_of == tuple(apply_linf(spec, (w,))[0] for w in s.w_of)
             g = FibreGraph(s, Q(1, 2), seed=900 + seed, tag=0)
             g2 = FibreGraph(s2, Q(1, 2), seed=900 + seed, tag=0)
@@ -613,7 +804,7 @@ class TestGadget:
         s = make_fibred_sample(U1, 2, 2, Q(1), seed=37)
         fibres = list(s.fibres)
         fibres[0] = (Q(1, 2), fibres[0][1])
-        bad = dataclasses.replace(s, fibres=tuple(fibres))
+        bad = with_fibres(s, fibres)
         gadget = attach_s0_gadget(bad, seed=37)
         audit_gadget(gadget)
 

@@ -155,6 +155,9 @@ def test_coins_do_not_import_numpy_random(tmp_path):
                                       "--window", "2", "--p", "1/2", "--seed", "1",
                                       "--out", str(tmp_path / "graph.json")],
         "assert cli.main(['agreement', '--p', '1/3', '--trials', '50', '--seed', '1']) == 0",
+        # The fibred sampler draws its R-components in bulk too.
+        "assert cli.main(%r) == 0" % (_BF + ["--p", "1/2", "--budget", "4", "--out", os.devnull]),
+        "assert cli.main(%r) == 0" % (_S0 + ["--p", "1/2", "--trials", "2", "--out", os.devnull]),
         "print('numpy.random' in sys.modules)",
     ])
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -504,3 +507,23 @@ class TestBfCli:
         lines = out.strip().split("\n")
         assert lines[0] == "trial,agreed,bf_completed"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bf-run", "--ball", "builtin:cube_1", "--nu", "3000", "--fibre", "400",
+             "--p", "1/2", "--budget", "5", "--seed", "1"],
+            ["s0-experiment", "--p", "1/2", "--trials", "3", "--seed", "1",
+             "--nu", "3000", "--fibre", "400"],
+        ],
+    )
+    def test_sample_past_the_coin_keys_refused_before_sampling(self, capsys, monkeypatch, argv):
+        def no_sample(*args):
+            raise AssertionError("a sample was drawn before the coin-key check")
+
+        monkeypatch.setattr(back_forth, "make_fibred_sample", no_sample)
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        points = 1_200_000 if argv[0] == "bf-run" else 1_200_004
+        assert err == f"error: IndexOutOfRange: {points} points; coin keys allow fewer than 1048576\n"
