@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from . import linalg
 from .errors import CrossCheckFailure, NotUnitNorm, OutOfDomain, TooManyVertices
-from .geometry import PolytopeBall, incident_facets, norm, pairwise_norm_numerators
+from .geometry import PolytopeBall, incident_facets, integer_coordinates, norm
 from .linalg import Matrix, Vec, vadd, vneg, vscale, vsub
 from .lp import OPTIMAL, LpProblem, solve
 
@@ -320,46 +321,45 @@ def _check_vertex_permutation_group(perms: set[tuple[int, ...]], neg: tuple[int,
 VERTEX_GUARD = 48
 
 
-def linear_isometry_group(ball: PolytopeBall) -> list[LinearIsometry]:
-    """Brute-force enumeration of all linear maps permuting the vertex set.
+def _colour_matches(colours: list[list[int]], basis: list[int]) -> list[tuple[int, ...]]:
+    """Every vertex index tuple t with colours[t_j][t_k] == colours[b_j][b_k] for j <= k."""
+    found: list[tuple[int, ...]] = [()]
+    for b in basis:
+        found = [t + (s,) for t in found for s in range(len(colours))
+                 if all(colours[x][s] == colours[y][b] for x, y in zip(t + (s,), basis))]
+    return found
 
-    The result is verified to be a group containing +-identity, on the
-    maps' vertex permutations.  Only meant for small showcase balls, hence
-    the vertex guard.
+
+def _products(rows, vectors) -> list[list[int]]:
+    """rows @ w for each vector w, in Python integers."""
+    return [[sum(map(mul, r, w)) for r in rows] for w in vectors]
+
+
+def linear_isometry_group(ball: PolytopeBall) -> list[LinearIsometry]:
+    """All linear maps permuting the vertex set, by a Gram-colour pruned search.
+
+    Such a map keeps each colour v_i^T Q^-1 v_j, Q = sum v v^T (Bremner et al.,
+    "Computing symmetry groups of polyhedra", 2014): only basis images with the
+    basis' colours are tried, each checked in integers.  The maps' vertex
+    permutations must form a group containing +-identity.  Small balls only.
     """
     vs = ball.vertices
-    n = len(vs)
-    if n > VERTEX_GUARD:
-        raise TooManyVertices(f"{n} vertices exceeds guard {VERTEX_GUARD}")
-    d = ball.dim
-    basis = linalg.independent_subset(vs, limit=d)
-    # Distance numerators over one common denominator compare like distances.
-    dist = pairwise_norm_numerators(ball, vs)[0].tolist()
+    if len(vs) > VERTEX_GUARD:
+        raise TooManyVertices(f"{len(vs)} vertices exceeds guard {VERTEX_GUARD}")
+    ints, _ = integer_coordinates(vs)
+    q_inv, _ = integer_coordinates(linalg.invert(linalg.matmul(linalg.transpose(ints), ints)))
     index = {v: i for i, v in enumerate(vs)}
-    basis_idx = [index[b] for b in basis]
-    found: list[LinearIsometry] = []
-    perms: set[tuple[int, ...]] = set()
-    images: list[int] = []
-
-    basis_cols_inv = linalg.invert(linalg.transpose(basis))
-
-    def extend(k: int) -> None:
-        if k == d:
-            matrix = linalg.matmul(linalg.transpose([vs[t] for t in images]), basis_cols_inv)
-            perm = tuple([index.get(linalg.matvec(matrix, v)) for v in vs])
-            if None not in perm and len(set(perm)) == n:
-                found.append(LinearIsometry(matrix))
-                perms.add(perm)
-            return
-        for t in range(n):
-            if t in images:
-                continue
-            if all(dist[basis_idx[j]][basis_idx[k]] == dist[images[j]][t] for j in range(k)):
-                images.append(t)
-                extend(k + 1)
-                images.pop()
-
-    extend(0)
-    found.sort(key=lambda q: q.matrix)
-    _check_vertex_permutation_group(perms, tuple(index[vneg(v)] for v in vs))
-    return found
+    basis = [index[b] for b in linalg.independent_subset(vs, limit=ball.dim)]
+    # v_i's basis coordinates are coords[i] / den, so den * v_j is a leaf's lookup key.
+    inv, den = integer_coordinates(linalg.invert(linalg.transpose([ints[b] for b in basis])))
+    coords = _products(inv, ints)
+    keys = {tuple([den * x for x in w]): i for i, w in enumerate(ints)}
+    maps: dict[tuple[int, ...], LinearIsometry] = {}
+    for images in _colour_matches(_products(ints, _products(q_inv, ints)), basis):
+        rows = list(zip(*[ints[t] for t in images]))
+        perm = tuple([keys.get(tuple(x)) for x in _products(rows, coords)])
+        if None not in perm and len(set(perm)) == len(vs):
+            matrix = _products(list(zip(*inv)), rows)
+            maps[perm] = LinearIsometry(tuple(tuple(Q(x, den) for x in r) for r in matrix))
+    _check_vertex_permutation_group(set(maps), tuple(index[vneg(v)] for v in vs))
+    return sorted(maps.values(), key=lambda q: q.matrix)

@@ -189,7 +189,7 @@ def _gauge_via_lp(ball: PolytopeBall, x: Vec) -> Q:
     return res.value
 
 
-def _integer_coordinates(points: Sequence[Vec]) -> tuple[list[list[int]], int]:
+def integer_coordinates(points: Sequence[Vec]) -> tuple[list[list[int]], int]:
     """Numerators of every coordinate over the points' common denominator."""
     den = math.lcm(*(c.denominator for p in points for c in p))
     return [[c.numerator * (den // c.denominator) for c in p] for p in points], den
@@ -199,7 +199,7 @@ def norm(ball: PolytopeBall, x: Vec) -> Q:
     """Minkowski gauge min{t >= 0 : x in t*B}, exact: max |h.x| / bound over facets."""
     if len(x) != ball.dim:
         raise DimensionMismatch(f"vector of length {len(x)} in dimension {ball.dim}")
-    (p,), den = _integer_coordinates([x])
+    (p,), den = integer_coordinates([x])
     normals, bound = ball.facets
     return Q(max(abs(sum(h * c for h, c in zip(row, p))) for row in normals), bound * den)
 
@@ -215,7 +215,7 @@ def norm_projections(ball: PolytopeBall, points: Sequence[Vec]) -> tuple[np.ndar
     if any(len(p) != ball.dim for p in points):
         raise DimensionMismatch(f"points of mixed length in dimension {ball.dim}")
     normals, bound = ball.facets
-    ints, den = _integer_coordinates(points)
+    ints, den = integer_coordinates(points)
     reach = max((abs(c) for p in ints for c in p), default=0) * max(
         sum(abs(h) for h in row) for row in normals
     )

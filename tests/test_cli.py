@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from fractions import Fraction as Q
 from itertools import zip_longest
@@ -232,6 +233,43 @@ class TestDecompose:
         assert payload["linf_directions"] == [["0", "0", "1"]]
         assert len(payload["u_basis"]) == 2
         assert payload["isometry_group_order"] == 24
+
+    def test_cube_4_bytes(self, capsys):
+        code, out = run_cli(["decompose", "builtin:cube_4"], capsys)
+        assert code == 0
+        assert out == textwrap.dedent("""\
+        {
+         "d_inf": 4,
+         "isometry_group_order": 384,
+         "linf_directions": [
+          [
+           "1",
+           "0",
+           "0",
+           "0"
+          ],
+          [
+           "0",
+           "1",
+           "0",
+           "0"
+          ],
+          [
+           "0",
+           "0",
+           "1",
+           "0"
+          ],
+          [
+           "0",
+           "0",
+           "0",
+           "1"
+          ]
+         ],
+         "u_basis": []
+        }
+        """)
 
     def test_byte_determinism(self, capsys):
         _, first = run_cli(["decompose", "builtin:square"], capsys)

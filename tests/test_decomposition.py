@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as Q
+from itertools import permutations, product
 
 import pytest
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_symmetric_ball
 from rado_lab import decomposition, linalg
 from rado_lab.decomposition import (
+    LinearIsometry,
     LinfDirection,
     LinfRejection,
     _extreme_lines_lp,
@@ -23,14 +25,16 @@ from rado_lab.decomposition import (
     linf_directions,
     max_well_spanned_subspace,
 )
-from rado_lab.errors import CrossCheckFailure, NotUnitNorm, TooManyVertices
+from rado_lab.errors import CrossCheckFailure, NotUnitNorm, RadoLabError, TooManyVertices
 from rado_lab.geometry import (
+    BUILTIN_BALLS,
     cross_polytope_ball,
     cube_ball,
     hexagon_ball,
     hexagonal_prism_ball,
     l1_plane_ball,
     norm,
+    pairwise_norm_numerators,
     square_ball,
     validate_ball,
 )
@@ -297,6 +301,92 @@ class TestLatticeCover:
                 )
 
 
+def _reference_linear_isometry_group(ball):
+    """Brute force: every injective choice of basis images with the basis'
+    pairwise norm distances, kept when its Fraction matrix maps the vertex
+    set onto itself."""
+    vs = ball.vertices
+    d = ball.dim
+    basis = linalg.independent_subset(vs, limit=d)
+    dist = pairwise_norm_numerators(ball, vs)[0].tolist()
+    index = {x: i for i, x in enumerate(vs)}
+    basis_idx = [index[b] for b in basis]
+    basis_cols_inv = linalg.invert(linalg.transpose(basis))
+    found = []
+    images = []
+
+    def extend(k):
+        if k == d:
+            matrix = linalg.matmul(linalg.transpose([vs[t] for t in images]), basis_cols_inv)
+            perm = [index.get(linalg.matvec(matrix, x)) for x in vs]
+            if None not in perm and len(set(perm)) == len(vs):
+                found.append(LinearIsometry(matrix))
+            return
+        for t in range(len(vs)):
+            if t not in images and all(
+                dist[basis_idx[j]][basis_idx[k]] == dist[images[j]][t] for j in range(k)
+            ):
+                images.append(t)
+                extend(k + 1)
+                images.pop()
+
+    extend(0)
+    return sorted(found, key=lambda g: g.matrix)
+
+
+def _vertex_gram(ball):
+    """Q = sum of v v^T over the ball's vertices, in Fractions."""
+    return linalg.matmul(linalg.transpose(ball.vertices), ball.vertices)
+
+
+def _fraction_colours(ball):
+    """Gram colours v_i^T Q^-1 v_j in Fractions, and the search's basis indices."""
+    vs = ball.vertices
+    q_inv = linalg.invert(_vertex_gram(ball))
+    colours = [[linalg.vdot(x, linalg.matvec(q_inv, y)) for y in vs] for x in vs]
+    return colours, [vs.index(b) for b in linalg.independent_subset(vs, limit=ball.dim)]
+
+
+def _signed_permutations(d):
+    """The 2^d d! signed permutation matrices, sorted."""
+    return sorted(
+        tuple(tuple(Q(s[i]) if p[i] == j else Q(0) for j in range(d)) for i in range(d))
+        for p in permutations(range(d))
+        for s in product((1, -1), repeat=d)
+    )
+
+
+def _ball_with_symmetry(seed: int, dim: int):
+    """A random symmetric ball closed under one random signed permutation.
+
+    The conftest recipe's balls mostly have only +-identity as isometries;
+    these have more, so a search that drops or adds a map shows.
+    """
+    rng = random.Random(seed)
+    perm = rng.sample(range(dim), dim)
+    signs = [rng.choice((1, -1)) for _ in range(dim)]
+    pts = set()
+    for _ in range(rng.randrange(1, 3)):
+        p = tuple(Q(rng.randrange(-8, 9), 4) for _ in range(dim))
+        while any(p) and p not in pts:
+            pts.update((p, vneg(p)))
+            p = tuple(signs[i] * p[perm[i]] for i in range(dim))
+    try:
+        return validate_ball(sorted(pts))
+    except RadoLabError:
+        assume(False)
+
+
+_RANDOM_BALLS = st.one_of(
+    st.builds(
+        lambda seed, dim: random_symmetric_ball(random.Random(seed), dim),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+    ),
+    st.builds(_ball_with_symmetry, st.integers(0, 2**32 - 1), st.integers(2, 3)),
+)
+
+
 class TestIsometryGroup:
     def test_square_order_eight(self):
         assert len(linear_isometry_group(square_ball())) == 8
@@ -305,9 +395,8 @@ class TestIsometryGroup:
         assert len(linear_isometry_group(cube_ball(3))) == 48
 
     def test_hexagon_group(self):
-        # Brute force is the oracle here; the result must be a group that
-        # contains +-identity.  The affinely regular hexagon realizes the
-        # full dihedral symmetry linearly: order 12.
+        # The result must be a group that contains +-identity.  The affinely
+        # regular hexagon realizes the full dihedral symmetry linearly: order 12.
         group = linear_isometry_group(hexagon_ball())
         assert len(group) == 12
         mats = {g.matrix for g in group}
@@ -351,6 +440,52 @@ class TestIsometryGroup:
             check({ident, neg, rot}, neg)
         with pytest.raises(CrossCheckFailure, match="composition"):
             check({ident, neg, swap}, neg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ball=_RANDOM_BALLS)
+    def test_matches_reference_on_random_balls(self, ball):
+        assert linear_isometry_group(ball) == _reference_linear_isometry_group(ball)
+
+    @pytest.mark.parametrize("name", sorted(set(BUILTIN_BALLS) - {"cube_4"}))
+    def test_matches_reference_on_builtins(self, name):
+        ball = BUILTIN_BALLS[name]()
+        assert linear_isometry_group(ball) == _reference_linear_isometry_group(ball)
+
+    def test_leaf_check_drops_colour_matches_that_are_no_isometry(self):
+        # Closed under the cyclic shift of coordinates only, so Q is a
+        # circulant and every coordinate permutation keeps the colours.
+        shifts = [p[k:] + p[:k] for p in (v(2, 0, 1), v(2, -1, 0)) for k in range(3)]
+        ball = validate_ball(sorted(shifts + [vneg(p) for p in shifts]))
+        colours, basis = _fraction_colours(ball)
+        group = linear_isometry_group(ball)
+        assert len(group) == 6
+        assert len(decomposition._colour_matches(colours, basis)) == 12
+        assert group == _reference_linear_isometry_group(ball)
+
+    @pytest.mark.parametrize("ball", [cube_ball(4), cross_polytope_ball(4)], ids=["cube", "cross"])
+    def test_d4_group_is_the_signed_permutations(self, ball):
+        group = [g.matrix for g in linear_isometry_group(ball)]
+        assert len(group) == 384
+        assert group == _signed_permutations(4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ball=st.one_of(_RANDOM_BALLS, st.sampled_from([hexagon_ball(), hexagonal_prism_ball()])))
+    def test_maps_keep_the_vertex_gram_matrix(self, ball):
+        gram = _vertex_gram(ball)
+        for g in linear_isometry_group(ball):
+            assert linalg.matmul(linalg.matmul(g.matrix, gram), linalg.transpose(g.matrix)) == gram
+
+    @settings(max_examples=60, deadline=None)
+    @given(ball=st.one_of(_RANDOM_BALLS, st.sampled_from([hexagon_ball(), hexagonal_prism_ball()])))
+    def test_colour_search_yields_exactly_the_colour_matches(self, ball):
+        # Gram colours in Fractions, apart from the search's integer ones.
+        colours, basis = _fraction_colours(ball)
+        want = [
+            t for t in product(range(len(colours)), repeat=ball.dim)
+            if all(colours[t[j]][t[k]] == colours[basis[j]][basis[k]]
+                   for k in range(ball.dim) for j in range(k + 1))
+        ]
+        assert decomposition._colour_matches(colours, basis) == want
 
     def test_isometries_permute_linf_directions(self):
         for maker in (square_ball, hexagonal_prism_ball):
