@@ -16,6 +16,14 @@ whole sample is read.  A Fraction is built only for a point that a step
 extends at or matches, or that the gadget audit reads, or on demand
 through the `FibredSample.fibres` and `w_of` views.
 
+Pair predicates are integer too.  `FibredSample.floors` gives the floor of
+the distance from one point to many, from the R-numerators and one table
+of the U-points projected onto the facet normals (computed once per
+sample); `FibreGraph.adjacent_to` turns those floors into edges.  A step
+filters its candidates and checks its constraints, and an audit compares
+a vertex with its partners, on these arrays, in int64 or, past
+`grid.INT64_BOUND`, in Python ints.
+
 Edges are lazy: each unordered pair gets an independent seeded coin, so
 samples of a hundred thousand points cost nothing until a pair is probed.
 """
@@ -35,9 +43,10 @@ import numpy as np
 from .errors import (
     CrossCheckFailure, DimensionMismatch, IndexOutOfRange, OutOfDomain, WindowTooSmall,
 )
-from .geometry import PolytopeBall, norm, pairwise_norm_numerators
+from .geometry import norm  # noqa: F401  (perfbench/tracing.py traces this binding)
+from .geometry import PolytopeBall, norm_projections, pairwise_norm_numerators
 from .grid import DEN, INT64_BOUND, draw_odd, frac, frac_key, grid_max_num, grid_num, grid_nums
-from .linalg import Vec, vsub, zero_vec
+from .linalg import Vec, zero_vec
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -71,9 +80,6 @@ class FibredSample:
     window: Q
     seed: int
     integer_exempt_fibres: tuple[int, ...] = ()
-    _u_floors: dict[tuple[int, int], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if len(self.r_nums) != sum(self.fibre_sizes):
@@ -113,7 +119,8 @@ class FibredSample:
         return tuple(tuple(ws[a:b]) for a, b in zip([0, *ends], ends))
 
     @cached_property
-    def _flat(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """fibre_of, w_num, the flat indices grouped by fibre, and each group's start."""
         sizes, exempt = self.fibre_sizes, self.integer_exempt_fibres
         fibre = np.repeat(np.arange(len(sizes)), sizes)
         rank = np.full(len(sizes), len(exempt))
@@ -126,55 +133,61 @@ class FibredSample:
         src = np.concatenate((src[:head], src[np.fromiter(perm, np.intp, len(perm))]))
         fibre_of = fibre[src]
         # In the smallest type that holds every fibre index, a stable sort is a radix sort.
-        small = fibre_of.astype(np.min_scalar_type(len(sizes)))
-        members = np.argsort(small, kind="stable").tolist()
-        ends = np.cumsum(sizes).tolist()
-        return (
-            tuple(fibre_of.tolist()), tuple(self.r_nums[src].tolist()),
-            tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)),
-        )
+        members = np.argsort(fibre_of.astype(np.min_scalar_type(len(sizes))), kind="stable")
+        starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        arrays = (fibre_of, self.r_nums[src], members, starts)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
-    @cached_property
-    def fibre_of(self) -> tuple[int, ...]:
+    @property
+    def fibre_of(self) -> np.ndarray:
+        """The fibre of each flat point."""
         return self._flat[0]
 
-    @cached_property
-    def w_num(self) -> tuple[int, ...]:
+    @property
+    def w_num(self) -> np.ndarray:
         """Numerators of the flat points' R-components, over ``r_den``."""
         return self._flat[1]
 
-    @cached_property
-    def fibre_members(self) -> tuple[tuple[int, ...], ...]:
-        return self._flat[2]
+    def fibre_members(self, f: int) -> np.ndarray:
+        """The flat indices of fibre f's points, increasing."""
+        members, starts = self._flat[2:]
+        return members[starts[f] : starts[f + 1]]
 
     @cached_property
     def w_of(self) -> tuple[Q, ...]:
         """The flat points' R-components as Fractions (built on first use)."""
-        return tuple(Q(n, self.r_den) for n in self.w_num)
+        return tuple(Q(n, self.r_den) for n in self.w_num.tolist())
 
     def w(self, i: int) -> Q:
         """The R-component of flat point i."""
-        return Q(self.w_num[i], self.r_den)
-
-    def r_floor(self, i: int, j: int) -> int:
-        """floor |w_i - w_j|, from the integer numerators."""
-        return abs(self.w_num[i] - self.w_num[j]) // self.r_den
+        return Q(int(self.w_num[i]), self.r_den)
 
     @property
     def n_points(self) -> int:
         return len(self.r_nums)
 
-    def u_floor(self, fa: int, fb: int) -> int:
-        """floor of the exact U-distance of two fibres, cached per fibre pair
-        and shared by every graph over this sample."""
-        if fa == fb:
-            return 0
-        key = (fa, fb) if fa < fb else (fb, fa)
-        got = self._u_floors.get(key)
-        if got is None:
-            got = math.floor(norm(self.u_ball, vsub(self.u_points[fa], self.u_points[fb])))
-            self._u_floors[key] = got
-        return got
+    @cached_property
+    def _u_proj(self) -> tuple[np.ndarray, int]:
+        """`geometry.norm_projections` of the U-points: one row per fibre."""
+        return norm_projections(self.u_ball, self.u_points)
+
+    def floors(self, i: int, js: Sequence[int]) -> np.ndarray:
+        """floor of the distance from flat point i to each flat point of js.
+
+        The distance is max(U-distance of the fibres, |w_i - w_j|), so its
+        floor is the larger of the two floors, each an integer quotient:
+        |w_i - w_j| // r_den and max_f |Y[a, f] - Y[b, f]| // D over the
+        U-projection table.  int64 where the sample and the table are,
+        Python ints otherwise (``divmod`` has no object-dtype loop, ``//``
+        does).
+        """
+        fibre_of, w_num = self._flat[:2]
+        proj, den = self._u_proj
+        r = np.abs(w_num[js] - w_num[i]) // self.r_den
+        u = np.maximum.reduce(np.abs(proj[fibre_of[js]] - proj[fibre_of[i]]), axis=1) // den
+        return np.maximum(r, u)
 
 
 def _int_array(nums: list[int], den: int) -> np.ndarray:
@@ -271,8 +284,10 @@ class FibreGraph:
     """A Bernoulli graph over a fibred sample with lazily sampled edges.
 
     Every unordered pair at distance strictly below one holds an edge with
-    exact probability p, decided by a per-pair seeded coin; distance floors
-    are max(floor U-distance, floor |delta w|), computed exactly.
+    exact probability p, decided by a per-pair seeded coin.  Distance floors
+    come from the sample's one exact kernel, `FibredSample.floors`, and
+    `adjacent_to` is the one adjacency primitive: a point against many, with
+    a coin drawn (and kept) only for a near pair and only when p != 1.
     """
 
     def __init__(self, sample, p: Q, seed: int, tag: int = 0):
@@ -290,30 +305,31 @@ class FibreGraph:
         self._coins: dict[tuple[int, int], bool] = {}
 
     def distance_lt_1(self, i: int, j: int) -> bool:
-        s = self.sample
-        if s.r_floor(i, j):
-            return False
-        return s.u_floor(s.fibre_of[i], s.fibre_of[j]) == 0
+        return self.distance_floor(i, j) == 0
 
     def distance_floor(self, i: int, j: int) -> int:
-        s = self.sample
-        return max(s.r_floor(i, j), s.u_floor(s.fibre_of[i], s.fibre_of[j]))
+        return int(self.sample.floors(i, [j])[0])
 
     def adjacent(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        a, b = (i, j) if i < j else (j, i)
+        return bool(self.adjacent_to(i, [j])[0])
+
+    def adjacent_to(self, i: int, js: Sequence[int]) -> np.ndarray:
+        """Adjacency of flat point i to each flat point of js, as booleans."""
+        js = np.asarray(js, dtype=np.intp)
+        near = (self.sample.floors(i, js) == 0) & (js != i)
+        if self.p != 1:
+            for k in np.flatnonzero(near).tolist():
+                j = int(js[k])
+                near[k] = self._coin(min(i, j), max(i, j))
+        return near
+
+    def _coin(self, a: int, b: int) -> bool:
+        """The seeded coin of the pair a < b, drawn on first use."""
         got = self._coins.get((a, b))
         if got is None:
-            if not self.distance_lt_1(a, b):
-                got = False
-            elif self.p == 1:
-                got = True
-            else:
-                key = ((self.seed * 2 + self.tag) << 40) ^ (a << 20) ^ b
-                coin = random.Random(key)
-                got = coin.randrange(self.p.denominator) < self.p.numerator
-            self._coins[(a, b)] = got
+            key = ((self.seed * 2 + self.tag) << 40) ^ (a << 20) ^ b
+            coin = random.Random(key)
+            got = self._coins[(a, b)] = coin.randrange(self.p.denominator) < self.p.numerator
         return got
 
 
@@ -407,33 +423,38 @@ def _extend(
     agree with the vertex's adjacency to every matched point within
     potential-edge range; the smallest index wins.  Matched points out of
     range need no check: the interval discipline makes their adjacency
-    agree automatically.
+    agree automatically.  The range test and the candidate filter run on
+    whole arrays of integer numerators; the open interval (lo, hi) holds
+    t / den exactly when floor(lo * den) < t < ceil(hi * den).
     """
     if vertex in state.fwd:
         raise OutOfDomain(f"vertex {vertex} already matched")
     s_img = img.sample
     w = dom.sample.w(vertex)
     lo, hi = _interval(state.frac_pairs, frac(w))
-    want_floor = None if state.cell_shift is None else math.floor(w) + state.cell_shift
-    constraints = [  # (img index, wanted adjacency)
-        (b, dom.adjacent(vertex, a)) for a, b in state.fwd.items() if dom.distance_lt_1(vertex, a)
-    ]
-    den, nums = s_img.r_den, s_img.w_num
-    lo, hi = lo * den, hi * den  # the interval in units of 1/den
-    found_in_interval = False
-    for cand in s_img.fibre_members[dom.sample.fibre_of[vertex]]:
-        if cand in state.bwd:
-            continue
-        cell, t = divmod(nums[cand], den)
-        if want_floor is not None and cell != want_floor:
-            continue
-        if not lo < t < hi:
-            continue
-        found_in_interval = True
-        if all(img.adjacent(cand, other) == wanted for other, wanted in constraints):
+    dom_pts, img_pts = _matched_arrays(state.fwd)
+    near = dom.sample.floors(vertex, dom_pts) == 0
+    wanted = dom.adjacent_to(vertex, dom_pts[near])  # constraints, on img_pts[near]
+    others = img_pts[near]
+    den = s_img.r_den
+    cands = s_img.fibre_members(int(dom.sample.fibre_of[vertex]))
+    nums = s_img.w_num[cands]
+    t = nums % den
+    keep = (math.floor(lo * den) < t) & (t < math.ceil(hi * den))
+    if state.cell_shift is not None:
+        keep &= nums // den == math.floor(w) + state.cell_shift
+    cands = [c for c in cands[keep].tolist() if c not in state.bwd]
+    for cand in cands:
+        if np.array_equal(img.adjacent_to(cand, others), wanted):
             return state._with_pair(vertex, cand, w, s_img.w(cand))
-    kind = "adjacency_unsatisfiable" if found_in_interval else "no_candidate_in_interval"
+    kind = "adjacency_unsatisfiable" if cands else "no_candidate_in_interval"
     return BlockReason(kind=kind, vertex=vertex, direction=direction)
+
+
+def _matched_arrays(pairs: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A partial map's keys and values as index arrays, in its order."""
+    keys = np.fromiter(pairs.keys(), np.intp, len(pairs))
+    return keys, np.fromiter(pairs.values(), np.intp, len(pairs))
 
 
 def audit_state(
@@ -445,23 +466,31 @@ def audit_state(
     domain vertex, only the m - 1 pairs that contain it.  A stage adds only
     the pairs of its new vertex and keeps every old image, and coins and
     U-distances are deterministic, so auditing the start in full and then
-    each new vertex checks every pair of every stage exactly once.
-    Violations are implementation bugs; the construction is supposed to
-    make both properties invariant.
+    each new vertex checks every pair of every stage exactly once.  Each
+    vertex is compared with its partners in one array pass per predicate;
+    the first disagreeing pair is reported, with edges checked before
+    floors.  Violations are implementation bugs; the construction is
+    supposed to make both properties invariant.
     """
     if vertex is None:
-        items = sorted(state.fwd.items())
-        pairs = ((a, b) for x, a in enumerate(items) for b in items[x + 1:])
+        dom_pts, img_pts = _matched_arrays(dict(sorted(state.fwd.items())))
+        rows = (
+            (int(dom_pts[k]), int(img_pts[k]), dom_pts[k + 1:], img_pts[k + 1:])
+            for k in range(len(dom_pts))
+        )
     else:
         if vertex not in state.fwd:
             raise OutOfDomain(f"vertex {vertex} is not matched")
-        new = (vertex, state.fwd[vertex])
-        pairs = ((new, b) for b in state.fwd.items() if b[0] != vertex)
-    for (i, i2), (j, j2) in pairs:
-        if g.adjacent(i, j) != g2.adjacent(i2, j2):
-            raise CrossCheckFailure(f"edge not preserved on pair ({min(i, j)},{max(i, j)})")
-        if g.distance_floor(i, j) != g2.distance_floor(i2, j2):
-            raise CrossCheckFailure(f"floor distance changed on pair ({min(i, j)},{max(i, j)})")
+        dom_pts, img_pts = _matched_arrays(state.fwd)
+        rest = dom_pts != vertex
+        rows = [(vertex, state.fwd[vertex], dom_pts[rest], img_pts[rest])]
+    for i, i2, js, js2 in rows:
+        edge = g.adjacent_to(i, js) != g2.adjacent_to(i2, js2)
+        bad = np.flatnonzero(edge | (g.sample.floors(i, js) != g2.sample.floors(i2, js2)))
+        if len(bad):
+            j = int(js[bad[0]])
+            what = "edge not preserved" if edge[bad[0]] else "floor distance changed"
+            raise CrossCheckFailure(f"{what} on pair ({min(i, j)},{max(i, j)})")
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,26 @@ def with_fibres(s, fibres):
     )
 
 
+def ref_floor(s, i, j):
+    """floor of the distance of flat points i and j, from `geometry.norm` and Fractions."""
+    du = norm(s.u_ball, vsub(s.u_points[s.fibre_of[i]], s.u_points[s.fibre_of[j]]))
+    return math.floor(max(du, abs(s.w_of[i] - s.w_of[j])))
+
+
+# A denominator that puts every numerator past grid.INT64_BOUND.
+_WIDE = 3 ** 40
+
+
+def widened(s):
+    """s with every R-component and U-coordinate moved by its own k / 3**40,
+    so the sample's numerators and its U-projection table are Python ints."""
+    u_points = [tuple(c + Q(k + 1, _WIDE) for c in u) for k, u in enumerate(s.u_points)]
+    fibres = [[w + Q(k + 1, _WIDE) for k, w in enumerate(ws)] for ws in s.fibres]
+    return FibredSample.from_fibres(
+        s.u_ball, u_points, fibres, s.window, s.seed, s.integer_exempt_fibres
+    )
+
+
 def ref_flat_order(fibres, seed, head_fibre=None):
     """[(fibre, w)] in flat order: the head fibre first, the rest shuffled."""
     head = [] if head_fibre is None else [(head_fibre, w) for w in fibres[head_fibre]]
@@ -367,7 +387,7 @@ class TestMakeFibredSample:
         for i in range(s.n_points):
             f = s.fibre_of[i]
             assert s.w_of[i] in s.fibres[f]
-            assert i in s.fibre_members[f]
+            assert i in s.fibre_members(f)
 
 
 class TestFibreGraph:
@@ -433,6 +453,30 @@ class TestFibreGraph:
                 assert g.distance_floor(i, j) == want
                 assert g.distance_lt_1(i, j) == (want == 0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        u_ball=st.sampled_from([U1, hexagon_ball()]),
+        n_u=st.integers(1, 5),
+        fibre_n=st.integers(1, 4),
+        window=st.sampled_from([Q(1), Q(3)]),
+        seed=st.integers(0, 2 ** 32),
+        wide=st.booleans(),
+    )
+    @example(u_ball=U1, n_u=3, fibre_n=2, window=Q(3), seed=0, wide=True)
+    def test_floors_match_the_norm(self, u_ball, n_u, fibre_n, window, seed, wide):
+        s = make_fibred_sample(u_ball, n_u, fibre_n, window, seed)
+        if wide:
+            s = widened(s)
+            assert s.w_num.dtype == object and s._u_proj[0].dtype == object
+        g = FibreGraph(s, Q(1, 2), seed)
+        n = s.n_points
+        for i in range(n):
+            want = [ref_floor(s, i, j) for j in range(n)]
+            assert s.floors(i, np.arange(n)).tolist() == want
+            assert [g.distance_floor(i, j) for j in range(n)] == want
+            assert [g.distance_lt_1(i, j) for j in range(n)] == [f == 0 for f in want]
+            assert not g.adjacent(i, i)
+
     def test_distinct_tags_are_independent_graphs(self):
         s = make_fibred_sample(U1, 40, 4, Q(1), seed=8)
         a = FibreGraph(s, Q(1, 2), seed=8, tag=0)
@@ -450,7 +494,7 @@ class TestBfStep:
     def test_identity_candidate_matches_first_fibre_point(self):
         s = make_fibred_sample(U1, 5, 3, Q(1), seed=9)
         g = FibreGraph(s, Q(1, 2), seed=9, tag=0)
-        vertex = min(s.fibre_members[s.fibre_of[0]])
+        vertex = min(s.fibre_members(s.fibre_of[0]))
         got = bf_step(g, g, PartialIso(), vertex, "forward")
         assert isinstance(got, PartialIso)
         assert got.fwd[vertex] == vertex
@@ -467,7 +511,7 @@ class TestBfStep:
         g = FibreGraph(s, Q(1), seed=13, tag=0)
         got = bf_step(g, g, PartialIso(), 0, "backward")
         assert isinstance(got, PartialIso)
-        assert got.bwd[0] in s.fibre_members[s.fibre_of[0]]
+        assert got.bwd[0] in s.fibre_members(s.fibre_of[0])
 
     def test_already_matched_vertex_rejected(self):
         s = make_fibred_sample(U1, 3, 2, Q(1), seed=14)
@@ -512,7 +556,7 @@ def _reference_bf_step(g, g2, state, vertex, direction):
         if dom.distance_lt_1(vertex, da):
             constraints.append((ib, dom.adjacent(vertex, da)))
     found_in_interval = False
-    for cand in s_img.fibre_members[fibre]:
+    for cand in s_img.fibre_members(fibre):
         if cand in matched_img:
             continue
         wc = s_img.w_of[cand]
@@ -567,13 +611,29 @@ class TestOrientation:
         p=st.sampled_from([Q(1), Q(1, 2), Q(1, 3)]),
         seed=st.integers(0, 2 ** 32),
         start=st.sampled_from(["empty", "identity"]),
-        two_samples=st.booleans(),
+        # g2 over the same sample, a fresh one, or the image of the first
+        # under a step-isometry of R, whose denominator differs.
+        second=st.sampled_from(["same", "fresh", "relabelled"]),
+        wide=st.booleans(),  # numerators past grid.INT64_BOUND: object dtype
+    )
+    @example(
+        u_ball=U1, n_u=2, fibre_n=6, window=Q(2), p=Q(1, 2), seed=5, start="empty",
+        second="relabelled", wide=True,
     )
     def test_bf_step_matches_the_two_orientation_reference(
-        self, u_ball, n_u, fibre_n, window, p, seed, start, two_samples
+        self, u_ball, n_u, fibre_n, window, p, seed, start, second, wide
     ):
         s = make_fibred_sample(u_ball, n_u, fibre_n, window, seed)
-        s2 = make_fibred_sample(u_ball, n_u, fibre_n, window, seed + 1) if two_samples else s
+        s = widened(s) if wide else s
+        if second == "fresh":
+            s2 = make_fibred_sample(u_ball, n_u, fibre_n, window, seed + 1)
+            s2 = widened(s2) if wide else s2
+        elif second == "relabelled":
+            spec = random_step_isometry(1, 3, seed=seed)
+            spec = dataclasses.replace(spec, sigma=(0,), eps=(1,), offset=(Q(0),))
+            s2 = with_fibres(s, [[apply_linf(spec, (w,))[0] for w in ws] for ws in s.fibres])
+        else:
+            s2 = s
         g, g2 = FibreGraph(s, p, seed, tag=0), FibreGraph(s2, p, seed, tag=1)
         rng = random.Random(seed)
         n = s.n_points
@@ -592,6 +652,25 @@ class TestOrientation:
             if isinstance(got, PartialIso):
                 state = got
                 _assert_mirror_is_an_involution(state)
+
+    @pytest.mark.parametrize("pair, want", [
+        # (0, 1/3): the grid point just below 1/3 is in, the one above is out.
+        ((Q(1, 2), Q(1, 3)), Q(grid.DEN // 3, grid.DEN)),
+        # (2/3, 1): the grid point just above 2/3 is in, the one below is out.
+        ((Q(1, 8), Q(2, 3)), Q(2 * grid.DEN // 3 + 1, grid.DEN)),
+    ])
+    def test_interval_ends_off_the_image_grid(self, pair, want):
+        # An image fraction with a denominator of 3 ends the open interval
+        # between two adjacent grid points: t / den lies in (lo, hi) exactly
+        # when floor(lo * den) < t < ceil(hi * den).
+        end = pair[1] * grid.DEN
+        near_end = [Q(math.floor(end), grid.DEN), Q(math.ceil(end), grid.DEN)]
+        dom = FibreGraph(FibredSample.from_fibres(U1, [(Q(2),)], [[Q(1, 4)]], Q(1), 0), Q(1), 0)
+        img = FibreGraph(FibredSample.from_fibres(U1, [(Q(2),)], [near_end], Q(1), 0), Q(1), 0)
+        state = PartialIso(frac_pairs=(pair,))
+        got = bf_step(dom, img, state, 0, FORWARD)
+        assert _fields(got) == _fields(_reference_bf_step(dom, img, state, 0, FORWARD))
+        assert img.sample.w(got.fwd[0]) == want
 
     def test_mirror_keeps_a_zero_shift_and_negates_others(self):
         for shift in (None, 0, 2, -1):
@@ -698,11 +777,60 @@ class EdgeSetGraph(FibreGraph):
         super().__init__(sample, Q(1), seed=41)
         self.edges = edges
 
-    def adjacent(self, i, j):
-        return (min(i, j), max(i, j)) in self.edges
+    def adjacent_to(self, i, js):
+        return np.array([(min(i, j), max(i, j)) in self.edges for j in np.asarray(js).tolist()], bool)
+
+
+def _reference_audit_state(g, g2, state, vertex=None):
+    """The pair-by-pair audit that the array audit replaced, on norm floors;
+    kept as the reference for its verdict and for the pair it names."""
+    if vertex is None:
+        items = sorted(state.fwd.items())
+        pairs = ((a, b) for x, a in enumerate(items) for b in items[x + 1:])
+    else:
+        if vertex not in state.fwd:
+            raise OutOfDomain(f"vertex {vertex} is not matched")
+        new = (vertex, state.fwd[vertex])
+        pairs = ((new, b) for b in state.fwd.items() if b[0] != vertex)
+    for (i, i2), (j, j2) in pairs:
+        if g.adjacent(i, j) != g2.adjacent(i2, j2):
+            raise CrossCheckFailure(f"edge not preserved on pair ({min(i, j)},{max(i, j)})")
+        if ref_floor(g.sample, i, j) != ref_floor(g2.sample, i2, j2):
+            raise CrossCheckFailure(f"floor distance changed on pair ({min(i, j)},{max(i, j)})")
 
 
 class TestAuditState:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_u=st.integers(1, 4),
+        fibre_n=st.integers(1, 4),
+        p=st.sampled_from([Q(1), Q(1, 2)]),
+        seed=st.integers(0, 2 ** 32),
+        edge_sets=st.booleans(),
+    )
+    def test_matches_the_pair_by_pair_reference(self, n_u, fibre_n, p, seed, edge_sets):
+        # A random bijection, partly matched in a random order, between
+        # graphs that disagree on many pairs: g2's sample moves some
+        # R-components by whole units, and edge sets are drawn at random.
+        rng = random.Random(seed)
+        s = make_fibred_sample(U1, n_u, fibre_n, Q(2), seed)
+        s2 = with_fibres(s, [[w + rng.choice([0, 0, 1, 3]) for w in ws] for ws in s.fibres])
+        n = s.n_points
+        if edge_sets:
+            g, g2 = (
+                EdgeSetGraph(t, {(a, b) for a in range(n) for b in range(a + 1, n)
+                                 if rng.random() < 0.4})
+                for t in (s, s2)
+            )
+        else:
+            g, g2 = FibreGraph(s, p, seed, tag=0), FibreGraph(s2, p, seed, tag=1)
+        image = rng.sample(range(n), n)
+        order = rng.sample(range(n), rng.randint(0, n))
+        state = PartialIso({a: image[a] for a in order}, {image[a]: a for a in order})
+        for vertex in [None, *order, *(v for v in range(n) if v not in state.fwd)][:8]:
+            got = _outcome(audit_state, g, g2, state, vertex)
+            assert got == _outcome(_reference_audit_state, g, g2, state, vertex)
+
     @staticmethod
     def graphs_disagreeing_on(pair):
         """Two explicit-edge graphs over one sample that differ only on pair."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -520,6 +521,28 @@ class TestAgreement:
 
 
 class TestBfCli:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("bf-run --ball builtin:cube_1 --nu 40 --fibre 100 --p 1 --budget 120 --seed 8",
+             "a39e4e150dd5c9b01303b93d2667be11d6374f5a6a92c821da1ec21605f3e3ae"),
+            ("bf-run --ball builtin:cube_1 --nu 20 --fibre 100 --p 1/2 --budget 60 --seed 8",
+             "19af829029e52f4a8b8495bfc3372987440174e56297ad6ebf06899978078f52"),
+            ("bf-run --ball builtin:hexagon --nu 12 --fibre 20 --p 1/2 --budget 40 --seed 5"
+             " --window 3",
+             "a79c7312ccf6843ea102093a0276138b9c43b9897dd426792d16aa1ecb7d005f"),
+            ("s0-experiment --p 1/2 --trials 8 --seed 3 --nu 40 --fibre 50 --budget 8",
+             "fd8895375bf31aa5a0c4ad082760d33853848eb322699671d25777705ede5e74"),
+        ],
+    )
+    def test_stdout_bytes_are_pinned(self, capsys, argv, digest):
+        # Recorded before the back-and-forth moved to integer pair predicates:
+        # a p = 1 run to its budget, p = 1/2 runs that block on adjacency and
+        # on an empty interval, and an S0 run with completed and blocked trials.
+        code, out = run_cli(argv.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bf_run_report(self, capsys):
         code, out = run_cli(
             [
