@@ -45,7 +45,9 @@ from .errors import (
 )
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py traces this binding)
 from .geometry import PolytopeBall, norm_projections, pairwise_norm_numerators
-from .grid import DEN, INT64_BOUND, draw_odd, frac, frac_key, grid_max_num, grid_num, grid_nums
+from .grid import (
+    DEN, INT64_BOUND, draw_odd, frac, frac_key, grid_max_num, grid_num, grid_nums, shuffled,
+)
 from .linalg import Vec, zero_vec
 
 FORWARD = "forward"
@@ -68,8 +70,10 @@ class FibredSample:
     `grid.DEN`); `from_fibres` takes Fractions and uses their lcm.
     ``integer_exempt_fibres`` marks fibres (the S0 gadget) whose internal
     integer R-differences are intentional and excluded from audits; their
-    points come first in the flat order, the rest follow shuffled.  Two
-    samples are equal when they hold the same points.
+    points come first in the flat order, the rest follow shuffled: the
+    order `random.Random(seed ^ 0x5A5A5A).shuffle` gives their positions,
+    drawn in bulk by `grid.shuffled`.  Two samples are equal when they hold
+    the same points.
     """
 
     u_ball: PolytopeBall
@@ -128,9 +132,8 @@ class FibredSample:
         src = np.argsort(rank[fibre], kind="stable")  # exempt fibres first, in storage order
         head = sum(sizes[f] for f in exempt)
         # Shuffling positions draws exactly what shuffling the points would.
-        perm = list(range(head, len(src)))
-        random.Random(self.seed ^ 0x5A5A5A).shuffle(perm)
-        src = np.concatenate((src[:head], src[np.fromiter(perm, np.intp, len(perm))]))
+        perm = shuffled(random.Random(self.seed ^ 0x5A5A5A), len(src) - head)
+        src = np.concatenate((src[:head], src[head:][perm]))
         fibre_of = fibre[src]
         # In the smallest type that holds every fibre index, a stable sort is a radix sort.
         members = np.argsort(fibre_of.astype(np.min_scalar_type(len(sizes))), kind="stable")
@@ -368,9 +371,8 @@ class PartialIso:
         pos = bisect_left(pairs, (t, t2))
         if not (pos < len(pairs) and pairs[pos] == (t, t2)):
             pairs.insert(pos, (t, t2))
-        for (a, fa), (b, fb) in zip(pairs, pairs[1:]):
-            if not (a < b and fa < fb):
-                raise CrossCheckFailure("fraction order not strictly increasing")
+            # Only the new pair's two neighbours can break an order that held.
+            _check_fraction_order(pairs[max(pos - 1, 0) : pos + 2])
         return PartialIso({**self.fwd, i: j}, {**self.bwd, j: i}, tuple(pairs), shift)
 
     def mirror(self) -> "PartialIso":
@@ -381,6 +383,13 @@ class PartialIso:
             self.bwd, self.fwd, tuple((b, a) for a, b in self.frac_pairs),
             None if self.cell_shift is None else -self.cell_shift,
         )
+
+
+def _check_fraction_order(pairs: Sequence[tuple[Q, Q]]) -> None:
+    """Refuse fraction pairs that are not strictly increasing in both coordinates."""
+    for (a, fa), (b, fb) in zip(pairs, pairs[1:]):
+        if not (a < b and fa < fb):
+            raise CrossCheckFailure("fraction order not strictly increasing")
 
 
 def initial_identity(sample: FibredSample, indices: Sequence[int]) -> PartialIso:
@@ -462,17 +471,20 @@ def audit_state(
 ) -> None:
     """Exact partial-isomorphism and step-isometry audit of matched pairs.
 
-    With vertex=None every matched pair is checked (O(m^2)); given a matched
-    domain vertex, only the m - 1 pairs that contain it.  A stage adds only
-    the pairs of its new vertex and keeps every old image, and coins and
-    U-distances are deterministic, so auditing the start in full and then
-    each new vertex checks every pair of every stage exactly once.  Each
-    vertex is compared with its partners in one array pass per predicate;
-    the first disagreeing pair is reported, with edges checked before
-    floors.  Violations are implementation bugs; the construction is
-    supposed to make both properties invariant.
+    With vertex=None every matched pair is checked (O(m^2)), and so is the
+    whole fraction order; given a matched domain vertex, only the m - 1
+    pairs that contain it.  A stage adds only the pairs of its new vertex
+    and keeps every old image, and coins and U-distances are deterministic,
+    so auditing the start in full and then each new vertex checks every
+    pair of every stage exactly once; `PartialIso._with_pair` checks each
+    new fraction pair against its two neighbours.  Each vertex is compared
+    with its partners in one array pass per predicate; the first
+    disagreeing pair is reported, with edges checked before floors.
+    Violations are implementation bugs; the construction is supposed to
+    make both properties invariant.
     """
     if vertex is None:
+        _check_fraction_order(state.frac_pairs)
         dom_pts, img_pts = _matched_arrays(dict(sorted(state.fwd.items())))
         rows = (
             (int(dom_pts[k]), int(img_pts[k]), dom_pts[k + 1:], img_pts[k + 1:])

@@ -7,6 +7,12 @@ R-numerators in bulk through `grid_nums`, which replays the same draws from
 the generator's own 32-bit words, and keeps them as integers.  A fibred
 sample compares fractional parts as integers over its own denominator;
 `frac_key` gives one rational's, exactly, on the grid or off it.
+
+A fibred sample's flat order is `shuffled`: exactly the list that
+`random.Random.shuffle` leaves, with the generator left where it leaves
+it.  Its Fisher-Yates draws are replayed from the same 32-bit words in
+numpy, and its swaps are composed by grouping the steps by target and
+following each position's chain of writes by pointer jumping.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from .errors import WindowTooSmall
+from .errors import IndexOutOfRange, WindowTooSmall
 
 DEN_POW = 33
 DEN = 2 ** DEN_POW
@@ -28,7 +34,8 @@ INT64_BOUND = 2 ** 62
 
 _ODD_WORD = 2 ** 31  # `draw_odd` keeps a word's top 21 bits iff they are below 2**20
 _POW2 = 1 << np.arange(63, dtype=np.int64)
-_CHUNK = 1 << 14  # most 32-bit words one bulk round of `grid_nums` draws
+_CHUNK = 1 << 14  # most 32-bit words one bulk round of `grid_nums` or `shuffled` draws
+_SHUFFLE_LOOP = 1 << 9  # `shuffled` draws bounds below this through `randrange`
 
 
 def draw_odd(rng: random.Random) -> int:
@@ -41,6 +48,13 @@ def grid_num(rng: random.Random, max_num: int, odd: int) -> int:
     if max_num <= odd:
         raise WindowTooSmall(f"window of {max_num}/2**{DEN_POW} too small for the sampler grid")
     return 2 * rng.randrange((max_num - odd) // 2 + 1) + odd
+
+
+def next_words(rng: random.Random, m: int) -> np.ndarray:
+    """The generator's next m 32-bit words as uint32, in the order its
+    `getrandbits(32)` calls would give them: `rng.getrandbits(32 * m)` is
+    those words, least significant first."""
+    return np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
 
 
 def grid_nums(rng: random.Random, max_num: int, count: int) -> np.ndarray:
@@ -74,7 +88,7 @@ def grid_nums(rng: random.Random, max_num: int, count: int) -> np.ndarray:
     while got < count:
         state = rng.getstate()
         m = min(m, 4 * (count - got))
-        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        words = next_words(rng, m)
         settled, used = _settled(words.astype(np.int64), max_num, count - got)
         nums[got : got + len(settled)] = settled
         got += len(settled)
@@ -111,6 +125,120 @@ def _settled(words: np.ndarray, max_num: int, limit: int) -> tuple[np.ndarray, i
     take = min(bad[0] if len(bad) else len(at), limit)
     used = int(at[take - 1]) + 2 if take else 0
     return 2 * step[:take] + odd[:take], used
+
+
+def shuffled(rng: random.Random, n: int) -> np.ndarray:
+    """`rng.shuffle(x)` of x = list(range(n)), as an array, in bulk.
+
+    The result (int32) and the state `rng` is left in are exactly the
+    shuffle's.  Its draws come from `_shuffle_draws` and its swaps are
+    composed by `_composed_swaps`.
+    """
+    if n >= 2 ** 31:
+        raise IndexOutOfRange(f"{n} positions; shuffled takes fewer than 2**31")
+    return _composed_swaps(_shuffle_draws(rng, n))
+
+
+def _shuffle_draws(rng: random.Random, n: int) -> np.ndarray:
+    """j[i] = the draw `rng.shuffle` makes at step i, for i = n - 1 down to 1
+    (its `_randbelow(i + 1)`), and j[0] = 0, as int32.
+
+    `_randbelow(b)` takes the top k = b.bit_length() bits of one 32-bit word
+    and redraws while they are >= b.  The words come in rounds of at most
+    `_CHUNK`, and each run of steps whose bounds share k settles its draws
+    from them in numpy (`_accepted`); the generator is then wound back to
+    just after the last word used, and the draws with bounds below
+    `_SHUFFLE_LOOP` run through `randrange` itself.
+    """
+    j = np.zeros(n, np.int32)
+    i = n - 1  # the next step to draw
+    words, at = np.empty(0, np.uint32), 0  # words[:at] are spent
+    while i >= _SHUFFLE_LOOP:
+        if at == len(words):
+            state = rng.getstate()
+            words, at = next_words(rng, min(_CHUNK, 2 * i)), 0
+        k = (i + 1).bit_length()
+        need = i + 2 - (1 << (k - 1))  # the run's steps still to draw
+        # A word is accepted with probability over 1/2, so 2 * need words
+        # mostly suffice; a short window leaves the rest to the next round.
+        draws, used = _accepted(words[at : at + 2 * need] >> (32 - k), i + 1, need)
+        at += used
+        j[i - len(draws) + 1 : i + 1] = draws[::-1]
+        i -= len(draws)
+    if at < len(words):
+        rng.setstate(state)
+        rng.getrandbits(32 * at)
+    j[1 : i + 1] = [rng.randrange(b) for b in range(i + 1, 1, -1)][::-1]
+    return j
+
+
+def _accepted(r: np.ndarray, bound: int, need: int) -> tuple[np.ndarray, int]:
+    """The draws that the top-bit values r (uint32) make, the first below
+    `bound` and each one below one less than the last, until `need` are made
+    or r runs out; and how many values they use.
+
+    A value is accepted iff r_p + t_p < bound, t_p the acceptances before
+    it.  Iterating a <- (r + t(a) < bound), t(a) the exclusive running sum
+    of a, gives an iterate that is exact up to and at the first place where
+    it differs from the last one (an exact prefix fixes the next place), so
+    each pass settles at least one more value; a pass reads only the values
+    not yet settled.  The uint32 sums stay below 2**32: r < 2**k, and a
+    pass adds at most len(r) <= 2 * need <= 2**k, for k <= 31.
+    """
+    a = r < bound
+    settled = taken = 0
+    while settled < len(r) and taken < need:
+        seg = a[settled:]
+        t = np.cumsum(seg, dtype=np.uint32)
+        t -= seg
+        t += r[settled:]
+        new = t < bound - taken
+        differ = new != seg
+        d = int(differ.argmax())
+        exact = d + 1 if differ[d] else len(new)
+        a[settled:] = new
+        taken += int(np.count_nonzero(new[:exact]))
+        settled += exact
+    used = int(np.searchsorted(np.cumsum(a[:settled]), need)) + 1 if taken >= need else settled
+    return r[:used][a[:used]], used
+
+
+def _composed_swaps(j: np.ndarray) -> np.ndarray:
+    """The list that Fisher-Yates swaps of x[i] and x[j[i]], for i = n - 1
+    down to 1, leave from list(range(n)).
+
+    Step i writes x[i] into position j[i] and fixes out[i], the value
+    position j[i] holds before the step.  The steps run from n - 1 down, so
+    the last write to position j[i] before step i came from succ(i), the
+    least i' > i with j[i'] = j[i]; out[i] is what position succ(i) held
+    before its own step, or j[i] itself where succ(i) does not exist.  In
+    turn position p holds before its step what position nxt(p), the least
+    i' > p with j[i'] = p, held before that step, or p where there is none:
+    the end of the chain p -> nxt(p) -> ..., found by pointer jumping.  A
+    chain starts at some succ(i) and each link is some nxt(p), so every p on
+    one has j[p] < p, and p's own step is not in its group.
+    """
+    n = len(j)
+    # The steps grouped by target, in step order: two stable radix passes.
+    order = np.argsort((j & 0xFFFF).astype(np.uint16), kind="stable").astype(np.int32)
+    if n > 1 << 16:
+        order = order[np.argsort((j[order] >> 16).astype(np.uint16), kind="stable")]
+    target = j[order]
+    same = target[1:] == target[:-1]
+    # nxt(p) is the first step of p's group; where that is p itself, the
+    # write is a no-op, and no chain asks for such a p (see above).
+    root = np.arange(n + 1, dtype=np.int32)  # root[n] takes the other steps' writes
+    root[np.where(np.append(True, ~same), target, n)] = order
+    while True:
+        jumped = root[root]
+        if np.array_equal(jumped, root):
+            break
+        root = jumped
+    del jumped
+    np.copyto(target[:-1], root[order[1:]], where=same)  # target becomes out[order]
+    out = np.empty(n, np.int32)
+    out[order] = target
+    return out
 
 
 def grid_max_num(width: Q) -> int:

@@ -13,6 +13,7 @@ i < j in row-major order, from `unit_graph` through the audits to disk.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .decomposition import LinfDecomposition
 from .errors import IndexOutOfRange, OutOfDomain, WindowTooSmall
 from .geometry import PolytopeBall, norm_projections, projection_distances
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py wraps random_graphs.norm)
-from .grid import DEN, draw_odd, frac, grid_max_num, grid_num
+from .grid import DEN, draw_odd, grid_max_num, grid_num, next_words
 from .linalg import Vec
 
 LINF_INTEGER_FREE = "linf_integer_free"
@@ -68,38 +69,44 @@ def sample_typical_points(
 
     The linf constraint forbids integer differences in any max-norm
     coordinate of the decomposition; the fibre constraint forbids equal
-    U-components.  The latter is dropped when U = {0}.
+    U-components.  The latter is dropped when U = {0}.  Both are decided on
+    integers: with C the basis inverse times c, the lcm of its denominators,
+    a point's coordinates are C nums / (c DEN), so its U-key is C_U nums and
+    each linf coordinate's fractional part is fixed by (C_i nums) mod
+    (c DEN).  Fractions are made for accepted points only.
     """
     window = Q(window)
     if n < 1 or window <= 0:
         raise OutOfDomain("need n >= 1 and window > 0")
     rng = random.Random(seed)
     max_num = grid_max_num(window)
-    points: list[Vec] = []
-    linf_fracs: list[set[Q]] = [set() for _ in range(decomposition.d_inf)]
-    u_seen: set[Vec] = set()
+    c = math.lcm(*(x.denominator for row in decomposition.basis_inverse for x in row))
+    rows = [[int(x * c) for x in row] for row in decomposition.basis_inverse]
+    k, mod = len(decomposition.u_basis), c * DEN
+    accepted: list[tuple[int, ...]] = []
+    linf_keys: list[set[int]] = [set() for _ in range(decomposition.d_inf)]
+    u_seen: set[tuple[int, ...]] = set()
     attempts = 0
     # A repeated point repeats its linf fractions, or its U-coordinates when
     # d_inf = 0, so the two constraints also keep the points distinct.
-    while len(points) < n:
+    while len(accepted) < n:
         attempts += 1
         if attempts > 100 * n:
             raise WindowTooSmall(f"rejection budget exceeded after {attempts} draws")
         odd = draw_odd(rng)
-        p = tuple(Q(grid_num(rng, max_num, odd), DEN) for _ in range(ball.dim))
-        u_coords, w_coords = decomposition.coordinates(p)
-        fr = [frac(c) for c in w_coords]
-        if any(f in linf_fracs[i] for i, f in enumerate(fr)) or u_coords in u_seen:
+        nums = tuple(grid_num(rng, max_num, odd) for _ in range(ball.dim))
+        coords = [sum(a * x for a, x in zip(row, nums)) for row in rows]
+        u_key, w_keys = tuple(coords[:k]), [x % mod for x in coords[k:]]
+        if any(key in seen for key, seen in zip(w_keys, linf_keys)) or u_key in u_seen:
             continue
-        points.append(p)
-        for i, f in enumerate(fr):
-            linf_fracs[i].add(f)
-        if u_coords:  # U = {0} gives () for every point, and no fibre constraint
-            u_seen.add(u_coords)
+        accepted.append(nums)
+        for key, seen in zip(w_keys, linf_keys):
+            seen.add(key)
+        if k:  # U = {0} gives () for every point, and no fibre constraint
+            u_seen.add(u_key)
+    points = tuple(tuple(Q(x, DEN) for x in nums) for nums in accepted)
     typicality = (FIBRE_FREE, LINF_INTEGER_FREE) if decomposition.u_basis else (LINF_INTEGER_FREE,)
-    return PointSample(
-        ball=ball, points=tuple(points), window=window, seed=seed, typicality=typicality
-    )
+    return PointSample(ball=ball, points=points, window=window, seed=seed, typicality=typicality)
 
 
 _BLOCK_ROWS = 64  # source rows per block of the pairwise kernel and the BFS
@@ -150,7 +157,7 @@ def _coins(rng: random.Random, p: Q, count: int) -> np.ndarray:
     got = 0
     while got < count:
         m = min(count - got, _WORDS)
-        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        words = next_words(rng, m)
         r = words >> np.uint32(32 - k)
         r = r[r < den]
         coins[got : got + len(r)] = r < num

@@ -355,6 +355,74 @@ class TestGridNums:
             self.assert_replays_the_loop(lambda: random.Random(seed), window, count)
 
 
+def _at_powers_of_two(test):
+    """Examples at n = 2**k - 1, 2**k and 2**k + 1 around the bulk's runs."""
+    for k in (1, 2, 9, 10, 11):
+        for n in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            test = example(n=n, seed=0, chunk=1 << 14, loop=1 << 9)(test)
+            test = example(n=n, seed=0, chunk=64, loop=2)(test)
+    return test
+
+
+class TestShuffled:
+    """`grid.shuffled` against `random.Random.shuffle`: the same list, and
+    the generator left in the same state."""
+
+    @staticmethod
+    def assert_replays_the_shuffle(seed, n):
+        bulk, loop = random.Random(seed), random.Random(seed)
+        x = list(range(n))
+        loop.shuffle(x)
+        got = grid.shuffled(bulk, n)
+        assert got.tolist() == x
+        assert bulk.getstate() == loop.getstate()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(0, 3000),
+        seed=st.integers(0, 2 ** 64),
+        # Small rounds and a bulk down to bound 2 reach every path at small n.
+        chunk=st.sampled_from([64, 1 << 14]),
+        loop=st.sampled_from([2, 1 << 9]),
+    )
+    @_at_powers_of_two
+    def test_replays_the_shuffle(self, n, seed, chunk, loop):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "_CHUNK", chunk)
+            mp.setattr(grid, "_SHUFFLE_LOOP", loop)
+            self.assert_replays_the_shuffle(seed, n)
+
+    def test_s0_size(self):
+        self.assert_replays_the_shuffle(0x5A5A5A ^ 5, 80_400)
+
+    def test_scripted_draws(self):
+        # Bounds 3 and 2 take 2-bit words: 3 is rejected at bound 3 and 2 at
+        # bound 2, so the draws are 1 and then 0, and the swaps give [2, 0, 1].
+        words = [3 << 30, 1 << 30, 2 << 30, 0, 1 << 30]
+        x = [0, 1, 2]
+        Words(words).shuffle(x)
+        assert x == [2, 0, 1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "_SHUFFLE_LOOP", 1)
+            rng = Words(words)
+            assert grid.shuffled(rng, 3).tolist() == x
+        assert rng.getstate() == 4
+
+    def test_refuses_past_int32(self):
+        with pytest.raises(IndexOutOfRange):
+            grid.shuffled(random.Random(0), 2 ** 31)
+
+    def test_flat_order_never_calls_the_list_shuffle(self, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("random.Random.shuffle called")
+
+        monkeypatch.setattr(random.Random, "shuffle", refuse)
+        s = make_fibred_sample(U1, 30, 40, Q(1), seed=8)
+        c = attach_s0_gadget(s, 8).combined
+        assert sorted(s.fibre_of.tolist()) == sorted(np.repeat(np.arange(30), 40).tolist())
+        assert c.fibre_of[:4].tolist() == [30] * 4
+
+
 class TestMakeFibredSample:
     def test_single_fibre(self):
         s = make_fibred_sample(U1, 1, 5, Q(1), seed=3)
@@ -768,6 +836,34 @@ class TestPartialIsoInvariants:
         state = state._with_pair(0, 0, Q(1, 3), Q(4, 3))  # shift 1
         with pytest.raises(CrossCheckFailure):
             state._with_pair(1, 1, Q(1, 2), Q(1, 2))  # shift 0
+
+    @pytest.mark.parametrize("w, w_img", [
+        (Q(1, 3), Q(1, 3)),  # after (1/4, 1/2): its image falls below 1/2
+        (Q(1, 4), Q(3, 5)),  # ties the left neighbour's fraction 1/4
+        (Q(1, 5), Q(3, 4)),  # before (1/4, 1/2): its image rises above 1/2
+        (Q(1, 2), Q(7, 8)),  # before (3/4, 5/6): its image rises above 5/6
+    ])
+    def test_new_pair_out_of_order_with_a_neighbour_refused(self, w, w_img):
+        state = PartialIso()._with_pair(0, 0, Q(1, 4), Q(1, 2))
+        state = state._with_pair(1, 1, Q(3, 4), Q(5, 6))
+        with pytest.raises(CrossCheckFailure, match="fraction order"):
+            state._with_pair(2, 2, w, w_img)
+
+    def test_repeated_pair_kept_once(self):
+        state = PartialIso()._with_pair(0, 0, Q(1, 2), Q(1, 2))._with_pair(1, 1, Q(3, 2), Q(3, 2))
+        assert state.frac_pairs == ((Q(1, 2), Q(1, 2)),)
+
+    def test_full_audit_checks_the_fraction_order(self):
+        s = make_fibred_sample(U1, 1, 2, Q(1), seed=3)
+        g, g2 = FibreGraph(s, Q(1), seed=3, tag=0), FibreGraph(s, Q(1), seed=3, tag=1)
+        w = sorted(s.w_of)
+        # Built directly, not by `_with_pair`: the two pairs cross.
+        state = PartialIso({0: 0, 1: 1}, {0: 0, 1: 1}, ((w[0], w[1]), (w[1], w[0])), 0)
+        audit_state(g, g2, state, vertex=0)  # a vertex audit reads no fractions
+        with pytest.raises(CrossCheckFailure, match="fraction order"):
+            audit_state(g, g2, state)
+        with pytest.raises(CrossCheckFailure, match="fraction order"):
+            bf_run(g, g2, budget=1, seed=3, initial=state)
 
 
 class EdgeSetGraph(FibreGraph):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from rado_lab import random_graphs as rg
 from rado_lab.decomposition import linf_decomposition
 from rado_lab.errors import IndexOutOfRange, WindowTooSmall
-from rado_lab.geometry import cube_ball, hexagon_ball, hexagonal_prism_ball, norm
+from rado_lab.geometry import cube_ball, hexagon_ball, hexagonal_prism_ball, norm, validate_ball
+from rado_lab.grid import DEN, draw_odd
 from rado_lab.linalg import vsub
 from rado_lab.random_graphs import (
     FIBRE_FREE,
@@ -99,6 +100,70 @@ class TestSampler:
         ball, dec = linf2
         with pytest.raises(WindowTooSmall):
             sample_typical_points(ball, dec, Q(1, 2 ** 30), 3, seed=1)
+
+
+def ref_typical_points(ball, dec, window, n, seed):
+    """The sampler on Fractions: coordinates from `coordinates`, linf keys
+    their fractional parts; the points, or the error's class and message."""
+    rng = random.Random(seed)
+    max_num = math.floor(window * DEN)
+    points, fracs, us = [], [set() for _ in range(dec.d_inf)], set()
+    for attempts in range(1, 100 * n + 1):
+        odd = draw_odd(rng)
+        p = tuple(Q(rg.grid_num(rng, max_num, odd), DEN) for _ in range(ball.dim))
+        u, w = dec.coordinates(p)
+        fr = [x - math.floor(x) for x in w]
+        if any(f in seen for f, seen in zip(fr, fracs)) or u in us:
+            continue
+        points.append(p)
+        for f, seen in zip(fr, fracs):
+            seen.add(f)
+        if u:
+            us.add(u)
+        if len(points) == n:
+            return tuple(points)
+    return WindowTooSmall, f"rejection budget exceeded after {attempts + 1} draws"
+
+
+@functools.cache
+def _decomposition(ball):
+    return linf_decomposition(ball)
+
+
+def coarse_grid_num(rng, max_num, odd):
+    """Numerators from a handful, two by two an integer apart over DEN or
+    equal, so that draws collide in every linf coordinate and U-key."""
+    return rng.choice([1, DEN + 1, 3, 2 * DEN + 3, DEN // 2 + 1, 5 * DEN // 2 + 1])
+
+
+# A parallelogram whose linf basis inverse has denominator 5, so the linf
+# keys are taken mod 5 * DEN.
+PARALLELOGRAM = validate_ball([(3, 1), (1, 2), (-3, -1), (-1, -2)])
+
+
+class TestTypicalPointsReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ball=st.sampled_from([cube_ball(2), hexagon_ball(), hexagonal_prism_ball(), PARALLELOGRAM]),
+        window=st.sampled_from([Q(3), Q(1, 2)]),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2 ** 32),
+        coarse=st.booleans(),
+    )
+    @example(ball=hexagon_ball(), window=Q(3), n=4, seed=1, coarse=True)  # a repeated U-point
+    @example(ball=PARALLELOGRAM, window=Q(3), n=4, seed=0, coarse=True)
+    def test_matches_the_fraction_sampler(self, ball, window, n, seed, coarse):
+        dec = _decomposition(ball)
+        with pytest.MonkeyPatch.context() as mp:
+            if coarse:  # few points fit: most draws are rejected, many runs fail
+                mp.setattr(rg, "grid_num", coarse_grid_num)
+                n = n % 5 + 1
+            want = ref_typical_points(ball, dec, window, n, seed)
+            try:
+                got = sample_typical_points(ball, dec, window, n, seed).points
+            except WindowTooSmall as exc:
+                got = WindowTooSmall, str(exc)
+        assert got == want
 
 
 class TestUnitGraph:
