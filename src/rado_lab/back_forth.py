@@ -618,6 +618,17 @@ def audit_gadget(gadget: S0Gadget) -> None:
     pairwise off unit distance, and every fractional part outside the
     gadget distinct and off the gadget's.
     """
+    _audit_unit_pairs(gadget)
+    s = gadget.combined
+    if _u_clashes(s.u_ball, s.u_points).any():
+        raise CrossCheckFailure("sample has a repeated U-point or a unit U-distance pair")
+    outside = np.repeat(np.arange(len(s.fibre_sizes)), s.fibre_sizes) != gadget.gadget_fibre
+    if _frac_colliders(s.r_nums[outside], s.r_den).any():
+        raise CrossCheckFailure("integer R-difference against sample or gadget")
+
+
+def _audit_unit_pairs(gadget: S0Gadget) -> None:
+    """Assert the gadget's own unit pairs are {g0, g1} and {g2, g3}."""
     s = gadget.combined
     g0, g1, g2_, g3 = gadget.gadget_indices
     unit_pairs = set()
@@ -628,11 +639,6 @@ def audit_gadget(gadget: S0Gadget) -> None:
                 unit_pairs.add((gadget.gadget_indices[x], gadget.gadget_indices[y]))
     if unit_pairs != {(g0, g1), (g2_, g3)}:
         raise CrossCheckFailure("gadget does not have exactly its two unit pairs")
-    if _u_clashes(s.u_ball, s.u_points).any():
-        raise CrossCheckFailure("sample has a repeated U-point or a unit U-distance pair")
-    outside = np.repeat(np.arange(len(s.fibre_sizes)), s.fibre_sizes) != gadget.gadget_fibre
-    if _frac_colliders(s.r_nums[outside], s.r_den).any():
-        raise CrossCheckFailure("integer R-difference against sample or gadget")
 
 
 def _redrawn_fractions(sample: FibredSample, rng: random.Random) -> list[Q]:
@@ -667,7 +673,8 @@ def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
     """
     rng = random.Random(seed ^ 0x60D6E7)
     den = sample.r_den
-    if den % 2 == 0 and not _frac_colliders(sample.r_nums, den).any():
+    r_clear = den % 2 == 0 and not _frac_colliders(sample.r_nums, den).any()
+    if r_clear:
         gadget_nums = _int_array([int(w * den) for w in GADGET_WS], den)
         r_nums = np.concatenate((sample.r_nums, gadget_nums))
     else:
@@ -676,6 +683,7 @@ def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
     n_u, dim = len(sample.u_points), sample.u_ball.dim
     u_points = [*sample.u_points, zero_vec(dim)]  # the gadget fibre's, last in the combined order
     clash = _u_clashes(sample.u_ball, u_points)
+    redrawn = not r_clear or clash.any()
     for f in range(n_u):
         attempts = 0
         while clash[f]:
@@ -690,7 +698,9 @@ def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
         sample.window, sample.seed, integer_exempt_fibres=(n_u,),
     )
     gadget = S0Gadget(combined=combined, gadget_fibre=n_u, gadget_indices=(0, 1, 2, 3))
-    audit_gadget(gadget)
+    # Unless something was redrawn, the two checks above already ran on the
+    # combined sample's U-points and on its numerators outside the gadget.
+    (audit_gadget if redrawn else _audit_unit_pairs)(gadget)
     return gadget
 
 

@@ -1,18 +1,19 @@
-"""The samplers' shared rational grid.
+"""The samplers' shared rational grid, and bulk replays of `random.Random`.
 
 Every sampled coordinate is num / 2**DEN_POW with num odd: a per-draw odd
 offset below 2**21 plus a uniform even step.  `random_graphs` draws these
 numerators one at a time as Python ints; the fibred sampler draws its
-R-numerators in bulk through `grid_nums`, which replays the same draws from
-the generator's own 32-bit words, and keeps them as integers.  A fibred
-sample compares fractional parts as integers over its own denominator;
-`frac_key` gives one rational's, exactly, on the grid or off it.
+R-numerators in bulk through `grid_nums`, and keeps them as integers.  A
+fibred sample compares fractional parts as integers over its own
+denominator; `frac_key` gives one rational's, exactly, on the grid or off it.
 
-A fibred sample's flat order is `shuffled`: exactly the list that
-`random.Random.shuffle` leaves, with the generator left where it leaves
-it.  Its Fisher-Yates draws are replayed from the same 32-bit words in
-numpy, and its swaps are composed by grouping the steps by target and
-following each position's chain of writes by pointer jumping.
+This module alone reads the generator's own 32-bit words (`_next_words`).
+`randrange(b)` for b below 2**32 takes the top b.bit_length() bits of one
+word and redraws while they are >= b.  A bulk replay settles in numpy the
+draws that a round of words makes and winds the generator back to just
+after the last word used, so `rng` ends where the per-draw loop leaves it:
+`randbelow` for bounds falling by 0 or 1 per draw (the Bernoulli coins, and
+`shuffled`'s Fisher-Yates draws), `grid_nums` for the grid draws.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from .errors import IndexOutOfRange, WindowTooSmall
+from .errors import IndexOutOfRange, OutOfDomain, WindowTooSmall
 
 DEN_POW = 33
 DEN = 2 ** DEN_POW
@@ -34,8 +35,7 @@ INT64_BOUND = 2 ** 62
 
 _ODD_WORD = 2 ** 31  # `draw_odd` keeps a word's top 21 bits iff they are below 2**20
 _POW2 = 1 << np.arange(63, dtype=np.int64)
-_CHUNK = 1 << 14  # most 32-bit words one bulk round of `grid_nums` or `shuffled` draws
-_SHUFFLE_LOOP = 1 << 9  # `shuffled` draws bounds below this through `randrange`
+_CHUNK = 1 << 14  # most 32-bit words one bulk round of `grid_nums` or `randbelow` reads
 
 
 def draw_odd(rng: random.Random) -> int:
@@ -50,7 +50,7 @@ def grid_num(rng: random.Random, max_num: int, odd: int) -> int:
     return 2 * rng.randrange((max_num - odd) // 2 + 1) + odd
 
 
-def next_words(rng: random.Random, m: int) -> np.ndarray:
+def _next_words(rng: random.Random, m: int) -> np.ndarray:
     """The generator's next m 32-bit words as uint32, in the order its
     `getrandbits(32)` calls would give them: `rng.getrandbits(32 * m)` is
     those words, least significant first."""
@@ -60,10 +60,7 @@ def next_words(rng: random.Random, m: int) -> np.ndarray:
 def grid_nums(rng: random.Random, max_num: int, count: int) -> np.ndarray:
     """`grid_num(rng, max_num, draw_odd(rng))` drawn `count` times, in bulk.
 
-    `randrange(n)` takes the top k = n.bit_length() bits of one 32-bit word
-    while k <= 32 and redraws while they are >= n, and
-    `rng.getrandbits(32 * m)` is the next m words, least significant first.
-    Where the window makes the exceptions rare, each round draws a chunk of
+    Where the window makes the exceptions rare, each round reads a chunk of
     words and settles, in numpy, every draw before the first one whose step
     takes 33 or more bits or whose step word is rejected (see `_settled`);
     the generator is then wound back to just after the settled draws, and
@@ -88,7 +85,7 @@ def grid_nums(rng: random.Random, max_num: int, count: int) -> np.ndarray:
     while got < count:
         state = rng.getstate()
         m = min(m, 4 * (count - got))
-        words = next_words(rng, m)
+        words = _next_words(rng, m)
         settled, used = _settled(words.astype(np.int64), max_num, count - got)
         nums[got : got + len(settled)] = settled
         got += len(settled)
@@ -127,57 +124,51 @@ def _settled(words: np.ndarray, max_num: int, limit: int) -> tuple[np.ndarray, i
     return 2 * step[:take] + odd[:take], used
 
 
-def shuffled(rng: random.Random, n: int) -> np.ndarray:
-    """`rng.shuffle(x)` of x = list(range(n)), as an array, in bulk.
-
-    The result (int32) and the state `rng` is left in are exactly the
-    shuffle's.  Its draws come from `_shuffle_draws` and its swaps are
-    composed by `_composed_swaps`.
+def randbelow(
+    rng: random.Random, first: int, count: int, step: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """`[rng.randrange(first - step * i) for i in range(count)]` for step 0
+    or 1, in bulk, written into `out` (by default int64 for `first` below
+    `INT64_BOUND`, Python ints otherwise) and returned; `rng` is left where
+    that loop leaves it.  Each run of draws whose bounds share a bit length
+    k <= 32 - step settles from words read in rounds of at most `_CHUNK`
+    (`_accepted`); wider bounds run through `randrange` itself.
     """
-    if n >= 2 ** 31:
-        raise IndexOutOfRange(f"{n} positions; shuffled takes fewer than 2**31")
-    return _composed_swaps(_shuffle_draws(rng, n))
-
-
-def _shuffle_draws(rng: random.Random, n: int) -> np.ndarray:
-    """j[i] = the draw `rng.shuffle` makes at step i, for i = n - 1 down to 1
-    (its `_randbelow(i + 1)`), and j[0] = 0, as int32.
-
-    `_randbelow(b)` takes the top k = b.bit_length() bits of one 32-bit word
-    and redraws while they are >= b.  The words come in rounds of at most
-    `_CHUNK`, and each run of steps whose bounds share k settles its draws
-    from them in numpy (`_accepted`); the generator is then wound back to
-    just after the last word used, and the draws with bounds below
-    `_SHUFFLE_LOOP` run through `randrange` itself.
-    """
-    j = np.zeros(n, np.int32)
-    i = n - 1  # the next step to draw
+    if count and first - step * (count - 1) < 1:
+        raise OutOfDomain(f"empty range: {count} draws below {first} falling by {step}")
+    if out is None:
+        out = np.empty(count, np.int64 if first < INT64_BOUND else object)
+    got = 0
     words, at = np.empty(0, np.uint32), 0  # words[:at] are spent
-    while i >= _SHUFFLE_LOOP:
+    while got < count:
+        bound = first - step * got
+        k = bound.bit_length()
+        if k > 32 - step:
+            break
         if at == len(words):
             state = rng.getstate()
-            words, at = next_words(rng, min(_CHUNK, 2 * i)), 0
-        k = (i + 1).bit_length()
-        need = i + 2 - (1 << (k - 1))  # the run's steps still to draw
+            words, at = _next_words(rng, min(_CHUNK, 2 * (count - got))), 0
+        need = min(count - got, bound + 1 - (1 << (k - 1))) if step else count - got
         # A word is accepted with probability over 1/2, so 2 * need words
         # mostly suffice; a short window leaves the rest to the next round.
-        draws, used = _accepted(words[at : at + 2 * need] >> (32 - k), i + 1, need)
+        draws, used = _accepted(words[at : at + 2 * need] >> (32 - k), bound, need, step)
         at += used
-        j[i - len(draws) + 1 : i + 1] = draws[::-1]
-        i -= len(draws)
+        out[got : got + len(draws)] = draws
+        got += len(draws)
     if at < len(words):
         rng.setstate(state)
         rng.getrandbits(32 * at)
-    j[1 : i + 1] = [rng.randrange(b) for b in range(i + 1, 1, -1)][::-1]
-    return j
+    out[got:] = [rng.randrange(first - step * i) for i in range(got, count)]
+    return out
 
 
-def _accepted(r: np.ndarray, bound: int, need: int) -> tuple[np.ndarray, int]:
-    """The draws that the top-bit values r (uint32) make, the first below
-    `bound` and each one below one less than the last, until `need` are made
-    or r runs out; and how many values they use.
+def _accepted(r: np.ndarray, bound: int, need: int, step: int) -> tuple[np.ndarray, int]:
+    """The draws that the top-bit values r (uint32) make, the t-th (from 0)
+    below bound - step * t, until `need` are made or r runs out; and how
+    many values they use.
 
-    A value is accepted iff r_p + t_p < bound, t_p the acceptances before
+    With step 0 a value is accepted iff r_p < bound, all in one pass.  With
+    step 1 it is accepted iff r_p + t_p < bound, t_p the acceptances before
     it.  Iterating a <- (r + t(a) < bound), t(a) the exclusive running sum
     of a, gives an iterate that is exact up to and at the first place where
     it differs from the last one (an exact prefix fixes the next place), so
@@ -186,7 +177,8 @@ def _accepted(r: np.ndarray, bound: int, need: int) -> tuple[np.ndarray, int]:
     pass adds at most len(r) <= 2 * need <= 2**k, for k <= 31.
     """
     a = r < bound
-    settled = taken = 0
+    settled = 0 if step else len(r)
+    taken = 0
     while settled < len(r) and taken < need:
         seg = a[settled:]
         t = np.cumsum(seg, dtype=np.uint32)
@@ -199,8 +191,24 @@ def _accepted(r: np.ndarray, bound: int, need: int) -> tuple[np.ndarray, int]:
         a[settled:] = new
         taken += int(np.count_nonzero(new[:exact]))
         settled += exact
-    used = int(np.searchsorted(np.cumsum(a[:settled]), need)) + 1 if taken >= need else settled
-    return r[:used][a[:used]], used
+    hits = np.flatnonzero(a[:settled])[:need]
+    used = int(hits[-1]) + 1 if len(hits) == need else settled
+    return r[hits], used
+
+
+def shuffled(rng: random.Random, n: int) -> np.ndarray:
+    """`rng.shuffle(x)` of x = list(range(n)), as an array, in bulk.
+
+    The result (int32) and the state `rng` is left in are exactly the
+    shuffle's.  Step i, for i = n - 1 down to 1, swaps x[i] with x[j[i]],
+    j[i] = `randrange(i + 1)`: `randbelow` draws those straight into j, and
+    `_composed_swaps` composes the swaps.
+    """
+    if n >= 2 ** 31:
+        raise IndexOutOfRange(f"{n} positions; shuffled takes fewer than 2**31")
+    j = np.zeros(n, np.int32)
+    randbelow(rng, n, max(n - 1, 0), 1, out=j[:0:-1])
+    return _composed_swaps(j)
 
 
 def _composed_swaps(j: np.ndarray) -> np.ndarray:

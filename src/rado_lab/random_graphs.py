@@ -25,7 +25,7 @@ from .decomposition import LinfDecomposition
 from .errors import IndexOutOfRange, OutOfDomain, WindowTooSmall
 from .geometry import PolytopeBall, norm_projections, projection_distances
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py wraps random_graphs.norm)
-from .grid import DEN, draw_odd, grid_max_num, grid_num, next_words
+from .grid import DEN, draw_odd, grid_max_num, grid_num, randbelow
 from .linalg import Vec
 
 LINF_INTEGER_FREE = "linf_integer_free"
@@ -130,38 +130,17 @@ def unit_graph(sample: PointSample) -> GeomGraph:
     return GeomGraph(sample=sample, edges=edges, p=Q(1), rng_seed=None)
 
 
-_WORDS = 1 << 16  # most 32-bit outputs `_coins` draws per `getrandbits` call
-
-
-def _loop_coins(rng: random.Random, p: Q, count: int) -> np.ndarray:
-    """The coin rule itself: coin i is `rng.randrange(den) < num`, drawn in order."""
-    den, num = p.denominator, p.numerator
-    return np.fromiter((rng.randrange(den) < num for _ in range(count)), dtype=bool, count=count)
+_COIN_ROUND = 1 << 15  # most coins one `randbelow` call draws for `_coins`
 
 
 def _coins(rng: random.Random, p: Q, count: int) -> np.ndarray:
-    """`_loop_coins(rng, p, count)` without a Python call per coin.
-
-    `randrange(den)` takes the top k = den.bit_length() bits of one 32-bit
-    output and redraws while they are >= den.  `rng.getrandbits(32 * m)` is
-    the next m outputs, least significant word first, so each round draws
-    one output per coin still owed (at most `_WORDS`) and applies that rule
-    vectorised.  No round draws past the last coin, so `rng` ends where the
-    loop leaves it.  Denominators above 32 bits take the loop.
-    """
-    den, num = p.denominator, p.numerator
-    k = den.bit_length()
-    if k > 32:
-        return _loop_coins(rng, p, count)
+    """Coin i is `rng.randrange(den) < num`, drawn in order, with `rng` left
+    where that loop leaves it.  `grid.randbelow` replays the draws, a round
+    at a time, so no count-sized integer array is held."""
     coins = np.empty(count, dtype=bool)
-    got = 0
-    while got < count:
-        m = min(count - got, _WORDS)
-        words = next_words(rng, m)
-        r = words >> np.uint32(32 - k)
-        r = r[r < den]
-        coins[got : got + len(r)] = r < num
-        got += len(r)
+    for got in range(0, count, _COIN_ROUND):
+        m = min(count - got, _COIN_ROUND)
+        coins[got : got + m] = randbelow(rng, p.denominator, m) < p.numerator
     return coins
 
 
@@ -169,8 +148,8 @@ def bernoulli_subgraph(g0: GeomGraph, p: Q, seed: int) -> GeomGraph:
     """Keep each edge with exact probability p.
 
     Edge i, in edge order, is kept iff the i-th `randrange(den) < num` draw
-    of `random.Random(seed)` holds; `_coins` draws those coins in bulk from
-    the generator's own `getrandbits` output.
+    of `random.Random(seed)` holds; `_coins` draws those coins in bulk
+    through `grid.randbelow`.
     """
     p = Q(p)
     if g0.p != 1:

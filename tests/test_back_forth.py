@@ -355,12 +355,54 @@ class TestGridNums:
             self.assert_replays_the_loop(lambda: random.Random(seed), window, count)
 
 
+def _at_word_edges(test):
+    """Examples at the bounds where the word rule changes, for both steps:
+    2**31 - 1 is the widest bound of step 1's uint32 sums, 2**32 - 1 the
+    widest that one word serves."""
+    for first in (1, 2, 3, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1):
+        for step in (0, 1):
+            test = example(first=first, count=3000, step=step, seed=0, chunk=64)(test)
+    return test
+
+
+class TestRandbelow:
+    """`grid.randbelow` against the `randrange` loop: the same draws, and the
+    generator left in the same state."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        # Bounds of 2**62 and past take object arrays.
+        first=st.sampled_from([1, 2, 3, 2 ** 31, 2 ** 32, 2 ** 62, 2 ** 70])
+        | st.integers(1, 2 ** 33),
+        count=st.integers(0, 3000),
+        step=st.sampled_from([0, 1]),
+        seed=st.integers(0, 2 ** 64),
+        chunk=st.sampled_from([64, 1 << 14]),  # small rounds reach every path at small counts
+    )
+    @_at_word_edges
+    def test_replays_the_randrange_loop(self, first, count, step, seed, chunk):
+        count = min(count, first) if step else count
+        bulk, loop = random.Random(seed), random.Random(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "_CHUNK", chunk)
+            got = grid.randbelow(bulk, first, count, step)
+        assert got.tolist() == [loop.randrange(first - step * i) for i in range(count)]
+        assert got.dtype == (np.int64 if first < grid.INT64_BOUND else object)
+        assert bulk.getstate() == loop.getstate()
+
+    def test_refuses_an_empty_range(self):
+        with pytest.raises(OutOfDomain):
+            grid.randbelow(random.Random(0), 3, 4, 1)
+        with pytest.raises(OutOfDomain):
+            grid.randbelow(random.Random(0), 0, 1, 0)
+
+
 def _at_powers_of_two(test):
     """Examples at n = 2**k - 1, 2**k and 2**k + 1 around the bulk's runs."""
     for k in (1, 2, 9, 10, 11):
         for n in (2 ** k - 1, 2 ** k, 2 ** k + 1):
-            test = example(n=n, seed=0, chunk=1 << 14, loop=1 << 9)(test)
-            test = example(n=n, seed=0, chunk=64, loop=2)(test)
+            test = example(n=n, seed=0, chunk=1 << 14)(test)
+            test = example(n=n, seed=0, chunk=64)(test)
     return test
 
 
@@ -381,15 +423,12 @@ class TestShuffled:
     @given(
         n=st.integers(0, 3000),
         seed=st.integers(0, 2 ** 64),
-        # Small rounds and a bulk down to bound 2 reach every path at small n.
-        chunk=st.sampled_from([64, 1 << 14]),
-        loop=st.sampled_from([2, 1 << 9]),
+        chunk=st.sampled_from([64, 1 << 14]),  # small rounds reach every path at small n
     )
     @_at_powers_of_two
-    def test_replays_the_shuffle(self, n, seed, chunk, loop):
+    def test_replays_the_shuffle(self, n, seed, chunk):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(grid, "_CHUNK", chunk)
-            mp.setattr(grid, "_SHUFFLE_LOOP", loop)
             self.assert_replays_the_shuffle(seed, n)
 
     def test_s0_size(self):
@@ -402,10 +441,8 @@ class TestShuffled:
         x = [0, 1, 2]
         Words(words).shuffle(x)
         assert x == [2, 0, 1]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(grid, "_SHUFFLE_LOOP", 1)
-            rng = Words(words)
-            assert grid.shuffled(rng, 3).tolist() == x
+        rng = Words(words)
+        assert grid.shuffled(rng, 3).tolist() == x
         assert rng.getstate() == 4
 
     def test_refuses_past_int32(self):
@@ -1022,6 +1059,37 @@ class TestGadget:
         u_points = gadget.combined.u_points
         assert u_points[0] != bad and u_points[1:] == s.u_points[1:] + ((Q(0),),)
         audit_gadget(gadget)
+
+    @staticmethod
+    def counted_checks(monkeypatch):
+        calls = dict.fromkeys(["_u_clashes", "_frac_colliders"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _check=getattr(back_forth, name)):
+                calls[_name] += 1
+                return _check(*args)
+
+            monkeypatch.setattr(back_forth, name, counted)
+        return calls
+
+    def test_grid_sample_runs_each_check_once(self, monkeypatch):
+        s = make_fibred_sample(U1, 30, 20, Q(1), seed=41)
+        calls = self.counted_checks(monkeypatch)
+        attach_s0_gadget(s, seed=41)
+        assert calls == {"_u_clashes": 1, "_frac_colliders": 1}
+
+    @pytest.mark.parametrize("redraw", ["u", "r"])
+    def test_a_redraw_gets_the_full_audit(self, monkeypatch, redraw):
+        s = make_fibred_sample(U1, 3, 2, Q(1), seed=37)
+        if redraw == "u":  # a U-point at the gadget's origin, redrawn once or more
+            s = dataclasses.replace(s, u_points=((Q(0),),) + s.u_points[1:])
+        else:  # an R-component at the gadget's fraction 1/2
+            s = with_fibres(s, [(Q(1, 2), s.fibres[0][1]), *s.fibres[1:]])
+        calls = self.counted_checks(monkeypatch)
+        attach_s0_gadget(s, seed=37)
+        # Each check once before any redraw and once in the audit; every U
+        # redraw recomputes the U table.
+        assert calls["_frac_colliders"] == 2
+        assert calls["_u_clashes"] >= 3 if redraw == "u" else calls["_u_clashes"] == 2
 
     def test_resampling_clears_collisions(self):
         # Force a fraction collision with the gadget and check it is cleared.

@@ -507,6 +507,21 @@ class TestAgreement:
         assert payload["trials"] == 2000
         assert abs(payload["rate_float"] - 0.58) < 0.05
 
+    @pytest.mark.parametrize("p, trials, out", [
+        ("1/1180591620717411303424", 3,
+         '{\n "agreements": 3,\n "p": "1/1180591620717411303424",\n "rate": "1",\n'
+         ' "rate_float": 1.0,\n "trials": 3\n}\n'),
+        ("590295810358705651713/1180591620717411303424", 50,
+         '{\n "agreements": 25,\n "p": "590295810358705651713/1180591620717411303424",\n'
+         ' "rate": "1/2",\n "rate_float": 0.5,\n "trials": 50\n}\n'),
+    ])
+    def test_coins_past_int64_are_pinned(self, capsys, p, trials, out):
+        # 2**70 denominators draw past int64; the bytes are those of the
+        # per-coin `randrange` loop.
+        assert run_cli(["agreement", "--p", p, "--trials", str(trials), "--seed", "1"], capsys) == (
+            0, out
+        )
+
     @pytest.mark.parametrize("trials", [10 ** 8 + 1, 10 ** 30])
     def test_trials_past_the_coin_cap_exit_2(self, capsys, monkeypatch, trials):
         # 10**30 used to die in `np.empty`; no coin is drawn for either.

@@ -233,10 +233,16 @@ class TestUnitGraph:
             assert norm(ball, vsub(s.points[i], s.points[j])) < 1
 
 
+def loop_coins(rng, p, count):
+    """The coin rule itself: coin i is `rng.randrange(den) < num`, drawn in order."""
+    return np.array([rng.randrange(p.denominator) < p.numerator for _ in range(count)], bool)
+
+
 @st.composite
 def coin_probabilities(draw):
-    # 2**32 and 2**32 + 1 need 33 bits, past one MT19937 word: the loop fallback.
-    den = draw(st.sampled_from([1, 2, 3, 2**31 + 11, 2**32, 2**32 + 1]))
+    # 2**32 and past need 33 bits or more, past one MT19937 word: the loop
+    # fallback; 2**64 + 1 and 2**70 draw past int64.
+    den = draw(st.sampled_from([1, 2, 3, 2**31 + 11, 2**32, 2**32 + 1, 2**64 + 1, 2**70]))
     return Q(draw(st.integers(0, den)), den)
 
 
@@ -256,19 +262,20 @@ class TestCoins:
     @example(p=Q(2**30, 2**31 + 11), seed=6, skip=0, count=70_000)  # about half redrawn
     @example(p=Q(5, 2**32), seed=5, skip=0, count=3000)  # 33 bits: the loop
     @example(p=Q(1, 2**32 + 1), seed=5, skip=0, count=3000)
+    @example(p=Q(2**69 + 1, 2**70), seed=5, skip=0, count=3000)
     def test_coins_replay_the_randrange_loop(self, p, seed, skip, count):
         fast, loop = random.Random(seed), random.Random(seed)
         for rng in (fast, loop):
             rng.getrandbits(32 * skip)
         coins = rg._coins(fast, p, count)
-        expected = rg._loop_coins(loop, p, count)
+        expected = loop_coins(loop, p, count)
         assert coins.dtype == bool and coins.shape == (count,)
         assert np.array_equal(coins, expected)
         assert fast.getstate() == loop.getstate()
 
     @pytest.mark.parametrize("p", [Q(0), Q(1, 2), Q(1, 3), Q(1), Q(5, 2**32 + 1)])
     def test_bernoulli_keeps_the_loop_edges(self, g0, p):
-        keep = rg._loop_coins(random.Random(17), p, len(g0.edges))
+        keep = loop_coins(random.Random(17), p, len(g0.edges))
         assert np.array_equal(bernoulli_subgraph(g0, p, seed=17).edges, g0.edges[keep])
 
 
