@@ -11,10 +11,11 @@ the window", and a missing candidate is a reported block, not an error.
 Samples live on the shared 2**-33 grid (see `grid`).  R-components are
 drawn in bulk from the generator's own words (`grid.grid_nums`) and kept
 as integer numerators over one denominator per sample; they are
-deduplicated, gadget-checked and compared as integers, in numpy where a
-whole sample is read.  A Fraction is built only for a point that a step
-extends at or matches, or that the gadget audit reads, or on demand
-through the `FibredSample.fibres` and `w_of` views.
+deduplicated, gadget-checked, redrawn and compared as integers, in numpy
+where a whole sample is read.  A partial map holds its matched fractional
+parts as numerators too, each over its own side's denominator, so a step
+reads no Fraction; the `FibredSample.fibres` and `w_of` views build them
+on demand.
 
 Pair predicates are integer too.  `FibredSample.floors` gives the floor of
 the distance from one point to many, from the R-numerators and one table
@@ -44,17 +45,16 @@ from .errors import (
     CrossCheckFailure, DimensionMismatch, IndexOutOfRange, OutOfDomain, WindowTooSmall,
 )
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py traces this binding)
-from .geometry import PolytopeBall, norm_projections, pairwise_norm_numerators
-from .grid import (
-    DEN, INT64_BOUND, draw_odd, frac, frac_key, grid_max_num, grid_num, grid_nums, shuffled,
+from .geometry import (
+    PolytopeBall, integer_coordinates, norm_projections, pairwise_norm_numerators,
 )
+from .grid import DEN, INT64_BOUND, draw_odd, grid_max_num, grid_num, grid_nums, shuffled
 from .linalg import Vec, zero_vec
 
 FORWARD = "forward"
 BACKWARD = "backward"
 
-GADGET_WS = (Q(0), Q(1), Q(3, 2), Q(5, 2))
-_GADGET_FRAC_KEYS = frozenset(map(frac_key, GADGET_WS))  # {(0, 1), (1, 2)}
+_GADGET_HALVES = (0, 2, 3, 5)  # the gadget's R-components 0, 1, 3/2 and 5/2, in halves
 
 _COIN_INDEX_LIMIT = 2 ** 20
 
@@ -97,10 +97,10 @@ class FibredSample:
         integer_exempt_fibres: tuple[int, ...] = (),
     ) -> "FibredSample":
         """A sample whose R-components are given as rationals, fibre by fibre."""
-        nums, den = _common_den([Q(w) for ws in fibres for w in ws])
+        (nums,), den = integer_coordinates([[Q(w) for ws in fibres for w in ws]])
         return cls(
-            u_ball, tuple(u_points), nums, den, tuple(map(len, fibres)), Q(window), seed,
-            tuple(integer_exempt_fibres),
+            u_ball, tuple(u_points), _int_array(nums, den), den, tuple(map(len, fibres)),
+            Q(window), seed, tuple(integer_exempt_fibres),
         )
 
     def __eq__(self, other):
@@ -163,10 +163,6 @@ class FibredSample:
         """The flat points' R-components as Fractions (built on first use)."""
         return tuple(Q(n, self.r_den) for n in self.w_num.tolist())
 
-    def w(self, i: int) -> Q:
-        """The R-component of flat point i."""
-        return Q(int(self.w_num[i]), self.r_den)
-
     @property
     def n_points(self) -> int:
         return len(self.r_nums)
@@ -210,22 +206,11 @@ def _first_occurrences(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _common_den(ws: Sequence[Q]) -> tuple[np.ndarray, int]:
-    """Numerators of ws over their least common denominator, and that denominator."""
-    den = math.lcm(*(w.denominator for w in ws))
-    return _int_array([w.numerator * (den // w.denominator) for w in ws], den), den
-
-
-def _rand_rational(rng: random.Random, lo: Q, width: Q) -> Q:
-    odd = draw_odd(rng)
-    return lo + Q(grid_num(rng, grid_max_num(width), odd), DEN)
-
-
 def _draw_u_point(rng: random.Random, n_u: int, dim: int) -> Vec:
     """One U-point of a sample of n_u: uniform on [2, 2 + side)^dim, with the
     side chosen for density about one per unit volume."""
-    side = Q(max(1, math.ceil(n_u ** (1 / dim))))
-    return tuple(_rand_rational(rng, Q(2), side) for _ in range(dim))
+    max_num = grid_max_num(Q(max(1, math.ceil(n_u ** (1 / dim)))))
+    return tuple(2 + Q(grid_num(rng, max_num, draw_odd(rng)), DEN) for _ in range(dim))
 
 
 def make_fibred_sample(
@@ -307,12 +292,6 @@ class FibreGraph:
         self.tag = tag
         self._coins: dict[tuple[int, int], bool] = {}
 
-    def distance_lt_1(self, i: int, j: int) -> bool:
-        return self.distance_floor(i, j) == 0
-
-    def distance_floor(self, i: int, j: int) -> int:
-        return int(self.sample.floors(i, [j])[0])
-
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.adjacent_to(i, [j])[0])
 
@@ -350,23 +329,30 @@ class PartialIso:
     The matched R-components satisfy w' = cell_shift + floor(w) + phi(frac w)
     for one global integer cell_shift and one strictly increasing partial
     map phi on [0,1); this is exactly what keeps every stage an exact
-    step-isometry.
+    step-isometry.  ``frac_pairs`` lists phi's matched points, sorted, as
+    integer pairs (t, t'): t is the domain point's ``w_num % r_den`` over
+    the domain sample's denominator, t' the image point's over the image
+    sample's.  Comparisons stay within one side, so the two denominators
+    may differ.
     """
 
     fwd: dict[int, int] = field(default_factory=dict)
     bwd: dict[int, int] = field(default_factory=dict)
-    frac_pairs: tuple[tuple[Q, Q], ...] = ()
+    frac_pairs: tuple[tuple[int, int], ...] = ()
     cell_shift: int | None = None
 
     @property
     def matched(self) -> int:
         return len(self.fwd)
 
-    def _with_pair(self, i: int, j: int, w: Q, w_img: Q) -> "PartialIso":
-        shift = math.floor(w_img) - math.floor(w)
+    def _with_pair(
+        self, i: int, j: int, w: tuple[int, int], w_img: tuple[int, int]
+    ) -> "PartialIso":
+        """Match i to j, given ``divmod(w_num, r_den)`` of each: (cell, fraction numerator)."""
+        (cell, t), (cell_img, t2) = w, w_img
+        shift = cell_img - cell
         if self.cell_shift is not None and shift != self.cell_shift:
             raise CrossCheckFailure("cell shift drifted inside one run")
-        t, t2 = frac(w), frac(w_img)
         pairs = list(self.frac_pairs)
         pos = bisect_left(pairs, (t, t2))
         if not (pos < len(pairs) and pairs[pos] == (t, t2)):
@@ -385,7 +371,7 @@ class PartialIso:
         )
 
 
-def _check_fraction_order(pairs: Sequence[tuple[Q, Q]]) -> None:
+def _check_fraction_order(pairs: Sequence[tuple[int, int]]) -> None:
     """Refuse fraction pairs that are not strictly increasing in both coordinates."""
     for (a, fa), (b, fb) in zip(pairs, pairs[1:]):
         if not (a < b and fa < fb):
@@ -396,14 +382,16 @@ def initial_identity(sample: FibredSample, indices: Sequence[int]) -> PartialIso
     """Identity partial map on the given flat indices (e.g. the S0 gadget)."""
     state = PartialIso()
     for i in indices:
-        state = state._with_pair(i, i, sample.w(i), sample.w(i))
+        w = divmod(int(sample.w_num[i]), sample.r_den)
+        state = state._with_pair(i, i, w, w)
     return state
 
 
-def _interval(pairs: Sequence[tuple[Q, Q]], t: Q) -> tuple[Q, Q]:
-    """Open image interval for a new fraction t, with virtual fixed ends 0 and 1."""
-    pos = bisect_left(pairs, (t, Q(-1)))
-    return pairs[pos - 1][1] if pos else Q(0), pairs[pos][1] if pos < len(pairs) else Q(1)
+def _interval(pairs: Sequence[tuple[int, int]], t: int, den: int) -> tuple[int, int]:
+    """Open interval of image numerators (over den) for a new fraction
+    numerator t, with virtual fixed ends 0 and den."""
+    pos = bisect_left(pairs, (t, -1))
+    return pairs[pos - 1][1] if pos else 0, pairs[pos][1] if pos < len(pairs) else den
 
 
 def bf_step(
@@ -433,29 +421,28 @@ def _extend(
     potential-edge range; the smallest index wins.  Matched points out of
     range need no check: the interval discipline makes their adjacency
     agree automatically.  The range test and the candidate filter run on
-    whole arrays of integer numerators; the open interval (lo, hi) holds
-    t / den exactly when floor(lo * den) < t < ceil(hi * den).
+    whole arrays of integer numerators.
     """
     if vertex in state.fwd:
         raise OutOfDomain(f"vertex {vertex} already matched")
-    s_img = img.sample
-    w = dom.sample.w(vertex)
-    lo, hi = _interval(state.frac_pairs, frac(w))
+    s_dom, s_img = dom.sample, img.sample
+    den = s_img.r_den
+    w = divmod(int(s_dom.w_num[vertex]), s_dom.r_den)
+    lo, hi = _interval(state.frac_pairs, w[1], den)
     dom_pts, img_pts = _matched_arrays(state.fwd)
-    near = dom.sample.floors(vertex, dom_pts) == 0
+    near = s_dom.floors(vertex, dom_pts) == 0
     wanted = dom.adjacent_to(vertex, dom_pts[near])  # constraints, on img_pts[near]
     others = img_pts[near]
-    den = s_img.r_den
-    cands = s_img.fibre_members(int(dom.sample.fibre_of[vertex]))
+    cands = s_img.fibre_members(int(s_dom.fibre_of[vertex]))
     nums = s_img.w_num[cands]
     t = nums % den
-    keep = (math.floor(lo * den) < t) & (t < math.ceil(hi * den))
+    keep = (lo < t) & (t < hi)
     if state.cell_shift is not None:
-        keep &= nums // den == math.floor(w) + state.cell_shift
+        keep &= nums // den == w[0] + state.cell_shift
     cands = [c for c in cands[keep].tolist() if c not in state.bwd]
     for cand in cands:
         if np.array_equal(img.adjacent_to(cand, others), wanted):
-            return state._with_pair(vertex, cand, w, s_img.w(cand))
+            return state._with_pair(vertex, cand, w, divmod(int(s_img.w_num[cand]), den))
     kind = "adjacency_unsatisfiable" if cands else "no_candidate_in_interval"
     return BlockReason(kind=kind, vertex=vertex, direction=direction)
 
@@ -629,34 +616,35 @@ def audit_gadget(gadget: S0Gadget) -> None:
 
 def _audit_unit_pairs(gadget: S0Gadget) -> None:
     """Assert the gadget's own unit pairs are {g0, g1} and {g2, g3}."""
-    s = gadget.combined
-    g0, g1, g2_, g3 = gadget.gadget_indices
-    unit_pairs = set()
-    ws = [s.w(i) for i in gadget.gadget_indices]
-    for x in range(4):
-        for y in range(x + 1, 4):
-            if abs(ws[x] - ws[y]) == 1:
-                unit_pairs.add((gadget.gadget_indices[x], gadget.gadget_indices[y]))
-    if unit_pairs != {(g0, g1), (g2_, g3)}:
+    s, idx = gadget.combined, gadget.gadget_indices
+    nums = [int(s.w_num[i]) for i in idx]
+    unit_pairs = {
+        (idx[x], idx[y]) for x in range(4) for y in range(x + 1, 4)
+        if abs(nums[x] - nums[y]) == s.r_den
+    }
+    if unit_pairs != {idx[:2], idx[2:]}:
         raise CrossCheckFailure("gadget does not have exactly its two unit pairs")
 
 
-def _redrawn_fractions(sample: FibredSample, rng: random.Random) -> list[Q]:
-    """The R-components in storage order, each one whose fraction is 0, 1/2
-    or an earlier one's redrawn until it is none of these."""
-    ws = [w for fibre in sample.fibres for w in fibre]
-    taken = set(_GADGET_FRAC_KEYS)  # fractional parts of kept points, and the gadget's
+def _redrawn_fractions(
+    nums: np.ndarray, den: int, window: Q, rng: random.Random
+) -> tuple[np.ndarray, int]:
+    """The numerators over an even den, in storage order, each one whose
+    fraction is 0, 1/2 or an earlier one's redrawn on the grid in [0, window)
+    until it is none of these; over lcm(den, DEN), with that denominator."""
+    big = math.lcm(den, DEN)
+    ws = [n * (big // den) for n in nums.tolist()]
+    max_num = grid_max_num(window)
+    taken = {0, big // 2}  # fractional parts of kept points, and the gadget's
     for k, w in enumerate(ws):
-        key = frac_key(w)
         attempts = 0
-        while key in taken:
+        while w % big in taken:
             attempts += 1
             if attempts > 200:
                 raise WindowTooSmall("cannot avoid gadget fractions")
-            w = ws[k] = _rand_rational(rng, Q(0), sample.window)
-            key = frac_key(w)
-        taken.add(key)
-    return ws
+            w = ws[k] = grid_num(rng, max_num, draw_odd(rng)) * (big // DEN)
+        taken.add(w % big)
+    return _int_array(ws, big), big
 
 
 def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
@@ -665,20 +653,23 @@ def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
     Sample points that collide are resampled: R-components whose fraction
     is 0, 1/2 or an earlier one, and U-points that repeat, lie at the
     origin, or lie at exact norm 1 from the origin or from another U-point
-    (redrawn by `_draw_u_point`).  Fractional parts are found colliding as
-    integers over the sample's denominator, all at once; only then, or for
-    an odd denominator, are they redrawn one by one (`_redrawn_fractions`).
-    Grid samples never collide: their numerators are odd over 2**33 and
-    already distinct in their fractional parts.
+    (redrawn by `_draw_u_point`).  The numerators are scaled to an even
+    denominator, lcm(r_den, 2), that holds the gadget's halves; fractional
+    parts are found colliding as integers over it, all at once, and only
+    then redrawn one by one (`_redrawn_fractions`).  Grid samples never
+    collide: their numerators are odd over 2**33 and already distinct in
+    their fractional parts.
     """
     rng = random.Random(seed ^ 0x60D6E7)
-    den = sample.r_den
-    r_clear = den % 2 == 0 and not _frac_colliders(sample.r_nums, den).any()
-    if r_clear:
-        gadget_nums = _int_array([int(w * den) for w in GADGET_WS], den)
-        r_nums = np.concatenate((sample.r_nums, gadget_nums))
-    else:
-        r_nums, den = _common_den([*_redrawn_fractions(sample, rng), *GADGET_WS])
+    den = math.lcm(sample.r_den, 2)
+    r_nums = sample.r_nums
+    if den != sample.r_den:
+        r_nums = _int_array([2 * n for n in r_nums.tolist()], den)
+    r_clear = not _frac_colliders(r_nums, den).any()
+    if not r_clear:
+        r_nums, den = _redrawn_fractions(r_nums, den, sample.window, rng)
+    gadget_nums = _int_array([h * (den // 2) for h in _GADGET_HALVES], den)
+    r_nums = np.concatenate((r_nums, gadget_nums))
 
     n_u, dim = len(sample.u_points), sample.u_ball.dim
     u_points = [*sample.u_points, zero_vec(dim)]  # the gadget fibre's, last in the combined order
@@ -694,7 +685,7 @@ def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
             clash = _u_clashes(sample.u_ball, u_points)
 
     combined = FibredSample(
-        sample.u_ball, tuple(u_points), r_nums, den, (*sample.fibre_sizes, len(GADGET_WS)),
+        sample.u_ball, tuple(u_points), r_nums, den, (*sample.fibre_sizes, len(_GADGET_HALVES)),
         sample.window, sample.seed, integer_exempt_fibres=(n_u,),
     )
     gadget = S0Gadget(combined=combined, gadget_fibre=n_u, gadget_indices=(0, 1, 2, 3))
@@ -769,7 +760,7 @@ def s0_experiment(params: S0Params, trials: int, seed: int, threads: int = 1) ->
     if params.budget < 1:  # bf_run checks it too, but only runs on agreeing trials
         raise OutOfDomain("budget must be >= 1")
     # FibreGraph checks it too, but only after a trial has drawn its sample.
-    _check_coin_indices(Q(params.p), params.n_u * params.fibre_n + len(GADGET_WS))
+    _check_coin_indices(Q(params.p), params.n_u * params.fibre_n + len(_GADGET_HALVES))
     seeds = [_derive_seed(seed, t) for t in range(trials)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor

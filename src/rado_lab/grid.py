@@ -5,7 +5,7 @@ offset below 2**21 plus a uniform even step.  `random_graphs` draws these
 numerators one at a time as Python ints; the fibred sampler draws its
 R-numerators in bulk through `grid_nums`, and keeps them as integers.  A
 fibred sample compares fractional parts as integers over its own
-denominator; `frac_key` gives one rational's, exactly, on the grid or off it.
+denominator: a numerator modulo it.
 
 This module alone reads the generator's own 32-bit words (`_next_words`).
 `randrange(b)` for b below 2**32 takes the top b.bit_length() bits of one
@@ -252,13 +252,3 @@ def _composed_swaps(j: np.ndarray) -> np.ndarray:
 def grid_max_num(width: Q) -> int:
     """The largest grid numerator in a window [0, width]."""
     return math.floor(width * DEN)
-
-
-def frac(x: Q) -> Q:
-    return x - math.floor(x)
-
-
-def frac_key(x: Q) -> tuple[int, int]:
-    """(numerator, denominator) of frac(x), from integers only."""
-    n, d = x.as_integer_ratio()
-    return n % d, d

@@ -13,7 +13,6 @@ i < j in row-major order, from `unit_graph` through the audits to disk.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ import numpy as np
 
 from .decomposition import LinfDecomposition
 from .errors import IndexOutOfRange, OutOfDomain, WindowTooSmall
-from .geometry import PolytopeBall, norm_projections, projection_distances
+from .geometry import PolytopeBall, integer_coordinates, norm_projections, projection_distances
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py wraps random_graphs.norm)
 from .grid import DEN, draw_odd, grid_max_num, grid_num, randbelow
 from .linalg import Vec
@@ -80,8 +79,7 @@ def sample_typical_points(
         raise OutOfDomain("need n >= 1 and window > 0")
     rng = random.Random(seed)
     max_num = grid_max_num(window)
-    c = math.lcm(*(x.denominator for row in decomposition.basis_inverse for x in row))
-    rows = [[int(x * c) for x in row] for row in decomposition.basis_inverse]
+    rows, c = integer_coordinates(decomposition.basis_inverse)
     k, mod = len(decomposition.u_basis), c * DEN
     accepted: list[tuple[int, ...]] = []
     linf_keys: list[set[int]] = [set() for _ in range(decomposition.d_inf)]

@@ -33,7 +33,7 @@ from rado_lab.errors import (
     CrossCheckFailure, DimensionMismatch, IndexOutOfRange, OutOfDomain, WindowTooSmall,
 )
 from rado_lab.geometry import cube_ball, hexagon_ball, norm
-from rado_lab.grid import draw_odd, frac_key, grid_num, grid_nums
+from rado_lab.grid import draw_odd, grid_num, grid_nums
 from rado_lab.linalg import vsub
 from rado_lab.step_isometry import apply_linf, random_step_isometry
 
@@ -195,16 +195,6 @@ class TestSeedStream:
         assert c.integer_exempt_fibres == (gadget_fibre,)
         assert list(zip(c.fibre_of, c.w_of)) == ref_flat_order(c.fibres, seed, gadget_fibre)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.fractions())
-    @example(Q(-7, 3))
-    @example(Q(-2))
-    @example(Q(5, 2))
-    @example(Q(2 ** 40 + 1, 2 ** 33))
-    def test_frac_key_is_the_reduced_fractional_part(self, x):
-        f = frac(x)
-        assert frac_key(x) == (f.numerator, f.denominator)
-
     def test_r_components_dedupe_on_the_fractional_part(self, monkeypatch):
         # Window 2 holds num and num + 2**33, which share a fractional part.
         # Scripted (odd index, step) draws: one U-point (0, 3), then
@@ -258,8 +248,8 @@ class TestSeedStream:
         got = gadget.combined.fibres[:-1]
         assert got == ref_gadget_fractions(fibres, s.window, 37)
         assert got[0][1] == Q(1, 3) and got[1][1] == s.fibres[1][1]
-        assert frac_key(got[0][0]) not in {(0, 1), (1, 2), (1, 3)}
-        assert frac_key(got[1][0]) not in {(0, 1), (1, 2), (1, 3)}
+        assert frac(got[0][0]) not in {Q(0), Q(1, 2), Q(1, 3)}
+        assert frac(got[1][0]) not in {Q(0), Q(1, 2), Q(1, 3)}
         audit_gadget(gadget)
 
     def test_gadget_audit_sees_an_off_grid_integer_difference(self):
@@ -501,7 +491,7 @@ class TestFibreGraph:
         g = FibreGraph(s, Q(1), seed=6, tag=0)
         for i in range(s.n_points):
             for j in range(i + 1, s.n_points):
-                assert g.adjacent(i, j) == g.distance_lt_1(i, j)
+                assert g.adjacent(i, j) == (g.sample.floors(i, [j])[0] == 0)
 
     def test_coins_are_deterministic_and_symmetric(self):
         s = make_fibred_sample(U1, 6, 4, Q(1), seed=7)
@@ -555,8 +545,7 @@ class TestFibreGraph:
             for j in range(s.n_points):
                 du = norm(s.u_ball, vsub(s.u_points[s.fibre_of[i]], s.u_points[s.fibre_of[j]]))
                 want = math.floor(max(du, abs(s.w_of[i] - s.w_of[j])))
-                assert g.distance_floor(i, j) == want
-                assert g.distance_lt_1(i, j) == (want == 0)
+                assert g.sample.floors(i, [j])[0] == want
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -578,8 +567,7 @@ class TestFibreGraph:
         for i in range(n):
             want = [ref_floor(s, i, j) for j in range(n)]
             assert s.floors(i, np.arange(n)).tolist() == want
-            assert [g.distance_floor(i, j) for j in range(n)] == want
-            assert [g.distance_lt_1(i, j) for j in range(n)] == [f == 0 for f in want]
+            assert [g.sample.floors(i, [j])[0] for j in range(n)] == want
             assert not g.adjacent(i, i)
 
     def test_distinct_tags_are_independent_graphs(self):
@@ -590,7 +578,7 @@ class TestFibreGraph:
             a.adjacent(i, j) != b.adjacent(i, j)
             for i in range(60)
             for j in range(i + 1, 60)
-            if a.distance_lt_1(i, j)
+            if a.sample.floors(i, [j])[0] == 0
         )
         assert diff > 0
 
@@ -626,9 +614,12 @@ class TestBfStep:
             bf_step(g, g, state, 0, "forward")
 
 
-def _reference_interval(pairs, t, invert):
-    """The image interval with the pairs read as (image, domain) if invert."""
-    view = [(b, a) for a, b in pairs] if invert else list(pairs)
+def _reference_interval(pairs, dens, t, invert):
+    """The image interval for a new fraction t, in Fractions: the pairs'
+    numerators are over dens, g's and g2's, and read as (image, domain) if
+    invert."""
+    view = [(Q(a, dens[0]), Q(b, dens[1])) for a, b in pairs]
+    view = [(b, a) for a, b in view] if invert else view
     lo, hi = Q(0), Q(1)
     pos = bisect_left(view, (t, Q(-1)))
     if pos > 0:
@@ -651,14 +642,15 @@ def _reference_bf_step(g, g2, state, vertex, direction):
     w = s_dom.w_of[vertex]
     fibre = s_dom.fibre_of[vertex]
     t = frac(w)
-    lo, hi = _reference_interval(state.frac_pairs, t, invert=not forward)
+    dens = (g.sample.r_den, g2.sample.r_den)
+    lo, hi = _reference_interval(state.frac_pairs, dens, t, invert=not forward)
     want_floor = None
     if state.cell_shift is not None:
         want_floor = math.floor(w) + (state.cell_shift if forward else -state.cell_shift)
     constraints = []
     for a, b in state.fwd.items():
         da, ib = (a, b) if forward else (b, a)
-        if dom.distance_lt_1(vertex, da):
+        if s_dom.floors(vertex, [da])[0] == 0:
             constraints.append((ib, dom.adjacent(vertex, da)))
     found_in_interval = False
     for cand in s_img.fibre_members(fibre):
@@ -672,11 +664,17 @@ def _reference_bf_step(g, g2, state, vertex, direction):
             continue
         found_in_interval = True
         if all(img.adjacent(cand, other) == wanted for other, wanted in constraints):
+            pair = _split(w, s_dom.r_den), _split(wc, s_img.r_den)
             if forward:
-                return state._with_pair(vertex, cand, w, wc)
-            return state._with_pair(cand, vertex, wc, w)
+                return state._with_pair(vertex, cand, *pair)
+            return state._with_pair(cand, vertex, *pair[::-1])
     kind = "adjacency_unsatisfiable" if found_in_interval else "no_candidate_in_interval"
     return BlockReason(kind=kind, vertex=vertex, direction=direction)
+
+
+def _split(w, den):
+    """(floor(w), frac(w) * den): an R-component as `PartialIso._with_pair` takes it."""
+    return math.floor(w), int(frac(w) * den)
 
 
 def _outcome(step, *args):
@@ -758,28 +756,31 @@ class TestOrientation:
                 state = got
                 _assert_mirror_is_an_involution(state)
 
-    @pytest.mark.parametrize("pair, want", [
-        # (0, 1/3): the grid point just below 1/3 is in, the one above is out.
-        ((Q(1, 2), Q(1, 3)), Q(grid.DEN // 3, grid.DEN)),
-        # (2/3, 1): the grid point just above 2/3 is in, the one below is out.
-        ((Q(1, 8), Q(2, 3)), Q(2 * grid.DEN // 3 + 1, grid.DEN)),
+    @pytest.mark.parametrize("w, pairs, cand, matched", [
+        # One matched pair 1/2 -> 1/3, numerators over 4 and 3 (over 6 for 1/6).
+        (Q(1, 4), ((2, 1),), Q(1, 3), False),  # the interval (0, 1/3) is open at 1/3
+        (Q(1, 4), ((2, 2),), Q(1, 6), True),
+        (Q(3, 4), ((2, 1),), Q(1, 3), False),  # the interval (1/3, 1) is open at 1/3
+        (Q(3, 4), ((2, 1),), Q(2, 3), True),
+        # No pair: the interval (0, 1), open at the virtual end 0.
+        (Q(1, 4), (), Q(1), False),
+        (Q(1, 4), (), Q(2, 3), True),  # the numerator den - 1 lies inside
     ])
-    def test_interval_ends_off_the_image_grid(self, pair, want):
-        # An image fraction with a denominator of 3 ends the open interval
-        # between two adjacent grid points: t / den lies in (lo, hi) exactly
-        # when floor(lo * den) < t < ceil(hi * den).
-        end = pair[1] * grid.DEN
-        near_end = [Q(math.floor(end), grid.DEN), Q(math.ceil(end), grid.DEN)]
-        dom = FibreGraph(FibredSample.from_fibres(U1, [(Q(2),)], [[Q(1, 4)]], Q(1), 0), Q(1), 0)
-        img = FibreGraph(FibredSample.from_fibres(U1, [(Q(2),)], [near_end], Q(1), 0), Q(1), 0)
-        state = PartialIso(frac_pairs=(pair,))
+    def test_interval_is_open_at_both_ends(self, w, pairs, cand, matched):
+        def graph(r):
+            return FibreGraph(FibredSample.from_fibres(U1, [(Q(2),)], [[r]], Q(1), 0), Q(1), 0)
+
+        dom, img = graph(w), graph(cand)
+        state = PartialIso(frac_pairs=pairs)
         got = bf_step(dom, img, state, 0, FORWARD)
         assert _fields(got) == _fields(_reference_bf_step(dom, img, state, 0, FORWARD))
-        assert img.sample.w(got.fwd[0]) == want
+        assert isinstance(got, PartialIso) == matched
+        if not matched:
+            assert got.kind == "no_candidate_in_interval"
 
     def test_mirror_keeps_a_zero_shift_and_negates_others(self):
         for shift in (None, 0, 2, -1):
-            state = PartialIso({3: 5}, {5: 3}, ((Q(1, 4), Q(1, 3)),), shift)
+            state = PartialIso({3: 5}, {5: 3}, ((3, 4),), shift)
             _assert_mirror_is_an_involution(state)
         assert PartialIso(cell_shift=0).mirror().cell_shift == 0
 
@@ -827,6 +828,26 @@ class TestBfRun:
             completed += rep.blocked is None
         assert completed >= 9
 
+    def test_steps_and_audits_build_no_fraction(self, monkeypatch):
+        gadget = attach_s0_gadget(make_fibred_sample(U1, 20, 10, Q(1), seed=43), seed=43)
+        s = gadget.combined
+        g, g2 = FibreGraph(s, Q(1, 2), 43, tag=0), FibreGraph(s, Q(1, 2), 43, tag=1)
+
+        def no_fraction(*args):
+            raise AssertionError("back_forth built a Fraction")
+
+        monkeypatch.setattr(back_forth, "Q", no_fraction)
+        state = initial_identity(s, gadget.gadget_indices)
+        # 0 and 1 share the fraction 0, 3/2 and 5/2 the fraction 1/2.
+        assert (state.frac_pairs, state.cell_shift) == (((0, 0), (s.r_den // 2, s.r_den // 2)), 0)
+        rep = bf_run(g, g2, budget=20, seed=43, initial=state)
+        assert rep.steps_attempted > 1
+        audit_state(g, g2, state)
+        for direction in (FORWARD, BACKWARD):
+            got = bf_step(g, g2, state, 4, direction)
+            if isinstance(got, PartialIso):
+                audit_state(g, g2, got, 4 if direction == FORWARD else got.bwd[4])
+
     def test_density_response(self):
         # Completion capability rises with fibre density, in aggregate.
         low = high = 0
@@ -868,34 +889,35 @@ class TestPartialIsoInvariants:
             audit_state(a, b, state)
         assert state.matched >= 10
 
+    # R-components as `_with_pair` takes them, (cell, numerator) over 120.
     def test_shift_consistency_enforced(self):
         state = PartialIso()
-        state = state._with_pair(0, 0, Q(1, 3), Q(4, 3))  # shift 1
+        state = state._with_pair(0, 0, (0, 40), (1, 40))  # 1/3 to 4/3: shift 1
         with pytest.raises(CrossCheckFailure):
-            state._with_pair(1, 1, Q(1, 2), Q(1, 2))  # shift 0
+            state._with_pair(1, 1, (0, 60), (0, 60))  # 1/2 to 1/2: shift 0
 
     @pytest.mark.parametrize("w, w_img", [
-        (Q(1, 3), Q(1, 3)),  # after (1/4, 1/2): its image falls below 1/2
-        (Q(1, 4), Q(3, 5)),  # ties the left neighbour's fraction 1/4
-        (Q(1, 5), Q(3, 4)),  # before (1/4, 1/2): its image rises above 1/2
-        (Q(1, 2), Q(7, 8)),  # before (3/4, 5/6): its image rises above 5/6
+        ((0, 40), (0, 40)),  # 1/3, after (1/4, 1/2): its image falls below 1/2
+        ((0, 30), (0, 72)),  # 1/4 to 3/5 ties the left neighbour's fraction 1/4
+        ((0, 24), (0, 90)),  # 1/5, before (1/4, 1/2): its image 3/4 rises above 1/2
+        ((0, 60), (0, 105)),  # 1/2, before (3/4, 5/6): its image 7/8 rises above 5/6
     ])
     def test_new_pair_out_of_order_with_a_neighbour_refused(self, w, w_img):
-        state = PartialIso()._with_pair(0, 0, Q(1, 4), Q(1, 2))
-        state = state._with_pair(1, 1, Q(3, 4), Q(5, 6))
+        state = PartialIso()._with_pair(0, 0, (0, 30), (0, 60))  # 1/4 to 1/2
+        state = state._with_pair(1, 1, (0, 90), (0, 100))  # 3/4 to 5/6
         with pytest.raises(CrossCheckFailure, match="fraction order"):
             state._with_pair(2, 2, w, w_img)
 
     def test_repeated_pair_kept_once(self):
-        state = PartialIso()._with_pair(0, 0, Q(1, 2), Q(1, 2))._with_pair(1, 1, Q(3, 2), Q(3, 2))
-        assert state.frac_pairs == ((Q(1, 2), Q(1, 2)),)
+        state = PartialIso()._with_pair(0, 0, (0, 60), (0, 60))._with_pair(1, 1, (1, 60), (1, 60))
+        assert state.frac_pairs == ((60, 60),)
 
     def test_full_audit_checks_the_fraction_order(self):
         s = make_fibred_sample(U1, 1, 2, Q(1), seed=3)
         g, g2 = FibreGraph(s, Q(1), seed=3, tag=0), FibreGraph(s, Q(1), seed=3, tag=1)
-        w = sorted(s.w_of)
+        t = sorted((s.w_num % s.r_den).tolist())
         # Built directly, not by `_with_pair`: the two pairs cross.
-        state = PartialIso({0: 0, 1: 1}, {0: 0, 1: 1}, ((w[0], w[1]), (w[1], w[0])), 0)
+        state = PartialIso({0: 0, 1: 1}, {0: 0, 1: 1}, ((t[0], t[1]), (t[1], t[0])), 0)
         audit_state(g, g2, state, vertex=0)  # a vertex audit reads no fractions
         with pytest.raises(CrossCheckFailure, match="fraction order"):
             audit_state(g, g2, state)
@@ -1033,7 +1055,7 @@ class TestGadget:
             (a, b)
             for x, a in enumerate(idx)
             for b in idx[x + 1:]
-            if g.distance_lt_1(a, b)
+            if g.sample.floors(a, [b])[0] == 0
         ]
         assert close == [gadget.potential_edge]
 
@@ -1090,6 +1112,27 @@ class TestGadget:
         # redraw recomputes the U table.
         assert calls["_frac_colliders"] == 2
         assert calls["_u_clashes"] >= 3 if redraw == "u" else calls["_u_clashes"] == 2
+
+    def test_odd_denominator_attaches_without_a_redraw(self, monkeypatch):
+        # Over thirds the gadget's halves need the denominator 6; no
+        # fraction collides, so nothing is redrawn and only the gadget's
+        # own unit pairs are audited after the two checks.
+        s = make_fibred_sample(U1, 2, 1, Q(2), seed=37)
+        fibres = ((Q(1, 3),), (Q(5, 3),))
+        odd = with_fibres(s, fibres)
+        assert odd.r_den == 3
+        calls = self.counted_checks(monkeypatch)
+
+        def no_redraw(*args):
+            raise AssertionError("redrawn")
+
+        monkeypatch.setattr(back_forth, "_redrawn_fractions", no_redraw)
+        gadget = attach_s0_gadget(odd, seed=37)
+        assert calls == {"_u_clashes": 1, "_frac_colliders": 1}
+        c = gadget.combined
+        assert c.fibres[:-1] == fibres and c.r_den == 6
+        assert c.fibres[-1] == (Q(0), Q(1), Q(3, 2), Q(5, 2))
+        audit_gadget(gadget)
 
     def test_resampling_clears_collisions(self):
         # Force a fraction collision with the gadget and check it is cleared.

@@ -1,6 +1,9 @@
-"""`tools/bench_pair.summarize` on synthetic run summaries."""
+"""`tools/bench_pair.summarize` on synthetic run summaries, and where the
+two trees are exported."""
 
 import importlib.util
+import io
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -9,11 +12,16 @@ BENCH_PAIR = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
 
 
 @pytest.fixture(scope="module")
-def summarize():
+def bench_pair():
     spec = importlib.util.spec_from_file_location("bench_pair", BENCH_PAIR)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.summarize
+    return module
+
+
+@pytest.fixture(scope="module")
+def summarize(bench_pair):
+    return bench_pair.summarize
 
 
 def _runs(failed, **metrics):
@@ -57,3 +65,40 @@ def test_all_ties_win_no_pair(summarize):
     assert wall["head_lower_in_pairs"] == 0
     assert wall["base_median"] == wall["head_median"] == 0.75
     assert wall["base_iqr"] == 0.5  # inclusive quartiles 0.5 and 1.0
+
+
+def test_base_and_head_tree_paths_have_equal_length(bench_pair):
+    # The path's length alone moves a run's peak resident set.
+    assert bench_pair.BASE_TREE.parent == bench_pair.HEAD_TREE.parent
+    assert len(str(bench_pair.BASE_TREE)) == len(str(bench_pair.HEAD_TREE))
+
+
+def _tar_of(text):
+    """An archive holding one file, perfbench/run.py, with the given text."""
+    data = text.encode()
+    out = io.BytesIO()
+    with tarfile.open(fileobj=out, mode="w") as tar:
+        info = tarfile.TarInfo("perfbench/run.py")
+        info.size = len(data)
+        tar.addfile(info, io.BytesIO(data))
+    return out.getvalue()
+
+
+def test_base_is_exported_again_when_its_sha_changes(bench_pair, monkeypatch, tmp_path):
+    archives = []
+
+    def git(*args):
+        if args[0] == "rev-parse":
+            return f"{args[2].split('^')[0]}\n".encode()
+        archives.append(args[2])
+        return _tar_of(f"# {args[2]}\n")
+
+    monkeypatch.setattr(bench_pair, "_git", git)
+    monkeypatch.setattr(bench_pair, "BASE_TREE", tmp_path / "base")
+    run_py = tmp_path / "base" / "perfbench" / "run.py"
+    for rev in ("a" * 40, "a" * 40, "b" * 40):
+        (tmp_path / "base" / "stale").mkdir(parents=True, exist_ok=True)
+        assert bench_pair.export_base(rev) == (rev, tmp_path / "base")
+        assert run_py.read_text() == f"# {rev}\n"
+    assert archives == ["a" * 40, "b" * 40]  # the second call reused the first export
+    assert not (tmp_path / "base" / "stale").exists()  # the re-export started afresh
