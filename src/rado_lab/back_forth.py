@@ -206,10 +206,19 @@ def _first_occurrences(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _draw_u_point(rng: random.Random, n_u: int, dim: int) -> Vec:
-    """One U-point of a sample of n_u: uniform on [2, 2 + side)^dim, with the
-    side chosen for density about one per unit volume."""
-    max_num = grid_max_num(Q(max(1, math.ceil(n_u ** (1 / dim)))))
+def _u_side(n_u: int, dim: int) -> int:
+    """The least integer s >= 1 with s**dim >= n_u, by bisection: the side of
+    a U-cube holding n_u points at density about one per unit volume."""
+    lo, hi = 1, max(1, n_u)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid ** dim >= n_u else (mid + 1, hi)
+    return lo
+
+
+def _draw_u_point(rng: random.Random, side: int, dim: int) -> Vec:
+    """One U-point uniform on [2, 2 + side)^dim (side from `_u_side`)."""
+    max_num = grid_max_num(side)
     return tuple(2 + Q(grid_num(rng, max_num, draw_odd(rng)), DEN) for _ in range(dim))
 
 
@@ -232,6 +241,7 @@ def make_fibred_sample(
     window = Q(window)
     rng = random.Random(seed)
     dim = u_ball.dim
+    side = _u_side(n_u, dim)
     u_points: list[Vec] = []
     u_seen: set[Vec] = set()
     attempts = 0
@@ -239,7 +249,7 @@ def make_fibred_sample(
         attempts += 1
         if attempts > 100 * n_u:
             raise WindowTooSmall("could not place distinct U-points")
-        u = _draw_u_point(rng, n_u, dim)
+        u = _draw_u_point(rng, side, dim)
         if u in u_seen:
             continue
         u_seen.add(u)
@@ -378,8 +388,16 @@ def _check_fraction_order(pairs: Sequence[tuple[int, int]]) -> None:
             raise CrossCheckFailure("fraction order not strictly increasing")
 
 
+def _check_vertices(sample: FibredSample, indices: Sequence[int]) -> None:
+    """Refuse flat indices outside [0, n_points), which numpy would wrap or reject."""
+    bad = [i for i in indices if not 0 <= i < sample.n_points]
+    if bad:
+        raise IndexOutOfRange(f"vertex {bad[0]} outside [0, {sample.n_points})")
+
+
 def initial_identity(sample: FibredSample, indices: Sequence[int]) -> PartialIso:
     """Identity partial map on the given flat indices (e.g. the S0 gadget)."""
+    _check_vertices(sample, indices)
     state = PartialIso()
     for i in indices:
         w = divmod(int(sample.w_num[i]), sample.r_den)
@@ -405,6 +423,8 @@ def bf_step(
     """
     if direction == FORWARD:
         return _extend(g, g2, state, vertex, direction)
+    if direction != BACKWARD:
+        raise OutOfDomain(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
     got = _extend(g2, g, state.mirror(), vertex, direction)
     return got if isinstance(got, BlockReason) else got.mirror()
 
@@ -423,9 +443,10 @@ def _extend(
     agree automatically.  The range test and the candidate filter run on
     whole arrays of integer numerators.
     """
+    s_dom, s_img = dom.sample, img.sample
+    _check_vertices(s_dom, [vertex])
     if vertex in state.fwd:
         raise OutOfDomain(f"vertex {vertex} already matched")
-    s_dom, s_img = dom.sample, img.sample
     den = s_img.r_den
     w = divmod(int(s_dom.w_num[vertex]), s_dom.r_den)
     lo, hi = _interval(state.frac_pairs, w[1], den)
@@ -458,19 +479,24 @@ def audit_state(
 ) -> None:
     """Exact partial-isomorphism and step-isometry audit of matched pairs.
 
-    With vertex=None every matched pair is checked (O(m^2)), and so is the
-    whole fraction order; given a matched domain vertex, only the m - 1
-    pairs that contain it.  A stage adds only the pairs of its new vertex
-    and keeps every old image, and coins and U-distances are deterministic,
-    so auditing the start in full and then each new vertex checks every
-    pair of every stage exactly once; `PartialIso._with_pair` checks each
-    new fraction pair against its two neighbours.  Each vertex is compared
-    with its partners in one array pass per predicate; the first
-    disagreeing pair is reported, with edges checked before floors.
-    Violations are implementation bugs; the construction is supposed to
-    make both properties invariant.
+    With vertex=None every matched pair is checked (O(m^2)), and so are the
+    whole fraction order, ``bwd`` as the inverse of an injective ``fwd`` and
+    every index's range; given a matched domain vertex, only the m - 1 pairs
+    that contain it.  A stage adds only the pairs of its new vertex and keeps
+    every old image, and coins and U-distances are deterministic, so auditing
+    the start in full and then each new vertex checks every pair of every stage
+    exactly once; `PartialIso._with_pair` checks each new fraction pair against
+    its two neighbours.  Each vertex is compared with its partners in one array
+    pass per predicate; the first disagreeing pair is reported, with edges
+    checked before floors.  Violations are implementation bugs; the
+    construction is supposed to make both properties invariant.
     """
     if vertex is None:
+        inverse = {j: i for i, j in state.fwd.items()}
+        if len(inverse) != len(state.fwd) or inverse != state.bwd:
+            raise CrossCheckFailure("bwd is not the inverse of an injective fwd")
+        _check_vertices(g.sample, state.fwd)
+        _check_vertices(g2.sample, state.bwd)
         _check_fraction_order(state.frac_pairs)
         dom_pts, img_pts = _matched_arrays(dict(sorted(state.fwd.items())))
         rows = (
@@ -545,10 +571,7 @@ def bf_run(
             vertex += 1
         cursors[side] = vertex
         if vertex == sizes[side]:
-            if state.matched >= min(sizes):
-                break
-            side ^= 1
-            continue
+            break  # this side is all matched, so, as bwd inverts fwd, min(sizes) pairs are
         steps += 1
         got = bf_step(g, g2, state, vertex, BACKWARD if side else FORWARD)
         if isinstance(got, BlockReason):
@@ -675,13 +698,14 @@ def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
     u_points = [*sample.u_points, zero_vec(dim)]  # the gadget fibre's, last in the combined order
     clash = _u_clashes(sample.u_ball, u_points)
     redrawn = not r_clear or clash.any()
+    side = _u_side(n_u, dim)
     for f in range(n_u):
         attempts = 0
         while clash[f]:
             attempts += 1
             if attempts > 200:
                 raise WindowTooSmall("cannot avoid unit U-distances")
-            u_points[f] = _draw_u_point(rng, n_u, dim)
+            u_points[f] = _draw_u_point(rng, side, dim)
             clash = _u_clashes(sample.u_ball, u_points)
 
     combined = FibredSample(
@@ -752,7 +776,7 @@ def s0_run_trial(params: S0Params, trial_seed: int) -> tuple[bool, bool | None]:
     return True, report.blocked is None
 
 
-def s0_experiment(params: S0Params, trials: int, seed: int, threads: int = 1) -> S0Result:
+def s0_experiment(params: S0Params, trials: int, seed: int) -> S0Result:
     """Agreement frequency of the gadget edge and the conditional completion rate."""
     if not 1 <= trials <= _SEED_STRIDE:
         # Trial seeds of (seed, _SEED_STRIDE) and (seed + 1, 0) would coincide.
@@ -761,14 +785,7 @@ def s0_experiment(params: S0Params, trials: int, seed: int, threads: int = 1) ->
         raise OutOfDomain("budget must be >= 1")
     # FibreGraph checks it too, but only after a trial has drawn its sample.
     _check_coin_indices(Q(params.p), params.n_u * params.fibre_n + len(_GADGET_HALVES))
-    seeds = [_derive_seed(seed, t) for t in range(trials)]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(s0_run_trial, [params] * trials, seeds))
-    else:
-        outcomes = [s0_run_trial(params, s) for s in seeds]
+    outcomes = [s0_run_trial(params, _derive_seed(seed, t)) for t in range(trials)]
     rows = tuple((t, a, c) for t, (a, c) in enumerate(outcomes))
     agreements = sum(1 for _, a, _ in rows if a)
     conditional = [c for _, a, c in rows if a]

@@ -2,15 +2,13 @@
 
 Every run is reproducible byte for byte: all parameters are exact
 rationals (floats are refused), every sampler is seeded, and outputs are
-emitted with sorted keys.  RADO_LAB_THREADS caps trial parallelism for
-the Monte Carlo experiments; the default of 1 runs everything inline.
+emitted with sorted keys.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -341,17 +339,6 @@ def _run_bf(opts: dict) -> int:
     return 0
 
 
-def _threads() -> int:
-    raw = os.environ.get("RADO_LAB_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise OutOfDomain(f"RADO_LAB_THREADS must be an integer >= 1, got {raw!r}")
-    return threads
-
-
 def _run_s0(opts: dict) -> int:
     params = back_forth.S0Params(
         u_ball=cube_ball(1),
@@ -361,9 +348,7 @@ def _run_s0(opts: dict) -> int:
         budget=opts["budget"],
         p=opts["p"],
     )
-    result = back_forth.s0_experiment(
-        params, opts["trials"], opts["seed"], threads=_threads()
-    )
+    result = back_forth.s0_experiment(params, opts["trials"], opts["seed"])
     lines = ["trial,agreed,bf_completed"]
     for trial, agreed, completed in result.rows:
         lines.append(

@@ -163,7 +163,6 @@ def is_linf_direction(ball: PolytopeBall, x: Vec) -> LinfDirection | LinfRejecti
     """
     if norm(ball, x) != 1:
         raise NotUnitNorm(f"{x} does not have norm 1")
-    vset = set(ball.vertices)
     unused = set(ball.vertices)
     two_x = vscale(2, x)
     pairs: list[tuple[Vec, Vec]] = []
@@ -172,7 +171,7 @@ def is_linf_direction(ball: PolytopeBall, x: Vec) -> LinfDirection | LinfRejecti
             continue
         partner = None
         for cand in (vsub(v, two_x), vadd(v, two_x)):
-            if cand in vset and cand in unused and cand != v:
+            if cand in unused:
                 partner = cand
                 break
         if partner is None:

@@ -95,12 +95,10 @@ def simplex_min(c: Sequence[Q], a: Sequence[Sequence[Q]], b: Sequence[Q]) -> LpR
 
     # Unit columns can serve as the initial basis for their row.
     basis = [-1] * m
-    claimed: set[int] = set()
     for j in range(n):
         nz = [i for i in range(m) if rows[i][j] != 0]
-        if len(nz) == 1 and rows[nz[0]][j] == 1 and basis[nz[0]] == -1 and j not in claimed:
+        if len(nz) == 1 and rows[nz[0]][j] == 1 and basis[nz[0]] == -1:
             basis[nz[0]] = j
-            claimed.add(j)
     art_rows = [i for i in range(m) if basis[i] == -1]
     width = n + len(art_rows)
     tableau = [rows[i] + [Q(0)] * len(art_rows) + [rhs[i]] for i in range(m)]

@@ -173,6 +173,20 @@ def ref_gadget_fractions(fibres, window, seed):
     return tuple(map(tuple, fibres))
 
 
+class TestUSide:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_least_side_holding_n_u(self, dim):
+        for n_u in [*range(1, 300), 2 ** 20, 2 ** 20 + 1, 10 ** 12, 3 ** 40 - 1, 3 ** 40]:
+            side = back_forth._u_side(n_u, dim)
+            assert side >= 1 and side ** dim >= n_u
+            assert side == 1 or (side - 1) ** dim < n_u
+
+    def test_exact_where_the_float_root_falls_short(self):
+        n_u = 2 ** 52 + 1  # 8192**4 == 2**52, one short
+        assert math.ceil(n_u ** (1 / 4)) == 8192
+        assert back_forth._u_side(n_u, 4) == 8193
+
+
 class TestSeedStream:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -613,6 +627,27 @@ class TestBfStep:
         with pytest.raises(ValueError):
             bf_step(g, g, state, 0, "forward")
 
+    def test_unknown_direction_refused(self):
+        s = make_fibred_sample(U1, 3, 2, Q(1), seed=14)
+        g = FibreGraph(s, Q(1), seed=14, tag=0)
+        with pytest.raises(OutOfDomain, match="direction"):
+            bf_step(g, g, PartialIso(), 0, "sideways")
+
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    @pytest.mark.parametrize("vertex", [-1, 6])
+    def test_out_of_range_vertex_refused(self, vertex, direction):
+        # -1 would alias the last point under its own key; 6 is n_points.
+        s = make_fibred_sample(U1, 3, 2, Q(1), seed=14)
+        g = FibreGraph(s, Q(1), seed=14, tag=0)
+        with pytest.raises(IndexOutOfRange, match=f"vertex {vertex} "):
+            bf_step(g, g, PartialIso(), vertex, direction)
+
+    @pytest.mark.parametrize("indices", [[-2], [0, 6]])
+    def test_initial_identity_refuses_out_of_range_indices(self, indices):
+        s = make_fibred_sample(U1, 3, 2, Q(1), seed=14)
+        with pytest.raises(IndexOutOfRange):
+            initial_identity(s, indices)
+
 
 def _reference_interval(pairs, dens, t, invert):
     """The image interval for a new fraction t, in Fractions: the pairs'
@@ -1032,6 +1067,34 @@ class TestAuditState:
             bf_run(g, g2, budget=5, seed=41)
         assert steps == ["forward", "backward"]
 
+    def test_bf_run_refuses_a_non_injective_start_before_any_step(self, monkeypatch):
+        # 0 and 12 both map to 7.  Pairwise, the audit would compare 7 with
+        # itself (no edge, floor 0) and pass, so only the inverse check sees it.
+        s = make_fibred_sample(U1, 5, 4, Q(1), seed=3)
+        g, g2 = FibreGraph(s, Q(1, 2), 3, tag=0), FibreGraph(s, Q(1, 2), 3, tag=1)
+        assert s.floors(0, [12])[0] == 0 and not g.adjacent(0, 12)
+
+        def no_step(*args):
+            raise AssertionError("bf_step ran before the initial audit")
+
+        monkeypatch.setattr(back_forth, "bf_step", no_step)
+        with pytest.raises(CrossCheckFailure, match="inverse"):
+            bf_run(g, g2, budget=5, seed=3, initial=PartialIso({0: 7, 12: 7}, {7: 12}))
+
+    @pytest.mark.parametrize("bwd", [{7: 0}, {7: 0, 8: 2}, {7: 0, 8: 1, 5: 2}])
+    def test_full_audit_refuses_bwd_other_than_the_inverse(self, bwd):
+        s, g, g2 = self.graphs_disagreeing_on((2, 6))
+        with pytest.raises(CrossCheckFailure, match="inverse"):
+            audit_state(g, g, PartialIso({0: 7, 1: 8}, bwd))
+
+    @pytest.mark.parametrize("pair", [(-1, 8), (0, 9)])
+    def test_full_audit_refuses_an_out_of_range_index(self, pair):
+        # Index -1 would alias point 8, the last of the 9.
+        s, g, g2 = self.graphs_disagreeing_on((2, 6))
+        i, j = pair
+        with pytest.raises(IndexOutOfRange):
+            audit_state(g, g, PartialIso({i: j}, {j: i}))
+
     def test_unmatched_vertex_rejected(self):
         s, g, g2 = self.graphs_disagreeing_on((2, 6))
         with pytest.raises(OutOfDomain):
@@ -1153,11 +1216,6 @@ class TestS0Experiment:
         assert len(res.rows) == 8
         for t, agreed, completed in res.rows:
             assert (completed is None) == (not agreed)
-
-    def test_process_pool_matches_inline(self):
-        params = S0Params(u_ball=U1, n_u=40, fibre_n=1, window=Q(1), budget=25, p=Q(1, 2))
-        inline = s0_experiment(params, trials=4, seed=91)
-        assert s0_experiment(params, trials=4, seed=91, threads=2) == inline
 
     def test_trial_seed_collision_refused_before_any_trial(self, monkeypatch):
         # Trial 1_000_003 of seed s would reuse trial 0 of seed s + 1.
