@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import chain
@@ -97,14 +98,16 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     return ExperimentConfig(subcommand=ns.subcommand, options=options)
 
 
-def _emit(text: str, out: str | None) -> None:
-    """`text` to stdout, or to the file `out`; one that cannot be written raises `BadFile`."""
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """`text`, or each of its pieces in turn, to stdout, or to the file `out`;
+    one that cannot be written raises `BadFile`."""
+    pieces = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise BadFile(f"{out}: {type(exc).__name__}: {exc}") from exc
 
@@ -169,57 +172,76 @@ def graph_to_json(g: random_graphs.GeomGraph) -> dict:
     return {**_graph_fields(g), "edges": g.edges.tolist()}
 
 
-_EDGE = "  [\n   %d,\n   %d\n  ]"  # one edge row as `_json_text` indents it
-_EDGE_ROWS = 1 << 14  # edges formatted per %-operation
-
-
-def graph_text(g: random_graphs.GeomGraph) -> str:
-    """The graph file, byte for byte `_json_text(graph_to_json(g))`.
-
-    The edge block comes from the fixed `_EDGE` template, formatted from
-    the int64 array a chunk of rows at a time, instead of through the
-    pure-Python indenting JSON encoder and a list of every pair.
-    """
-    text = _json_text({**_graph_fields(g), "edges": []})
-    if not len(g.edges):
-        return text
-    head, tail = text.split('\n "edges": []', 1)  # a one-space indent is top level
-    rows = [
-        ",\n".join([_EDGE] * len(chunk)) % tuple(chunk.ravel().tolist())
-        for chunk in np.split(g.edges, range(_EDGE_ROWS, len(g.edges), _EDGE_ROWS))
-    ]
-    return "".join([head, '\n "edges": [\n', ",\n".join(rows), "\n ]", tail])
-
-
 _EDGES_OPEN, _EDGES_CLOSE = b'\n "edges": [\n', b"\n ]"
-_EDGE_SKELETON = _EDGE.replace("%d", "").encode()
+_EDGE_ROW = b"  [\n   %b,\n   %b\n  ],\n"  # a row and its separator, as `_json_text` indents them
+_ROW_SKELETON, _ROW_SEAM = _EDGE_ROW % (b"", b""), b"\n  ],\n"  # a seam ends all rows but the last
+_EDGE_ROWS = 1 << 14  # edges written per chunk
+_READ_BYTES = 1 << 19  # bytes of the edges block read per chunk, up to the next row seam
 _TO_SPACES = bytes.maketrans(b"[],\n", b"    ")
 
 
-def _edge_block(block: bytes) -> np.ndarray | None:
-    """The (E, 2) int64 array of an edges block in `graph_text`'s layout, else None.
+def graph_chunks(g: random_graphs.GeomGraph) -> Iterator[str]:
+    """The graph file, byte for byte `_json_text(graph_to_json(g))`, in pieces: the
+    text up to the edge rows, the rows `_EDGE_ROWS` edges at a time, then the rest.
+    A chunk is one fixed-width `_EDGE_ROW` template per edge in numpy, both indices
+    written right-aligned into its NUL runs digit by digit, then the NULs squeezed out.
+    """
+    text = _json_text({**_graph_fields(g), "edges": []})
+    if not len(g.edges):
+        yield text
+        return
+    head, tail = text.split('\n "edges": []', 1)  # a one-space indent is top level
+    yield head + _EDGES_OPEN.decode()
+    width = len(str(g.edges.max()))
+    template = np.frombuffer(_EDGE_ROW % ((b"\0" * width,) * 2), dtype=np.uint8)
+    ends = np.flatnonzero(template == 0)[width - 1 :: width]  # each index's last digit
+    for at in range(0, len(g.edges), _EDGE_ROWS):
+        chunk = g.edges[at : at + _EDGE_ROWS]
+        rows = np.tile(template, (len(chunk), 1))
+        for k in range(width):  # digit k from the right, and NUL past the leading one
+            rows[:, ends - k] = np.where((chunk > 0) | (k == 0), chunk % 10 + 48, 0)
+            chunk = chunk // 10
+        text = rows[rows != 0].tobytes().decode()
+        yield text if at + _EDGE_ROWS < len(g.edges) else text[: -len(",\n")]
+    yield _EDGES_CLOSE.decode() + tail
 
-    The block must be `_EDGE` rows with nonempty digit runs in place of
-    each %d, written as JSON writes integers: no leading zero, which the
-    digit count of the values checks, and below 10**18, so that no run
+
+def _edge_block(data: bytes, start: int, stop: int) -> np.ndarray | None:
+    """The (E, 2) int64 array of the edges block `data[start:stop]` in
+    `graph_chunks`' layout, else None; E is the block's `[` count.
+
+    The block is read about `_READ_BYTES` at a time, each chunk cut just after
+    a `_ROW_SEAM`, into one preallocated array.  A chunk must be `_EDGE_ROW`s (so
+    one `[` per row; the block's last row has no separator) with nonempty digit
+    runs in place of each %b, written as JSON writes integers: no leading zero,
+    which the digit count of the values checks, and below 10**18, so that no run
     saturates numpy's int64 parse.
     """
-    skeleton = block.translate(None, b"0123456789")
-    rows, rest = divmod(len(skeleton) + 2, len(_EDGE_SKELETON) + 2)
-    if rest or skeleton != _EDGE_SKELETON + (b",\n" + _EDGE_SKELETON) * (rows - 1):
-        return None
-    values = np.fromstring(block.translate(_TO_SPACES), dtype=np.int64, sep=" ")
-    if len(values) != 2 * rows or values.max() >= 10 ** 18:
-        return None
-    digits, power = len(values), 10
-    while power <= values.max():
-        digits += int(np.count_nonzero(values >= power))
-        power *= 10
-    return values.reshape(rows, 2) if digits == len(block) - len(skeleton) else None
+    edges, row = np.empty((data.count(b"[", start, stop), 2), dtype=np.int64), 0
+    while start < stop:
+        cut = data.find(_ROW_SEAM, min(start + _READ_BYTES, stop), stop)
+        cut = stop if cut < 0 else cut + len(_ROW_SEAM)
+        chunk = data[start:cut] + (b",\n" if cut == stop else b"")
+        skeleton = chunk.translate(None, b"0123456789")
+        rows = len(skeleton) // len(_ROW_SKELETON)
+        if skeleton != _ROW_SKELETON * rows:
+            return None
+        values = np.fromstring(chunk.translate(_TO_SPACES), dtype=np.int64, sep=" ")
+        if len(values) != 2 * rows or values.max() >= 10 ** 18:
+            return None
+        digits, power = len(values), 10
+        while power <= values.max():
+            digits += int(np.count_nonzero(values >= power))
+            power *= 10
+        if digits != len(chunk) - len(skeleton):
+            return None
+        edges[row : row + rows] = values.reshape(rows, 2)
+        row, start = row + rows, cut
+    return edges if row == len(edges) > 0 else None
 
 
 def _graph_json(data: bytes):
-    """The graph file's JSON document, with an edges block in `graph_text`'s
+    """The graph file's JSON document, with an edges block in `graph_chunks`'
     layout read by `_edge_block` into an int64 array.
 
     Any other file goes through `json.loads`, as does one whose remaining
@@ -229,19 +251,15 @@ def _graph_json(data: bytes):
     start = data.find(_EDGES_OPEN)
     # The block holds no quote, so it closes before the next key's quote.
     stop = data.rfind(_EDGES_CLOSE, start, data.find(b'"', start + len(_EDGES_OPEN)))
-    if start < 0 or stop <= start:
-        return _json(data)
-    head, tail = data[:start], data[stop + len(_EDGES_CLOSE):]
-    if any(b'"edges"' in part or b"\\" in part for part in (head, tail)):
-        return _json(data)
-    edges = _edge_block(data[start + len(_EDGES_OPEN):stop])
-    if edges is None:
-        return _json(data)
-    obj = _json(head + b'\n "edges": []' + tail)
-    if not isinstance(obj, dict) or "edges" not in obj:
-        return _json(data)
-    obj["edges"] = edges
-    return obj
+    if 0 <= start < stop:
+        head, tail = data[:start], data[stop + len(_EDGES_CLOSE):]
+        plain = not any(b'"edges"' in part or b"\\" in part for part in (head, tail))
+        edges = _edge_block(data, start + len(_EDGES_OPEN), stop) if plain else None
+        obj = None if edges is None else _json(head + b'\n "edges": []' + tail)
+        if isinstance(obj, dict) and "edges" in obj:
+            obj["edges"] = edges
+            return obj
+    return _json(data)
 
 
 def _edges_from_json(raw, n: int) -> np.ndarray:
@@ -295,7 +313,7 @@ def _run_sample_graph(opts: dict) -> int:
     graph = random_graphs.unit_graph(sample)
     if opts["p"] != 1:
         graph = random_graphs.bernoulli_subgraph(graph, opts["p"], opts["seed"])
-    _emit(graph_text(graph), opts["out"])
+    _emit(graph_chunks(graph), opts["out"])
     return 0
 
 
@@ -371,7 +389,7 @@ SUBCOMMANDS = {
     "check-step-isometry": (_run_check_step_isometry, (("ball", {}), ("map", {}))),
     "sample-graph": (_run_sample_graph, (
         _BALL, ("--n", _INT), ("--window", {"type": parse_rational, "required": True}),
-        ("--p", {"type": parse_rational, "default": Q(1)}), _SEED, ("--out", {"required": True}),
+        ("--p", {"type": parse_rational, "default": Q(1)}), _SEED, _OUT,
     )),
     "bj-audit": (_run_bj_audit, (("--graph", {"required": True}), ("--kmax", _INT), _OUT)),
     "agreement": (_run_agreement, (_P, ("--trials", _INT), _SEED, _OUT)),

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from fractions import Fraction as Q
 from itertools import zip_longest
 from unittest import mock
@@ -295,7 +296,7 @@ _SPLICE = 987654321987  # an edge index replaced by a raw JSON token
 
 
 def _graph_texts(payload: dict, edges=None, token: str | None = None) -> list[str]:
-    """A graph file as compact JSON and in `graph_text`'s layout (`json.dumps`,
+    """A graph file as compact JSON and in `graph_chunks`' layout (`json.dumps`,
     sorted keys, indent 1), with `edges`; `token` replaces `_SPLICE` in both."""
     if edges is not None:
         payload = {**payload, "edges": edges}
@@ -325,6 +326,12 @@ _MALFORMED_EDGES = [  # (edges, token replacing _SPLICE, error, read by numpy)
     ([[0, 9999999999999999999]], None, "BadGraph", False),  # past int64
     ([[0, 99999999999999999999]], None, "BadGraph", False),
     ([[0, _SPLICE]], "", "BadFile", False),
+]
+
+
+_EXTRA_FIELDS = [
+    {}, {"extra": [[0, 1]], "z": 1},  # keys after the edges block
+    {"edges2": [[1, 2]]}, {"f": []},  # `f` becomes a second "edges" key
 ]
 
 
@@ -387,7 +394,7 @@ class TestGraphPipeline:
             g = random_graphs.bernoulli_subgraph(g, p, 7)
         assert len(g.edges) == edges
         with mock.patch.object(cli, "_EDGE_ROWS", rows):
-            text = cli.graph_text(g)
+            text = "".join(cli.graph_chunks(g))
         expected = json.dumps(cli.graph_to_json(g), sort_keys=True, indent=1) + "\n"
         assert first_difference(text, expected) is None
 
@@ -420,7 +427,7 @@ class TestGraphPipeline:
         ids=[f"edges{i}" for i in range(len(_MALFORMED_EDGES))],
     )
     def test_malformed_edges_exit_2(self, tmp_path, capsys, payload, edges, token, error, fast):
-        # Compact JSON takes `json.loads`; `graph_text`'s layout the numpy reader.
+        # Compact JSON takes `json.loads`; `graph_chunks`' layout the numpy reader.
         texts = _graph_texts(payload, edges, token)
         assert [_read_by_numpy(text) for text in texts] == [False, fast]
         results = _audit_each(tmp_path, capsys, texts)
@@ -429,7 +436,7 @@ class TestGraphPipeline:
     def test_truncated_or_nested_block_exits_2(self, tmp_path, capsys, payload):
         payload["edges"] = [[0, 1], [0, 2], [1, 3]]
         texts = [text[: len(text) // 2 + cut] for cut in (0, 7) for text in _graph_texts(payload)]
-        # A block in `graph_text`'s layout, but one level down: no top-level edges.
+        # A block in `graph_chunks`' layout, but one level down: no top-level edges.
         nested = json.dumps({**payload, "edges": None}).replace('"edges": null', '"x": {"y": 1')
         texts.append(nested[:-1] + ',\n "edges": [\n  [\n   2,\n   3\n  ]\n ]}}')
         assert [_read_by_numpy(text) for text in texts] == [False] * 5
@@ -437,11 +444,7 @@ class TestGraphPipeline:
             (2, "", "error: BadFile")
         }
 
-    @pytest.mark.parametrize(
-        "extra",
-        [{}, {"extra": [[0, 1]], "z": 1},  # keys after the edges block
-         {"edges2": [[1, 2]]}, {"f": []}],  # `f` becomes a second "edges" key
-    )
+    @pytest.mark.parametrize("extra", _EXTRA_FIELDS)
     def test_both_readers_give_the_same_graph(self, tmp_path, capsys, payload, extra):
         texts = _graph_texts({**payload, **extra})
         if "f" in extra:
@@ -451,6 +454,71 @@ class TestGraphPipeline:
         assert edges[0] == edges[1] == ([] if "f" in extra else payload["edges"])
         results = _audit_each(tmp_path, capsys, texts)
         assert results[0] == results[1] and results[0][0] == 0
+
+    @pytest.mark.parametrize(
+        "edges, token, error, fast",
+        _MALFORMED_EDGES,
+        ids=[f"edges{i}" for i in range(len(_MALFORMED_EDGES))],
+    )
+    def test_malformed_edges_at_every_seam(
+        self, tmp_path, capsys, payload, edges, token, error, fast
+    ):
+        # One byte per read: each chunk is cut at the next row seam.
+        with mock.patch.object(cli, "_READ_BYTES", 1):
+            self.test_malformed_edges_exit_2(tmp_path, capsys, payload, edges, token, error, fast)
+
+    @pytest.mark.parametrize("extra", _EXTRA_FIELDS)
+    def test_both_readers_at_every_seam(self, tmp_path, capsys, payload, extra):
+        with mock.patch.object(cli, "_READ_BYTES", 1):
+            self.test_both_readers_give_the_same_graph(tmp_path, capsys, payload, extra)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])  # before the first seam, between two, after the last
+    @pytest.mark.parametrize(
+        "token, error",
+        [("02", "BadFile"), ("2.0", "BadGraph"), ("-2", "BadGraph"),
+         ("[2]", "BadGraph")],  # a stray `[`: four in the block, three rows
+    )
+    def test_malformed_row_beside_a_seam_falls_back(
+        self, tmp_path, capsys, payload, at, token, error
+    ):
+        edges = [[0, 1], [1, 2], [2, 3]]
+        edges[at] = [edges[at][0], _SPLICE]
+        texts = _graph_texts(payload, edges, token)
+        for read_bytes in (1, cli._READ_BYTES):
+            with mock.patch.object(cli, "_READ_BYTES", read_bytes):
+                assert [_read_by_numpy(text) for text in texts] == [False, False]
+                results = _audit_each(tmp_path, capsys, texts)
+            assert results[0] == results[1] == (2, "", f"error: {error}")
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, cli._EDGE_ROWS])
+    def test_index_widths_within_and_across_chunks(self, rows):
+        # Indices cross 9/10, 99/100 and 999/1000 inside one chunk (the
+        # default) and at every place a chunk can end (1 to 3 rows each).
+        sample = random_graphs.PointSample(
+            ball=cube_ball(1), points=tuple((Q(i),) for i in range(1001)), window=Q(3),
+            seed=0, typicality=(),
+        )
+        edges = np.array(
+            [[0, 1], [8, 9], [9, 10], [10, 11], [5, 99], [98, 99], [99, 100], [7, 100],
+             [100, 101], [998, 999], [999, 1000], [0, 1000], [3, 4]]
+        )
+        g = random_graphs.GeomGraph(sample=sample, edges=edges, p=Q(1), rng_seed=None)
+        with mock.patch.object(cli, "_EDGE_ROWS", rows):
+            text = "".join(cli.graph_chunks(g))
+        assert text == json.dumps(cli.graph_to_json(g), sort_keys=True, indent=1) + "\n"
+        for read_bytes in (1, cli._READ_BYTES):
+            with mock.patch.object(cli, "_READ_BYTES", read_bytes):
+                assert cli._graph_json(text.encode())["edges"].tolist() == edges.tolist()
+
+    def test_sample_graph_stdout_is_the_out_file(self, tmp_path, capsys):
+        argv = ["sample-graph", "--ball", "builtin:cube_2", "--n", "200", "--window", "3",
+                "--p", "1/2", "--seed", "5"]
+        path = tmp_path / "graph.json"
+        with mock.patch.object(cli, "_EDGE_ROWS", 100):  # edges in several chunks
+            assert run_cli(argv + ["--out", str(path)], capsys) == (0, "")
+            code, out = run_cli(argv, capsys)
+        assert code == 0 and out.encode() == path.read_bytes()
+        assert len(json.loads(out)["edges"]) > 300
 
     def test_large_kmax_is_one_pass(self, tmp_path, capsys, payload):
         # Rows come off one histogram, so k_max costs a row each, not a pass each.
@@ -494,6 +562,33 @@ class TestGraphPipeline:
             )
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_graph_file_memory_is_bounded(tmp_path):
+    # Writing the file used to hold every row string and their join, and
+    # reading it the whole block and two translations of it: 10.7 and
+    # 12.1 MB traced at this size, where a chunk on each side is bounded.
+    ball = cube_ball(2)
+    sample = random_graphs.sample_typical_points(
+        ball, decomposition.linf_decomposition(ball), Q(3), 1000, 7
+    )
+    g = random_graphs.unit_graph(sample)
+    assert len(g.edges) >= 100_000
+    path = tmp_path / "graph.json"
+    tracemalloc.start()
+    try:
+        cli._emit(cli.graph_chunks(g), str(path))
+        written = tracemalloc.get_traced_memory()[1]
+        data = path.read_bytes()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        edges = cli._graph_json(data)["edges"]
+        read = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(edges, g.edges)
+    assert written < 4 * 2 ** 20
+    assert read < edges.nbytes + 4 * 2 ** 20
 
 
 class TestAgreement:

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
@@ -519,6 +520,23 @@ class TestAgreement:
         coins = [rng.randrange(p.denominator) < p.numerator for _ in range(6000)]
         agree = sum(a == b for a, b in zip(coins[::2], coins[1::2]))
         assert edge_agreement_probability(p, 3000, seed) == Q(agree, 3000)
+
+    def test_rounds_replay_the_loop(self):
+        # 40,000 trials draw 80,000 coins: two full `_COIN_ROUND`s and a part.
+        p, rng = Q(3, 10), random.Random(9)
+        coins = [rng.randrange(10) < 3 for _ in range(80_000)]
+        agree = sum(a == b for a, b in zip(coins[::2], coins[1::2]))
+        assert edge_agreement_probability(p, 40_000, 9) == Q(agree, 40_000)
+
+    def test_coins_are_not_held(self):
+        # All 2 * 10**6 coins at once were a 2 MB bool array (2.86 MB traced).
+        tracemalloc.start()
+        try:
+            edge_agreement_probability(Q(3, 10), 10 ** 6, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
 
     def test_p_one_always_agrees(self):
         assert edge_agreement_probability(Q(1), 500, seed=1) == 1
