@@ -317,13 +317,28 @@ def _run_sample_graph(opts: dict) -> int:
     return 0
 
 
+_BJ_ROWS = 1 << 12  # rows of the bj-audit table rendered per chunk
+
+
+def _bj_lines(report: random_graphs.BjReport) -> Iterator[str]:
+    """The bj-audit CSV, `_BJ_ROWS` rows at a time.  Most rows repeat a count,
+    so each count's text after k is formatted once per chunk.  A row's fraction
+    is repr(satisfied / pairs): int true division rounds correctly, as
+    float(Fraction(satisfied, pairs)) does, and a row with no pair reads 1.0."""
+    yield "k,pairs,satisfied,fraction\n"
+    pairs = report.pairs
+    for at in range(0, len(report.satisfied), _BJ_ROWS):
+        chunk = report.satisfied[at : at + _BJ_ROWS].tolist()
+        tails = {
+            sat: ",%d,%d,%r\n" % (pairs, sat, sat / pairs if pairs else 1.0) for sat in set(chunk)
+        }
+        yield "".join([str(k) + tails[sat] for k, sat in enumerate(chunk, start=at + 2)])
+
+
 def _run_bj_audit(opts: dict) -> int:
     graph = _load(opts["graph"], graph_from_json, _graph_json)
     report = random_graphs.bj_audit(graph, opts["kmax"])
-    lines = ["k,pairs,satisfied,fraction"]
-    for k, pairs, satisfied, fraction in report.rows:
-        lines.append("%d,%d,%d,%s" % (k, pairs, satisfied, repr(float(fraction))))
-    _emit("\n".join(lines) + "\n", opts.get("out"))
+    _emit(_bj_lines(report), opts.get("out"))
     if report.one_sided_violations:
         sys.stderr.write(
             "one-sided violations: %d\n" % report.one_sided_violations

@@ -318,11 +318,16 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def parse_rational(text: str) -> Q:
-    """Parse an exact rational literal; floats are refused."""
+    """Parse an exact rational literal; floats are refused.
+
+    The validated literal is split at its slash and read with `int`, which
+    takes the same digits `Fraction(text)` would, without its second regex.
+    """
     s = str(text).strip()
     if not _RATIONAL_RE.match(s):
         raise BadRational(f"not an exact rational literal: {text!r}")
-    return Q(s)
+    num, _, den = s.partition("/")
+    return Q(int(num), int(den or 1))
 
 
 def vec_to_json(v: Vec) -> list[str]:

@@ -107,7 +107,7 @@ def sample_typical_points(
     return PointSample(ball=ball, points=points, window=window, seed=seed, typicality=typicality)
 
 
-_BLOCK_ROWS = 64  # source rows per block of the pairwise kernel and the BFS
+_BLOCK_ROWS = 64  # source rows per block of the pairwise kernel and the audit
 _K_MAX_LIMIT = 10 ** 6  # bj_audit writes a row per k
 _AGREEMENT_TRIALS = 10 ** 8  # for run time: 2e8 coins take 5 s at p = 3/10, 95 s if den >= 2**32
 
@@ -187,13 +187,77 @@ def graph_distance(g: GeomGraph, i: int, j: int) -> int | None:
     return None
 
 
+_WORD = np.dtype("<u8")  # packed words, little-endian so byte b of a row holds bits 8b to 8b + 7
+
+
 def packed_adjacency(g: GeomGraph) -> np.ndarray:
-    """The adjacency as (n, ceil(n / 64)) uint64 words: row i, word j // 64, bit j % 64."""
+    """The adjacency as (n, ceil(n / 64)) words: row i, word j // 64, bit j % 64."""
     n = len(g.sample.points)
-    packed = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    packed = np.zeros((n, -(-n // 64)), dtype=_WORD)
     for i, j in (g.edges.T, g.edges.T[::-1]):
         np.bitwise_or.at(packed, (i, j >> 6), np.uint64(1) << (j & 63).astype(np.uint64))
     return packed
+
+
+def _bool_product(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The packed boolean product: row i ORs the rows a[j] for the bits j set in x[i].
+
+    The Method of Four Russians (Arlazarov, Dinic, Kronrod and Faradzev,
+    1970): for every 8 rows of `a`, a 256-row table of their ORs built by
+    doubling, from which each row of `x` picks the row its byte over those
+    8 bits names, one `take` and one in-place OR for all rows at once.
+    Bits of `x` past the rows of `a` must be clear.
+    """
+    out, picked = np.zeros_like(x), np.empty_like(x)
+    table = np.zeros((256, a.shape[1]), dtype=a.dtype)
+    x_bytes = x.view(np.uint8)
+    for group in range(0, len(a), 8):
+        for bit, row in enumerate(a[group : group + 8]):
+            np.bitwise_or(table[: 1 << bit], row, out=table[1 << bit : 2 << bit])
+        np.take(table, x_bytes[:, group >> 3], axis=0, out=picked, mode="clip")
+        out |= picked
+    return out
+
+
+def _hop_planes(packed: np.ndarray, start: int, stop: int, cap: int) -> list[np.ndarray]:
+    """min(hops, cap + 1) from sources start <= i < stop to every vertex, as
+    (cap + 1).bit_length() packed bit planes shaped like `packed[start:stop]`.
+
+    All sources go level by level at once: level 0 is the diagonal, level 1
+    the adjacency, and each later frontier the `_bool_product` of the last
+    one with the adjacency, masked to the vertices still unseen, up to `cap`
+    or an empty frontier.  Plane b holds bit b of each pair's level; the
+    pairs never reached hold cap + 1.  Bits past the n targets are left as
+    they fall.
+    """
+    rows = np.arange(stop - start)
+    unseen = np.full((len(rows), packed.shape[1]), ~np.uint64(0), dtype=_WORD)
+    unseen[rows, (start + rows) >> 6] ^= np.uint64(1) << ((start + rows) & 63).astype(np.uint64)
+    planes = [np.zeros_like(unseen) for _ in range((cap + 1).bit_length())]
+    front = packed[start:stop]
+    for level in range(1, cap + 1):
+        if level > 1:
+            front = _bool_product(front, packed)
+            front &= unseen
+        if not front.any():
+            break
+        unseen ^= front
+        for bit, plane in enumerate(planes):
+            if level >> bit & 1:
+                plane |= front
+    for bit, plane in enumerate(planes):
+        if (cap + 1) >> bit & 1:
+            plane |= unseen
+    return planes
+
+
+def _plane_levels(planes: list[np.ndarray], lo: int, hi: int, start: int, n: int) -> np.ndarray:
+    """The levels in rows lo <= r < hi of `_hop_planes`, to targets start <= j < n, as int64."""
+    levels = np.zeros((hi - lo, n), dtype=np.int64)
+    for plane in reversed(planes):
+        levels <<= 1
+        levels += np.unpackbits(plane[lo:hi].view(np.uint8), axis=1, count=n, bitorder="little")
+    return levels[:, start:]
 
 
 def distance_matrix(
@@ -203,48 +267,44 @@ def distance_matrix(
     """Hop counts from sources start <= i < stop to targets start <= j < n.
 
     Without `cap`, the whole n x n matrix as int64, -1 for unreachable
-    pairs.  With it, the BFS stops at depth `cap`, in the smallest unsigned
-    dtype holding cap + 1, the value of every pair it did not reach.  Per
-    source, a level is the OR of the frontier's rows of `packed_adjacency`
-    while the frontier is smaller than the unseen set, and after that the
-    unseen vertices whose rows meet the frontier's bits: the
-    direction-optimizing BFS of Beamer, Asanovic and Patterson (SC 2012).
+    pairs.  With it, levels stop at `cap`, in the smallest unsigned dtype
+    holding cap + 1, the value of every pair not reached by then.  The
+    levels are `_hop_planes` of `packed_adjacency`, all sources at once.
     """
     n = len(g.sample.points)
     stop = n if stop is None else stop
     beyond = n if cap is None else cap + 1
     if packed is None:
         packed = packed_adjacency(g)
-    levels = np.full((stop - start, n), beyond, dtype=np.min_scalar_type(beyond))
-    front_mask = np.zeros(packed.shape[1] * 64, dtype=bool)
-    for row, source in zip(levels, range(start, stop)):
-        row[source] = 0
-        front, unseen, level = np.array([source]), n - 1, 0
-        while len(front) and unseen and level < beyond - 1:
-            level += 1
-            if len(front) < unseen:
-                hit = np.bitwise_or.reduce(packed.take(front, axis=0), axis=0)
-                new = np.unpackbits(hit.view(np.uint8), count=n, bitorder="little").view(bool)
-                front = np.flatnonzero(new & (row > level))
-            else:
-                np.equal(row, level - 1, out=front_mask[:n])
-                bits = np.packbits(front_mask, bitorder="little").view(np.uint64)
-                candidates = np.flatnonzero(row > level)
-                front = candidates[(packed.take(candidates, axis=0) & bits).any(axis=1)]
-            row[front] = level
-            unseen -= len(front)
-    if cap is None:
-        levels = levels.astype(np.int64)
-        levels[levels == beyond] = -1
-    return levels[:, start:]
+    levels = _plane_levels(_hop_planes(packed, start, stop, beyond - 1), 0, stop - start, start, n)
+    if cap is not None:
+        return levels.astype(np.min_scalar_type(beyond))
+    levels[levels == beyond] = -1
+    return levels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BjReport:
-    """Per-k audit of 'norm < k iff graph distance <= k'."""
+    """Per-k audit of 'norm < k iff graph distance <= k'.
 
-    rows: tuple[tuple[int, int, int, Q], ...]  # (k, pairs, satisfied, fraction)
+    `satisfied[k - 2]` counts the pairs satisfying row k, for 2 <= k <= k_max,
+    as a read-only int64 array: a large k_max holds no row objects.
+    """
+
+    pairs: int
+    satisfied: np.ndarray
     one_sided_violations: int
+
+    def __post_init__(self) -> None:
+        self.satisfied.setflags(write=False)
+
+    @property
+    def rows(self) -> tuple[tuple[int, int, int, Q], ...]:
+        """(k, pairs, satisfied, fraction) per row; a row with no pair has fraction 1."""
+        return tuple(
+            (k, self.pairs, sat, Q(sat, self.pairs) if self.pairs else Q(1))
+            for k, sat in enumerate(self.satisfied.tolist(), start=2)
+        )
 
 
 def norm_floor_matrix(
@@ -268,11 +328,13 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
     Also audits the one-sided implication that a path of length m forces
     norm < m, which holds in every sample by the triangle inequality.
 
-    Source rows go in blocks of `_BLOCK_ROWS`, so nothing n x n is held.
-    The BFS stops at cap = max(k_max, largest floor), at most n - 1: past
-    it no row or violation tells a pair from an unreachable one.  Over the
-    pairs i < j, each block adds to histograms of the floors f, the hops h
-    (cap + 1 past the cap) and m = max(f + 1, h) for h <= cap.  A row is
+    The hop levels stop at cap = max(k_max, largest floor), at most n - 1:
+    past it no row or violation tells a pair from an unreachable one.  They
+    are computed once for all sources, as the `_hop_planes` of the packed
+    adjacency, about (cap + 1).bit_length() + 4 times n^2 / 8 bytes; source
+    rows then go in blocks of `_BLOCK_ROWS`, so nothing n x n is held.  Over
+    the pairs i < j, each block adds to histograms of the floors f, the hops
+    h (cap + 1 past the cap) and m = max(f + 1, h) for h <= cap.  A row is
     then pairs - #{f < k} - #{h <= min(k, cap)} + 2 #{m <= k}, at a cost
     that does not grow with k_max, and a pair is a violation iff m > h.
     """
@@ -285,7 +347,7 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
     cap = max(min(n - 1, max(k_max, max_floor)), 0)
     top = max(k_max, cap)  # clipping floors here changes no comparison below
     bins = max(min(max_floor, top), cap) + 2
-    packed = packed_adjacency(g)
+    planes = _hop_planes(packed_adjacency(g), 0, n, cap)
     hists = np.zeros((3, bins), dtype=np.int64)
     violations = 0
     for start in range(0, n, _BLOCK_ROWS):
@@ -293,7 +355,7 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
         floors = norm_floor_matrix(g, start, stop, projections)
         above = ~np.tri(*floors.shape, dtype=bool)  # the pairs i < j
         f = np.minimum(floors[above], top).astype(np.int64, copy=False)
-        h = distance_matrix(g, start, stop, cap, packed)[above]
+        h = _plane_levels(planes, start, stop, start, n)[above]
         m = np.maximum(f + 1, h)
         m[h > cap] = 0
         for hist, values in zip(hists, (f, h, m)):
@@ -301,16 +363,15 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
         violations += int(np.count_nonzero(m > h))
     hists[2, 0] = 0  # the pairs past the cap
     cum_f, cum_h, cum_m = np.cumsum(hists, axis=1)
-    ks = np.arange(2, k_max + 1)
-    satisfied = (
+    # From k = bins on every index below is clipped, so the rows repeat.
+    ks = np.arange(2, min(k_max, bins) + 1)
+    satisfied = np.empty(k_max - 1, dtype=np.int64)
+    satisfied[: len(ks)] = (
         pairs - cum_f[np.minimum(ks - 1, bins - 1)] - cum_h[np.minimum(ks, cap)]
         + 2 * cum_m[np.minimum(ks, bins - 1)]
     )
-    rows = tuple(
-        (k, pairs, sat, Q(sat, pairs) if pairs else Q(1))
-        for k, sat in zip(range(2, k_max + 1), satisfied.tolist())
-    )
-    return BjReport(rows=rows, one_sided_violations=violations)
+    satisfied[len(ks) :] = satisfied[len(ks) - 1]
+    return BjReport(pairs=pairs, satisfied=satisfied, one_sided_violations=violations)
 
 
 def edge_agreement_probability(p: Q, trials: int, seed: int) -> Q:

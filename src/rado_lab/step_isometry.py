@@ -28,7 +28,7 @@ from .errors import (
     NotInjective,
     OutOfDomain,
 )
-from .geometry import PolytopeBall, norm, pairwise_norm_numerators
+from .geometry import PolytopeBall, norm, norm_projections
 from .linalg import Matrix, Vec, vadd, vsub
 
 
@@ -216,19 +216,41 @@ def _injective_sides(pairs: Sequence[tuple[Vec, Vec]]) -> tuple[list[Vec], list[
     return xs, ys
 
 
+def _norm_floors(ball: PolytopeBall, points: Sequence[Vec]) -> np.ndarray:
+    """floor(norm(p_i - p_j)) for every pair, in int64 unless a floor below overflows.
+
+    Per facet, each point's value v = h.p / bound splits into floor(v) and
+    the dense rank of its fractional part among the points.  For a >= b,
+    floor(a - b) = (floor(a) - floor(b)) - [frac(a) < frac(b)], and a >= b
+    whenever floor(a) > floor(b); equal floors leave a floor of 0 either
+    way.  The norm's floor is the largest of these over the facets, so no
+    pairwise numerator (178 bits on a rebased map's image) is formed.
+    """
+    ys, den = norm_projections(ball, points)
+    whole = ys // den
+    ranks = [np.unique(col, return_inverse=True)[1] for col in (ys % den).T]
+    if whole.dtype == object and all(-(2 ** 62) < x < 2 ** 62 for x in whole.flat):
+        whole = whole.astype(np.int64)  # so every difference of floors fits
+    out = np.zeros((len(points), len(points)), dtype=whole.dtype)
+    for w, rank in zip(whole.T, ranks):
+        d = w[:, None] - w[None, :]
+        lower = rank[:, None] < rank[None, :]  # frac(v_i) < frac(v_j)
+        np.maximum(out, np.abs(d) - ((d > 0) & lower) - ((d < 0) & lower.T), out=out)
+    return out
+
+
 def verify_step_isometry(
     ball: PolytopeBall, pairs: Sequence[tuple[Vec, Vec]]
 ) -> StepIsometryCheck:
     """Exact check that floor(norm(x_i - x_j)) = floor(norm(y_i - y_j)) for all i < j.
 
     The pair list represents a finite bijection x_i -> y_i; repeated
-    domain or image points are rejected.
+    domain or image points are rejected.  Each side's floors come from
+    `_norm_floors`.
     """
     xs, ys = _injective_sides(pairs)
-    nums, den = pairwise_norm_numerators(ball, xs)
-    floors_domain = nums // den
-    nums, den = pairwise_norm_numerators(ball, ys)
-    floors_image = nums // den
+    floors_domain = _norm_floors(ball, xs)
+    floors_image = _norm_floors(ball, ys)
     # Both floor matrices are symmetric with zero diagonals, so the first
     # mismatch in row-major order already has i < j.
     bad = np.flatnonzero(floors_domain != floors_image)

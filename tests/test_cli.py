@@ -532,6 +532,28 @@ class TestGraphPipeline:
         assert code == 0 and len(lines) == 1 + 99_999 + 1 and lines[-1] == ""
         assert out.startswith(short)
 
+    def test_rows_are_streamed(self, tmp_path, capsys, payload):
+        # At k_max = 10**6 the rows were tuples holding a Fraction each, then
+        # every line and their join: 252 MB traced.  The counts are now one
+        # int64 array (8 MB) and the lines go out `_BJ_ROWS` at a time.
+        path, rows = tmp_path / "graph.json", tmp_path / "rows.csv"
+        path.write_text(_graph_texts(payload, payload["edges"])[1])
+        code, short = run_cli(["bj-audit", "--graph", str(path), "--kmax", "6"], capsys)
+        tracemalloc.start()
+        try:
+            code = cli.main(
+                ["bj-audit", "--graph", str(path), "--kmax", str(10 ** 6), "--out", str(rows)]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 12 * 2 ** 20
+        out = rows.read_text()
+        assert out.startswith(short) and out.count("\n") == 10 ** 6
+        k, pairs, sat, fraction = out[out.rindex("\n", 0, -1) + 1 : -1].split(",")
+        assert (k, pairs) == (str(10 ** 6), "10")
+        assert fraction == repr(float(Q(int(sat), 10)))
+
     @pytest.mark.parametrize("kmax", [10 ** 6 + 1, 10 ** 20])
     def test_kmax_past_the_row_cap_exits_2(self, tmp_path, capsys, monkeypatch, payload, kmax):
         # 10**20 used to overflow int64 in `np.minimum`; both are refused

@@ -255,6 +255,35 @@ class TestJson:
         assert parse_rational("3/10") == Q(3, 10)
         assert parse_rational("-7") == -7
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.tuples(
+            st.sampled_from(["", " ", "\t", "\n", "\u3000"]),
+            st.sampled_from(["", "+", "-"]),
+            st.text("0123456789\u0660\u0663\u0669\uff10\uff17", min_size=1, max_size=30),
+            st.sampled_from(["", "/", "/0"]),
+            st.text("0123456789\u0661\uff19", max_size=30),
+            st.sampled_from(["", " ", "\n "]),
+        ).map("".join)
+        | st.text(max_size=12)
+    )
+    def test_parse_rational_matches_fraction(self, text):
+        # Signs, leading zeros, surrounding whitespace, -0 and non-ASCII
+        # digits: a literal read at all reads as `Fraction` reads it, and
+        # everything else raises `BadRational`.
+        try:
+            got = parse_rational(text)
+        except BadRational:
+            return
+        assert got == Q(text) and type(got) is Q
+
+    def test_parse_rational_examples(self):
+        assert parse_rational("-0") == 0 and parse_rational(" +007/10\n") == Q(7, 10)
+        assert parse_rational("\uff11\uff12/3\u0661") == Q(12, 31)
+        for bad in ("1/0", "1/07", "\u0663/\u0664", "1_0", "1/-2", "", "/2", "2/"):
+            with pytest.raises(BadRational):
+                parse_rational(bad)
+
     def test_round_trip(self):
         for maker in (square_ball, hexagon_ball, hexagonal_prism_ball):
             ball = maker()

@@ -18,7 +18,6 @@ from rado_lab.linalg import vsub
 from rado_lab.random_graphs import (
     FIBRE_FREE,
     LINF_INTEGER_FREE,
-    BjReport,
     GeomGraph,
     PointSample,
     bernoulli_subgraph,
@@ -404,7 +403,7 @@ def _reference_bj_audit(g, k_max):
         satisfied = (agree - n) // 2
         rows.append((k, pairs, satisfied, Q(satisfied, pairs) if pairs else Q(1)))
     violations = int(np.count_nonzero((dist >= 1) & (floors >= dist))) // 2
-    return BjReport(rows=tuple(rows), one_sided_violations=violations)
+    return tuple(rows), violations
 
 
 @st.composite
@@ -422,6 +421,74 @@ def long_paths(draw):
     g = unit_graph(line_sample(*points))
     p = draw(st.sampled_from([Q(1), Q(9, 10), Q(1, 2)]))
     return g if p == 1 else bernoulli_subgraph(g, p, seed=draw(st.integers(0, 99)))
+
+
+def _packed(bits):
+    """A bool matrix's rows as packed words: bit j of row i at word j // 64, bit j % 64."""
+    rows, n = bits.shape
+    padded = np.zeros((rows, -(-n // 64) * 64), dtype=bool)
+    padded[:, :n] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view(rg._WORD)
+
+
+def _unpacked(words, n):
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _capped_bfs(g, cap):
+    """min(hops, cap + 1) for every pair from `graph_distance`, cap + 1 if unreachable."""
+    n = len(g.sample.points)
+    hops = [[graph_distance(g, i, j) for j in range(n)] for i in range(n)]
+    return np.array([[cap + 1 if h is None else min(h, cap + 1) for h in row] for row in hops])
+
+
+class TestHopLevels:
+    def test_packed_words_are_little_endian_bytes(self):
+        # `_bool_product` and the planes read words as bytes: byte b of a row
+        # must hold bits 8b to 8b + 7, whatever the machine's byte order.
+        g = unit_graph(line_sample(*[Q(3 * k, 4) for k in range(70)]))
+        adj = np.zeros((70, 70), dtype=bool)
+        adj[tuple(g.edges.T)] = adj[tuple(g.edges.T[::-1])] = True
+        packed = rg.packed_adjacency(g)
+        assert packed.dtype == np.dtype("<u8")
+        assert np.array_equal(_unpacked(packed, 70), adj)
+        assert np.array_equal(packed, _packed(adj))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 129])
+    @pytest.mark.parametrize("density", [0, 1 / 3, 1])
+    def test_bool_product_matches_the_integer_product(self, n, density):
+        rng = np.random.default_rng(n)
+        a = rng.random((n, n)) < density
+        x = rng.random((n + 5, n)) < density
+        got = rg._bool_product(_packed(x), _packed(a))
+        assert np.array_equal(_unpacked(got, n), x.astype(np.int64) @ a.astype(np.int64) > 0)
+        assert not _unpacked(got, got.shape[1] * 64)[:, n:].any()  # no bit past the n rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=long_paths() | st.sampled_from(["sparse_cube_1", "n1", "n2", "long_violations"]).map(
+            _audit_graph),
+        cap=st.sampled_from([1, 2, "diameter"]),
+        rows=st.sampled_from([1, 7, 64]),
+    )
+    # Two paths of 20 points, far apart: diameter 19, half the pairs unreachable.
+    @example(g=unit_graph(line_sample(*[Q(3 * i, 4) + 100 * (i >= 20) for i in range(40)])),
+             cap="diameter", rows=7)
+    def test_levels_match_bfs_at_every_cap(self, g, cap, rows):
+        n = len(g.sample.points)
+        uncapped = _capped_bfs(g, n)
+        assert np.array_equal(distance_matrix(g), np.where(uncapped > n, -1, uncapped))
+        if cap == "diameter":
+            cap = max(int(uncapped[uncapped <= n].max()), 1)
+        want = np.minimum(uncapped, cap + 1)
+        whole = distance_matrix(g, cap=cap)
+        assert whole.dtype == np.min_scalar_type(cap + 1) and np.array_equal(whole, want)
+        planes = rg._hop_planes(rg.packed_adjacency(g), 0, n, cap)
+        assert len(planes) == (cap + 1).bit_length()
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            assert np.array_equal(rg._plane_levels(planes, lo, hi, lo, n), want[lo:hi, lo:])
+            assert np.array_equal(distance_matrix(g, lo, hi, cap), want[lo:hi, lo:])
 
 
 class TestBjAudit:
@@ -442,7 +509,8 @@ class TestBjAudit:
         size = {"n": n, "n+1": n + 1}.get(rows, rows)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rg, "_BLOCK_ROWS", size)
-            assert bj_audit(g, k_max) == _reference_bj_audit(g, k_max)
+            report = bj_audit(g, k_max)
+            assert (report.rows, report.one_sided_violations) == _reference_bj_audit(g, k_max)
 
     @pytest.mark.parametrize("name", AUDIT_CORPUS)
     def test_matches_a_direct_count_over_pairs(self, name):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from rado_lab.geometry import (
     hexagon_ball,
     hexagonal_prism_ball,
     norm,
+    pairwise_norm_numerators,
     square_ball,
 )
 from rado_lab.linalg import identity_matrix, matvec, vsub, zero_vec
@@ -32,6 +34,7 @@ from rado_lab.step_isometry import (
     MonotoneBijection01,
     StepIsometrySpec,
     _invert_axis,
+    _norm_floors,
     affine_isometry_from_basis,
     apply_factorized,
     apply_linf,
@@ -227,7 +230,58 @@ class TestInvertAxis:
             assert apply_linf(spec, apply_linf(inv, x)) == x
 
 
+@st.composite
+def mixed_points(draw, dim, count):
+    """`count` distinct points whose coordinates mix denominators up to 2**200,
+    mostly within 4 of the origin and now and then about 2**70 out."""
+    def coord():
+        den = draw(st.sampled_from([1, 3, 512, 2 ** 33, 2 ** 64 + 1, 2 ** 200])
+                   | st.integers(1, 2 ** 200))
+        span = 4 * den * draw(st.sampled_from([1, 1, 1, 2 ** 70]))
+        return Q(draw(st.integers(-span, span)), den)
+    points = {tuple(coord() for _ in range(dim)) for _ in range(count)}
+    return sorted(points)
+
+
+VERIFY_BALLS = [cube_ball(1), cube_ball(3), hexagon_ball(), hexagonal_prism_ball()]
+
+
 class TestVerify:
+    @settings(max_examples=80, deadline=None)
+    @given(ball=st.sampled_from(VERIFY_BALLS), data=st.data())
+    def test_floors_match_the_pairwise_numerators(self, ball, data):
+        pts = data.draw(mixed_points(ball.dim, data.draw(st.integers(0, 12))))
+        nums, den = pairwise_norm_numerators(ball, pts)
+        assert np.array_equal(_norm_floors(ball, pts), nums // den)
+
+    # The projections are int64 when far = 0; at 2**60 they are Python ints
+    # but the floors fit, at 2**70 the floors too stay Python ints.
+    @pytest.mark.parametrize("far, dtype", [(0, np.int64), (2 ** 60, np.int64), (2 ** 70, object)])
+    def test_floors_with_tied_fractions(self, far, dtype):
+        # 1/3, 4/3, -2/3 and far + 1/3 share a fractional part.
+        pts = [v(Q(1, 3)), v(Q(4, 3)), v(Q(-2, 3)), v(Q(1, 2)), v(far + Q(1, 3))]
+        nums, den = pairwise_norm_numerators(cube_ball(1), pts)
+        floors = _norm_floors(cube_ball(1), pts)
+        assert floors.dtype == dtype and np.array_equal(floors, nums // den)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ball=st.sampled_from(VERIFY_BALLS), data=st.data())
+    def test_first_violation_matches_the_numerator_scan(self, ball, data):
+        xs = data.draw(mixed_points(ball.dim, 10))
+        ys = data.draw(mixed_points(ball.dim, len(xs)))
+        xs = xs[: len(ys)]
+        fd, fi = (nums // den for nums, den in
+                  (pairwise_norm_numerators(ball, xs), pairwise_norm_numerators(ball, ys)))
+        bad = [(i, j) for i in range(len(xs)) for j in range(i + 1, len(xs))
+               if fd[i, j] != fi[i, j]]
+        check = verify_step_isometry(ball, list(zip(xs, ys)))
+        if bad:
+            i, j = bad[0]
+            assert (check.ok, check.pair_indices) == (False, (i, j))
+            assert (check.floor_domain, check.floor_image) == (fd[i, j], fi[i, j])
+        else:
+            assert check.ok
+
     def test_identity_map(self):
         ball = cube_ball(2)
         pts = [v(0, 0), v(Q(1, 3), Q(5, 7)), v(2, Q(-3, 2))]
