@@ -25,6 +25,7 @@ from .errors import (
     NotUnitNorm,
     OutOfDomain,
     RadoLabError,
+    SingularMatrix,
     TooManyVertices,
     UnknownBuiltin,
     UnknownSubcommand,

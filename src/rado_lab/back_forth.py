@@ -69,11 +69,12 @@ class FibredSample:
     Python ints otherwise.  Sampled data sits on the grid (``r_den`` is
     `grid.DEN`); `from_fibres` takes Fractions and uses their lcm.
     ``integer_exempt_fibres`` marks fibres (the S0 gadget) whose internal
-    integer R-differences are intentional and excluded from audits; their
-    points come first in the flat order, the rest follow shuffled: the
-    order `random.Random(seed ^ 0x5A5A5A).shuffle` gives their positions,
-    drawn in bulk by `grid.shuffled`.  Two samples are equal when they hold
-    the same points.
+    integer R-differences are intentional.  No audit reads it (`audit_gadget`
+    masks by `S0Gadget.gadget_fibre`, `audit_state` checks every pair); it
+    only puts those fibres' points first, unshuffled, in the flat order, and
+    the rest follow in the order `random.Random(seed ^ 0x5A5A5A).shuffle`
+    gives their positions, drawn in bulk by `grid.shuffled`.  Two samples
+    are equal when they hold the same points.
     """
 
     u_ball: PolytopeBall

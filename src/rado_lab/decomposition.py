@@ -299,22 +299,27 @@ def _check_vertex_permutation_group(perms: set[tuple[int, ...]], neg: tuple[int,
     +-identity (neg is the permutation of -identity).
 
     The vertices span R^d, so a linear map is determined by its vertex
-    permutation and matrix composition and inversion are exactly the
-    permutations' composition and inversion.
+    permutation and matrix composition is exactly the permutations'
+    composition.  Generators are taken greedily from the sorted set until
+    their closure, walked breadth first by right multiplications from the
+    identity, holds it all.  A closure is a group, so the walk fails as
+    soon as it leaves the set.
     """
-    n = len(neg)
-    if tuple(range(n)) not in perms or neg not in perms:
+    ident = tuple(range(len(neg)))
+    if ident not in perms or neg not in perms:
         raise CrossCheckFailure("isometry group must contain +-identity")
-    for q in perms:
-        inv = [0] * n
-        for i, t in enumerate(q):
-            inv[t] = i
-        if tuple(inv) not in perms:
-            raise CrossCheckFailure("isometry set not closed under inverse")
-    for q in perms:
-        for r in perms:
-            if tuple([q[t] for t in r]) not in perms:
+    gens: list[tuple[int, ...]] = []
+    closure = {ident}
+    for q in sorted(perms):
+        if q in closure:
+            continue
+        gens.append(q)
+        closure, frontier = {ident}, {ident}
+        while frontier:
+            frontier = {tuple([p[t] for t in r]) for p in frontier for r in gens} - closure
+            if not frontier <= perms:
                 raise CrossCheckFailure("isometry set not closed under composition")
+            closure |= frontier
 
 
 VERTEX_GUARD = 48

@@ -158,14 +158,6 @@ def bernoulli_subgraph(g0: GeomGraph, p: Q, seed: int) -> GeomGraph:
     return GeomGraph(sample=g0.sample, edges=g0.edges[keep], p=p, rng_seed=seed)
 
 
-def adjacency_lists(g: GeomGraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in g.sample.points]
-    for i, j in g.edges.tolist():
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
-
-
 def graph_distance(g: GeomGraph, i: int, j: int) -> int | None:
     """Breadth-first hop count; None when unreachable (the reference for `distance_matrix`)."""
     n = len(g.sample.points)
@@ -173,7 +165,10 @@ def graph_distance(g: GeomGraph, i: int, j: int) -> int | None:
         raise IndexOutOfRange(f"indices ({i}, {j}) for {n} points")
     if i == j:
         return 0
-    adj = adjacency_lists(g)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in g.edges.tolist():
+        adj[a].append(b)
+        adj[b].append(a)
     dist = {i: 0}
     queue = deque([i])
     while queue:
@@ -219,22 +214,23 @@ def _bool_product(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hop_planes(packed: np.ndarray, start: int, stop: int, cap: int) -> list[np.ndarray]:
-    """min(hops, cap + 1) from sources start <= i < stop to every vertex, as
-    (cap + 1).bit_length() packed bit planes shaped like `packed[start:stop]`.
+def _hop_planes(g: GeomGraph, cap: int) -> list[np.ndarray]:
+    """min(hops, cap + 1) between every two of the n vertices, as
+    (cap + 1).bit_length() packed bit planes shaped like `packed_adjacency(g)`.
 
     All sources go level by level at once: level 0 is the diagonal, level 1
     the adjacency, and each later frontier the `_bool_product` of the last
     one with the adjacency, masked to the vertices still unseen, up to `cap`
     or an empty frontier.  Plane b holds bit b of each pair's level; the
     pairs never reached hold cap + 1.  Bits past the n targets are left as
-    they fall.
+    they fall.  `_plane_levels` decodes the planes, a block of rows at a time.
     """
-    rows = np.arange(stop - start)
-    unseen = np.full((len(rows), packed.shape[1]), ~np.uint64(0), dtype=_WORD)
-    unseen[rows, (start + rows) >> 6] ^= np.uint64(1) << ((start + rows) & 63).astype(np.uint64)
+    packed = packed_adjacency(g)
+    rows = np.arange(len(packed))
+    unseen = np.full(packed.shape, ~np.uint64(0), dtype=_WORD)
+    unseen[rows, rows >> 6] ^= np.uint64(1) << (rows & 63).astype(np.uint64)
     planes = [np.zeros_like(unseen) for _ in range((cap + 1).bit_length())]
-    front = packed[start:stop]
+    front = packed
     for level in range(1, cap + 1):
         if level > 1:
             front = _bool_product(front, packed)
@@ -251,35 +247,24 @@ def _hop_planes(packed: np.ndarray, start: int, stop: int, cap: int) -> list[np.
     return planes
 
 
-def _plane_levels(planes: list[np.ndarray], lo: int, hi: int, start: int, n: int) -> np.ndarray:
-    """The levels in rows lo <= r < hi of `_hop_planes`, to targets start <= j < n, as int64."""
-    levels = np.zeros((hi - lo, n), dtype=np.int64)
+def _plane_levels(planes: list[np.ndarray], start: int, stop: int, n: int) -> np.ndarray:
+    """The int64 `_hop_planes` levels from sources start <= i < stop to targets start <= j < n."""
+    levels = np.zeros((stop - start, n), dtype=np.int64)
     for plane in reversed(planes):
         levels <<= 1
-        levels += np.unpackbits(plane[lo:hi].view(np.uint8), axis=1, count=n, bitorder="little")
+        levels += np.unpackbits(plane[start:stop].view("u1"), axis=1, count=n, bitorder="little")
     return levels[:, start:]
 
 
-def distance_matrix(
-    g: GeomGraph, start: int = 0, stop: int | None = None, cap: int | None = None,
-    packed: np.ndarray | None = None,
-) -> np.ndarray:
-    """Hop counts from sources start <= i < stop to targets start <= j < n.
+def distance_matrix(g: GeomGraph) -> np.ndarray:
+    """Hop counts between all n points as an n x n int64 matrix, -1 for unreachable pairs.
 
-    Without `cap`, the whole n x n matrix as int64, -1 for unreachable
-    pairs.  With it, levels stop at `cap`, in the smallest unsigned dtype
-    holding cap + 1, the value of every pair not reached by then.  The
-    levels are `_hop_planes` of `packed_adjacency`, all sources at once.
+    The whole-matrix view of `_hop_planes` at cap n - 1, past every path's
+    length, so the level n marks exactly the pairs never reached.
     """
     n = len(g.sample.points)
-    stop = n if stop is None else stop
-    beyond = n if cap is None else cap + 1
-    if packed is None:
-        packed = packed_adjacency(g)
-    levels = _plane_levels(_hop_planes(packed, start, stop, beyond - 1), 0, stop - start, start, n)
-    if cap is not None:
-        return levels.astype(np.min_scalar_type(beyond))
-    levels[levels == beyond] = -1
+    levels = _plane_levels(_hop_planes(g, n - 1), 0, n, n)
+    levels[levels == n] = -1
     return levels
 
 
@@ -330,13 +315,13 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
 
     The hop levels stop at cap = max(k_max, largest floor), at most n - 1:
     past it no row or violation tells a pair from an unreachable one.  They
-    are computed once for all sources, as the `_hop_planes` of the packed
-    adjacency, about (cap + 1).bit_length() + 4 times n^2 / 8 bytes; source
-    rows then go in blocks of `_BLOCK_ROWS`, so nothing n x n is held.  Over
-    the pairs i < j, each block adds to histograms of the floors f, the hops
-    h (cap + 1 past the cap) and m = max(f + 1, h) for h <= cap.  A row is
-    then pairs - #{f < k} - #{h <= min(k, cap)} + 2 #{m <= k}, at a cost
-    that does not grow with k_max, and a pair is a violation iff m > h.
+    are computed once for all sources, as `_hop_planes(g, cap)`, about
+    (cap + 1).bit_length() + 4 times n^2 / 8 bytes, and `_plane_levels`
+    decodes them in blocks of `_BLOCK_ROWS` source rows, so nothing n x n is
+    held.  Over the pairs i < j, each block adds to histograms of the floors
+    f, the hops h (cap + 1 past the cap) and m = max(f + 1, h) for h <= cap.
+    A row is then pairs - #{f < k} - #{h <= min(k, cap)} + 2 #{m <= k}, at a
+    cost that does not grow with k_max, and a pair is a violation iff m > h.
     """
     if not 2 <= k_max <= _K_MAX_LIMIT:
         raise OutOfDomain(f"k_max must lie in [2, {_K_MAX_LIMIT}], got {k_max}")
@@ -347,7 +332,7 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
     cap = max(min(n - 1, max(k_max, max_floor)), 0)
     top = max(k_max, cap)  # clipping floors here changes no comparison below
     bins = max(min(max_floor, top), cap) + 2
-    planes = _hop_planes(packed_adjacency(g), 0, n, cap)
+    planes = _hop_planes(g, cap)
     hists = np.zeros((3, bins), dtype=np.int64)
     violations = 0
     for start in range(0, n, _BLOCK_ROWS):
@@ -355,7 +340,7 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
         floors = norm_floor_matrix(g, start, stop, projections)
         above = ~np.tri(*floors.shape, dtype=bool)  # the pairs i < j
         f = np.minimum(floors[above], top).astype(np.int64, copy=False)
-        h = _plane_levels(planes, start, stop, start, n)[above]
+        h = _plane_levels(planes, start, stop, n)[above]
         m = np.maximum(f + 1, h)
         m[h > cap] = 0
         for hist, values in zip(hists, (f, h, m)):

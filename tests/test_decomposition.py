@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as Q
@@ -334,6 +335,41 @@ def _reference_linear_isometry_group(ball):
     return sorted(found, key=lambda g: g.matrix)
 
 
+def _reference_check_vertex_permutation_group(perms, neg):
+    """The pairwise certificate: +-identity, every inverse and all |G|^2 products."""
+    n = len(neg)
+    if tuple(range(n)) not in perms or neg not in perms:
+        raise CrossCheckFailure("isometry group must contain +-identity")
+    for q in perms:
+        inv = [0] * n
+        for i, t in enumerate(q):
+            inv[t] = i
+        if tuple(inv) not in perms:
+            raise CrossCheckFailure("isometry set not closed under inverse")
+    for q in perms:
+        for r in perms:
+            if tuple([q[t] for t in r]) not in perms:
+                raise CrossCheckFailure("isometry set not closed under composition")
+
+
+def _vertex_permutations(ball):
+    """The (perms, neg) that `linear_isometry_group` hands its group check."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomposition, "_check_vertex_permutation_group", lambda *a: seen.append(a))
+        linear_isometry_group(ball)
+    (perms, neg), = seen
+    return perms, neg
+
+
+def _is_group(check, perms, neg):
+    try:
+        check(perms, neg)
+    except CrossCheckFailure:
+        return False
+    return True
+
+
 def _vertex_gram(ball):
     """Q = sum of v v^T over the ball's vertices, in Fractions."""
     return linalg.matmul(linalg.transpose(ball.vertices), ball.vertices)
@@ -436,10 +472,28 @@ class TestIsometryGroup:
         check(group, neg)
         with pytest.raises(CrossCheckFailure, match="identity"):
             check(group - {neg}, neg)
-        with pytest.raises(CrossCheckFailure, match="inverse"):
+        with pytest.raises(CrossCheckFailure, match="composition"):
             check({ident, neg, rot}, neg)
         with pytest.raises(CrossCheckFailure, match="composition"):
             check({ident, neg, swap}, neg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ball=_RANDOM_BALLS, data=st.data())
+    def test_generator_certificate_matches_the_pairwise_reference(self, ball, data):
+        # The group, the group less any one non-identity element, and the
+        # group plus one foreign permutation, when S_n has one to spare.
+        perms, neg = _vertex_permutations(ball)
+        ident = tuple(range(len(neg)))
+        sets = [perms] + [perms - {q} for q in perms if q != ident]
+        if len(perms) < math.factorial(len(neg)):
+            foreign = data.draw(
+                st.permutations(ident).map(tuple).filter(lambda q: q not in perms))
+            sets.append(perms | {foreign})
+        check = decomposition._check_vertex_permutation_group
+        assert _is_group(check, perms, neg)
+        for candidate in sets:
+            assert _is_group(check, candidate, neg) == _is_group(
+                _reference_check_vertex_permutation_group, candidate, neg)
 
     @settings(max_examples=60, deadline=None)
     @given(ball=_RANDOM_BALLS)

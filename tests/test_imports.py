@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+import rado_lab
+from rado_lab import errors
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src").rglob("*.py"))
 FILES = [
@@ -72,3 +75,11 @@ def test_checker_flags_a_private_import():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_private_name_imported_across_modules(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_error_type_is_exported():
+    defined = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.RadoLabError)
+    }
+    assert defined - set(rado_lab.__all__) == set()

@@ -481,14 +481,20 @@ class TestHopLevels:
         if cap == "diameter":
             cap = max(int(uncapped[uncapped <= n].max()), 1)
         want = np.minimum(uncapped, cap + 1)
-        whole = distance_matrix(g, cap=cap)
-        assert whole.dtype == np.min_scalar_type(cap + 1) and np.array_equal(whole, want)
-        planes = rg._hop_planes(rg.packed_adjacency(g), 0, n, cap)
+        planes = rg._hop_planes(g, cap)
         assert len(planes) == (cap + 1).bit_length()
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            assert np.array_equal(rg._plane_levels(planes, lo, hi, lo, n), want[lo:hi, lo:])
-            assert np.array_equal(distance_matrix(g, lo, hi, cap), want[lo:hi, lo:])
+            assert np.array_equal(rg._plane_levels(planes, lo, hi, n), want[lo:hi, lo:])
+
+    def test_zero_and_one_point_graphs(self):
+        empty = GeomGraph(line_sample(), np.zeros((0, 2), dtype=np.int64), Q(1), None)
+        single = unit_graph(line_sample(0))
+        assert distance_matrix(empty).shape == (0, 0)
+        assert distance_matrix(single).tolist() == [[0]]
+        for g in (empty, single):
+            report = bj_audit(g, 5)
+            assert report.pairs == 0 and not report.satisfied.any()
 
 
 class TestBjAudit:
