@@ -78,7 +78,6 @@ from .random_graphs import (
     bernoulli_subgraph,
     bj_audit,
     edge_agreement_probability,
-    graph_distance,
     sample_typical_points,
     unit_graph,
 )

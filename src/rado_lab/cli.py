@@ -175,6 +175,7 @@ def graph_to_json(g: random_graphs.GeomGraph) -> dict:
 _EDGES_OPEN, _EDGES_CLOSE = b'\n "edges": [\n', b"\n ]"
 _EDGE_ROW = b"  [\n   %b,\n   %b\n  ],\n"  # a row and its separator, as `_json_text` indents them
 _ROW_SKELETON, _ROW_SEAM = _EDGE_ROW % (b"", b""), b"\n  ],\n"  # a seam ends all rows but the last
+_SLOT_ENDS = np.cumsum([len(part) for part in _EDGE_ROW.split(b"%b")[:2]])  # in the skeleton
 _EDGE_ROWS = 1 << 14  # edges written per chunk
 _READ_BYTES = 1 << 19  # bytes of the edges block read per chunk, up to the next row seam
 _TO_SPACES = bytes.maketrans(b"[],\n", b"    ")
@@ -215,7 +216,10 @@ def _edge_block(data: bytes, start: int, stop: int) -> np.ndarray | None:
     one `[` per row; the block's last row has no separator) with nonempty digit
     runs in place of each %b, written as JSON writes integers: no leading zero,
     which the digit count of the values checks, and below 10**18, so that no run
-    saturates numpy's int64 parse.
+    saturates numpy's int64 parse.  And the runs sit in their slots: where the
+    values' widths put each slot's end, a digit must come before and the
+    slot's closing `,` or `\n` after.  Those are 2 * rows distinct run ends, so
+    all of them, in order; each run then has its value's width, in its slot.
     """
     edges, row = np.empty((data.count(b"[", start, stop), 2), dtype=np.int64), 0
     while start < stop:
@@ -229,11 +233,17 @@ def _edge_block(data: bytes, start: int, stop: int) -> np.ndarray | None:
         values = np.fromstring(chunk.translate(_TO_SPACES), dtype=np.int64, sep=" ")
         if len(values) != 2 * rows or values.max() >= 10 ** 18:
             return None
-        digits, power = len(values), 10
-        while power <= values.max():
-            digits += int(np.count_nonzero(values >= power))
+        widths, power, top = np.ones_like(values), 10, values.max()
+        while power <= top:
+            widths += values >= power
             power *= 10
-        if digits != len(chunk) - len(skeleton):
+        if widths.sum() != len(chunk) - len(skeleton):
+            return None
+        ends = np.cumsum(widths, out=widths).reshape(rows, 2)
+        ends += _SLOT_ENDS
+        ends += np.arange(0, len(skeleton), len(_ROW_SKELETON))[:, None]
+        text = np.frombuffer(chunk, dtype=np.uint8)
+        if text[ends].tobytes() != b",\n" * rows or not text[ends - 1].tobytes().isdigit():
             return None
         edges[row : row + rows] = values.reshape(rows, 2)
         row, start = row + rows, cut

@@ -7,21 +7,20 @@ are uniform rationals on the shared 2**-33 grid (see `grid`), drawn as
 integer numerators with one odd offset per point, so the constraints are
 near-impossible to trip by chance yet still audited exactly.
 
-A graph's edges are one read-only (E, 2) int64 array of index pairs
-i < j in row-major order, from `unit_graph` through the audits to disk.
+A graph's edges are one read-only, C-ordered (E, 2) int64 array of index
+pairs i < j in row-major order, from `unit_graph` through the audits to disk.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import numpy as np
 
 from .decomposition import LinfDecomposition
-from .errors import IndexOutOfRange, OutOfDomain, WindowTooSmall
+from .errors import OutOfDomain, WindowTooSmall
 from .geometry import PolytopeBall, integer_coordinates, norm_projections, projection_distances
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py wraps random_graphs.norm)
 from .grid import DEN, draw_odd, grid_max_num, grid_num, randbelow
@@ -44,8 +43,9 @@ class PointSample:
 class GeomGraph:
     """Unit-distance graph (p = 1) or a Bernoulli edge subsample of one.
 
-    `edges` is a read-only (E, 2) int64 array of pairs i < j in row-major
-    order; graphs compare by identity, as an array has no field-wise `==`.
+    `edges` is a read-only, C-ordered (E, 2) int64 array of pairs i < j in
+    row-major order; graphs compare by identity, as an array has no
+    field-wise `==`.
     """
 
     sample: PointSample
@@ -124,7 +124,9 @@ def unit_graph(sample: PointSample) -> GeomGraph:
         + i0
         for i0 in range(0, len(ys), _BLOCK_ROWS)
     ]
-    edges = np.concatenate(blocks) if blocks else np.zeros((0, 2), dtype=np.int64)
+    edges = np.zeros((sum(map(len, blocks)), 2), dtype=np.int64)  # C order, unlike `argwhere`'s
+    if blocks:
+        np.concatenate(blocks, out=edges)
     return GeomGraph(sample=sample, edges=edges, p=Q(1), rng_seed=None)
 
 
@@ -154,32 +156,8 @@ def bernoulli_subgraph(g0: GeomGraph, p: Q, seed: int) -> GeomGraph:
         raise OutOfDomain("bernoulli_subgraph expects the p=1 unit graph")
     if not 0 <= p <= 1:
         raise OutOfDomain("p must lie in [0, 1]")
-    keep = _coins(random.Random(seed), p, len(g0.edges))
-    return GeomGraph(sample=g0.sample, edges=g0.edges[keep], p=p, rng_seed=seed)
-
-
-def graph_distance(g: GeomGraph, i: int, j: int) -> int | None:
-    """Breadth-first hop count; None when unreachable (the reference for `distance_matrix`)."""
-    n = len(g.sample.points)
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexOutOfRange(f"indices ({i}, {j}) for {n} points")
-    if i == j:
-        return 0
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in g.edges.tolist():
-        adj[a].append(b)
-        adj[b].append(a)
-    dist = {i: 0}
-    queue = deque([i])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                if w == j:
-                    return dist[w]
-                queue.append(w)
-    return None
+    edges = np.compress(_coins(random.Random(seed), p, len(g0.edges)), g0.edges, axis=0)
+    return GeomGraph(sample=g0.sample, edges=edges, p=p, rng_seed=seed)
 
 
 _WORD = np.dtype("<u8")  # packed words, little-endian so byte b of a row holds bits 8b to 8b + 7
@@ -220,21 +198,29 @@ def _hop_planes(g: GeomGraph, cap: int) -> list[np.ndarray]:
 
     All sources go level by level at once: level 0 is the diagonal, level 1
     the adjacency, and each later frontier the `_bool_product` of the last
-    one with the adjacency, masked to the vertices still unseen, up to `cap`
-    or an empty frontier.  Plane b holds bit b of each pair's level; the
-    pairs never reached hold cap + 1.  Bits past the n targets are left as
-    they fall.  `_plane_levels` decodes the planes, a block of rows at a time.
+    one with the adjacency, masked to the targets still unseen, up to `cap`
+    or an empty frontier.  Only the unsettled rows, with a frontier and an
+    unseen target, are multiplied: as in the bottom-up step of Beamer,
+    Asanovic and Patterson (SC 2012), work follows what is left to reach.
+    Plane b holds bit b of each pair's level; the pairs never reached hold
+    cap + 1, and no bit past the n targets is set.  `_plane_levels` decodes
+    the planes, a block of rows at a time.
     """
     packed = packed_adjacency(g)
-    rows = np.arange(len(packed))
+    n = len(packed)
+    rows = np.arange(n)
     unseen = np.full(packed.shape, ~np.uint64(0), dtype=_WORD)
     unseen[rows, rows >> 6] ^= np.uint64(1) << (rows & 63).astype(np.uint64)
+    unseen[:, -1:] &= np.uint64((1 << 64) - 1 >> (-n % 64))  # no target past the n
     planes = [np.zeros_like(unseen) for _ in range((cap + 1).bit_length())]
-    front = packed
+    front = packed.copy()
     for level in range(1, cap + 1):
         if level > 1:
-            front = _bool_product(front, packed)
-            front &= unseen
+            live = np.flatnonzero(front.any(axis=1) & unseen.any(axis=1))
+            product = _bool_product(front[live], packed)
+            product &= unseen[live]
+            front[:] = 0
+            front[live] = product
         if not front.any():
             break
         unseen ^= front
@@ -248,12 +234,15 @@ def _hop_planes(g: GeomGraph, cap: int) -> list[np.ndarray]:
 
 
 def _plane_levels(planes: list[np.ndarray], start: int, stop: int, n: int) -> np.ndarray:
-    """The int64 `_hop_planes` levels from sources start <= i < stop to targets start <= j < n."""
-    levels = np.zeros((stop - start, n), dtype=np.int64)
+    """The int64 `_hop_planes` levels from sources start <= i < stop to targets start <= j < n,
+    decoded from the word holding target `start` on."""
+    first = start >> 6 << 6
+    levels = np.zeros((stop - start, n - first), dtype=np.int64)
     for plane in reversed(planes):
         levels <<= 1
-        levels += np.unpackbits(plane[start:stop].view("u1"), axis=1, count=n, bitorder="little")
-    return levels[:, start:]
+        words = plane[start:stop, first >> 6 :].view("u1")
+        levels += np.unpackbits(words, axis=1, count=n - first, bitorder="little")
+    return levels[:, start - first :]
 
 
 def distance_matrix(g: GeomGraph) -> np.ndarray:
@@ -319,9 +308,11 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
     (cap + 1).bit_length() + 4 times n^2 / 8 bytes, and `_plane_levels`
     decodes them in blocks of `_BLOCK_ROWS` source rows, so nothing n x n is
     held.  Over the pairs i < j, each block adds to histograms of the floors
-    f, the hops h (cap + 1 past the cap) and m = max(f + 1, h) for h <= cap.
-    A row is then pairs - #{f < k} - #{h <= min(k, cap)} + 2 #{m <= k}, at a
-    cost that does not grow with k_max, and a pair is a violation iff m > h.
+    f and the hops h (cap + 1 past the cap).  A pair with h <= cap is a
+    violation iff f >= h; with m = max(f + 1, h) on the pairs h <= cap, a
+    row is pairs - #{f < k} - #{h <= min(k, cap)} + 2 #{m <= k}, at a cost
+    that does not grow with k_max.  m equals h off the violations, so its
+    histogram is h's up to the cap, with each violation moved from h to f + 1.
     """
     if not 2 <= k_max <= _K_MAX_LIMIT:
         raise OutOfDomain(f"k_max must lie in [2, {_K_MAX_LIMIT}], got {k_max}")
@@ -341,12 +332,12 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
         above = ~np.tri(*floors.shape, dtype=bool)  # the pairs i < j
         f = np.minimum(floors[above], top).astype(np.int64, copy=False)
         h = _plane_levels(planes, start, stop, n)[above]
-        m = np.maximum(f + 1, h)
-        m[h > cap] = 0
-        for hist, values in zip(hists, (f, h, m)):
-            hist += np.bincount(values, minlength=bins)
-        violations += int(np.count_nonzero(m > h))
-    hists[2, 0] = 0  # the pairs past the cap
+        bad = (f >= h) & (h <= cap)
+        hists[0] += np.bincount(f, minlength=bins)
+        hists[1] += np.bincount(h, minlength=bins)
+        hists[2] += np.bincount(f[bad] + 1, minlength=bins) - np.bincount(h[bad], minlength=bins)
+        violations += int(np.count_nonzero(bad))
+    hists[2, : cap + 1] += hists[1, : cap + 1]  # m = h off the violations, none past the cap
     cum_f, cum_h, cum_m = np.cumsum(hists, axis=1)
     # From k = bins on every index below is clipped, so the rows repeat.
     ks = np.arange(2, min(k_max, bins) + 1)

@@ -1,5 +1,5 @@
-"""`tools/bench_pair.summarize` on synthetic run summaries, and where the
-two trees are exported."""
+"""`tools/bench_pair.summarize` on synthetic run summaries, where the
+two trees are exported, and how `--compiled` prepares and runs them."""
 
 import importlib.util
 import io
@@ -102,3 +102,23 @@ def test_base_is_exported_again_when_its_sha_changes(bench_pair, monkeypatch, tm
         assert run_py.read_text() == f"# {rev}\n"
     assert archives == ["a" * 40, "b" * 40]  # the second call reused the first export
     assert not (tmp_path / "base" / "stale").exists()  # the re-export started afresh
+
+
+def test_compiled_runs_keep_bytecode(bench_pair, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert "PYTHONDONTWRITEBYTECODE" not in bench_pair.run_env(compiled=True)
+    assert bench_pair.run_env(compiled=False)["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_trees_are_compiled_or_left_as_source(bench_pair, tmp_path):
+    module = tmp_path / "pkg" / "mod.py"
+    module.parent.mkdir()
+    module.write_text("X = 1\n")
+    stale = tmp_path / "pkg" / "__pycache__" / "gone.cpython-0.pyc"
+    stale.parent.mkdir()
+    stale.write_bytes(b"")
+    bench_pair.prepare_tree(tmp_path, compiled=True)
+    assert not stale.exists()
+    assert Path(importlib.util.cache_from_source(str(module))).is_file()
+    bench_pair.prepare_tree(tmp_path, compiled=False)
+    assert not list(tmp_path.rglob("__pycache__"))

@@ -490,6 +490,34 @@ class TestGraphPipeline:
                 results = _audit_each(tmp_path, capsys, texts)
             assert results[0] == results[1] == (2, "", f"error: {error}")
 
+    def test_a_digit_moved_in_its_row_reads_as_json_does(self, tmp_path, capsys, payload):
+        # Each digit of each edge row, moved into every other gap of its row.
+        # The skeleton, the value count and the digit count all still hold, so
+        # only the slot check keeps the numpy reader from a digit outside its
+        # slot.  Either way the result is `json.loads`' alone: a digit moved
+        # into the whitespace beside its slot is still JSON, one moved into the
+        # other slot is read as the value it joins.
+        payload["points"] += [payload["points"][0]] * 7  # 12 points, for two-digit indices
+        text = _graph_texts(payload, [[0, 2], [3, 10], [10, 11]])[1]
+        block = text.index("[\n  [")
+        block_end = text.index("\n ]", block)
+        moved = set()
+        for at in (i for i in range(block, block_end) if text[i].isdigit()):
+            row = text.rindex("  [", block, at)
+            end = min(text.index("]", at) + len("],\n"), block_end)
+            rest = text[:at] + text[at + 1 :]
+            moved.update(rest[:gap] + text[at] + rest[gap:] for gap in range(row, end))
+        moved = sorted(moved - {text})
+        assert any("0  [\n   ,\n   2\n  ]" in m for m in moved)
+        with mock.patch.object(cli, "_edge_block", lambda *args: None):
+            want = _audit_each(tmp_path, capsys, moved)
+        assert want.count((2, "", "error: BadFile")) > len(moved) // 2
+        for read_bytes in (1, cli._READ_BYTES):
+            with mock.patch.object(cli, "_READ_BYTES", read_bytes):
+                for m in filter(_read_by_numpy, moved):
+                    assert cli._graph_json(m.encode())["edges"].tolist() == json.loads(m)["edges"]
+                assert _audit_each(tmp_path, capsys, moved) == want
+
     @pytest.mark.parametrize("rows", [1, 2, 3, cli._EDGE_ROWS])
     def test_index_widths_within_and_across_chunks(self, rows):
         # Indices cross 9/10, 99/100 and 999/1000 inside one chunk (the

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction as Q
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from rado_lab import random_graphs as rg
 from rado_lab.decomposition import linf_decomposition
-from rado_lab.errors import IndexOutOfRange, WindowTooSmall
+from rado_lab.errors import WindowTooSmall
 from rado_lab.geometry import cube_ball, hexagon_ball, hexagonal_prism_ball, norm, validate_ball
 from rado_lab.grid import DEN, draw_odd
 from rado_lab.linalg import vsub
@@ -24,7 +25,6 @@ from rado_lab.random_graphs import (
     bj_audit,
     distance_matrix,
     edge_agreement_probability,
-    graph_distance,
     norm_floor_matrix,
     sample_typical_points,
     unit_graph,
@@ -225,6 +225,11 @@ class TestUnitGraph:
             assert edges.shape == (0, 2) and edges.dtype == np.int64
             assert not edges.flags.writeable
 
+    def test_edges_are_c_ordered(self, g0):
+        # `argwhere` blocks are Fortran-ordered; the graph's array is not.
+        for g in (g0, bernoulli_subgraph(g0, Q(1, 2), seed=1)):
+            assert len(g.edges) > 1 and g.edges.flags.c_contiguous
+
     def test_edge_soundness_audit(self, linf2):
         ball, dec = linf2
         s = sample_typical_points(ball, dec, Q(3), 120, seed=31)
@@ -303,27 +308,46 @@ class TestBernoulli:
             bernoulli_subgraph(gp, Q(1, 2), seed=3)
 
 
+def bfs_hops(g):
+    """Hop counts between every two points by breadth-first search from each
+    source, -1 when unreachable: the reference for the hop planes.  The
+    adjacency lists are built once per graph."""
+    n = len(g.sample.points)
+    adj = [[] for _ in range(n)]
+    for a, b in g.edges.tolist():
+        adj[a].append(b)
+        adj[b].append(a)
+    hops = []
+    for i in range(n):
+        dist = [-1] * n
+        dist[i] = 0
+        queue = deque([i])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        hops.append(dist)
+    return hops
+
+
 class TestDistances:
     def test_same_vertex(self):
         g = unit_graph(line_sample(0, Q(1, 2)))
-        assert graph_distance(g, 0, 0) == 0
+        assert bfs_hops(g)[0][0] == distance_matrix(g)[0, 0] == 0
 
     def test_adjacent(self):
         g = unit_graph(line_sample(0, Q(1, 2)))
-        assert graph_distance(g, 0, 1) == 1
+        assert bfs_hops(g)[0][1] == distance_matrix(g)[0, 1] == 1
 
     def test_two_hops(self):
         g = unit_graph(line_sample(0, Q(3, 4), Q(3, 2)))
-        assert graph_distance(g, 0, 2) == 2
+        assert bfs_hops(g)[0][2] == distance_matrix(g)[0, 2] == 2
 
     def test_unreachable(self):
         g = unit_graph(line_sample(0, 3))
-        assert graph_distance(g, 0, 1) is None
-
-    def test_index_out_of_range(self):
-        g = unit_graph(line_sample(0, Q(1, 2)))
-        with pytest.raises(IndexOutOfRange):
-            graph_distance(g, 0, 5)
+        assert bfs_hops(g)[0][1] == distance_matrix(g)[0, 1] == -1
 
     def test_matrix_matches_bfs(self, linf2):
         # Every pair, on 1 to 129 points: word boundaries at 64, an edgeless
@@ -344,11 +368,8 @@ class TestDistances:
         for g in graphs:
             n = len(g.sample.points)
             dm = distance_matrix(g)
-            assert dm.shape == (n, n) and np.array_equal(dm, dm.T)
-            for i in range(n):
-                for j in range(i, n):
-                    bfs = graph_distance(g, i, j)
-                    assert dm[i, j] == (-1 if bfs is None else bfs)
+            assert dm.shape == (n, n)
+            assert dm.tolist() == bfs_hops(g)
 
 
 @functools.cache
@@ -372,6 +393,11 @@ def _audit_graph(name):
         )
         s = PointSample(ball=hexagon_ball(), points=pts, window=Q(6), seed=0, typicality=())
         return bernoulli_subgraph(unit_graph(s), Q(2, 3), seed=4)
+    if name == "random_edges":  # 150 points, edges regardless of norm: violations at hops 1 to 8
+        ball = cube_ball(1)
+        s = sample_typical_points(ball, linf_decomposition(ball), Q(12), 150, seed=17)
+        edges = np.argwhere(np.triu(np.random.default_rng(19).random((150, 150)) < 0.02, k=1))
+        return GeomGraph(sample=s, edges=np.ascontiguousarray(edges), p=Q(1), rng_seed=None)
     ball, window, n, p = {
         "cube_2": (cube_ball(2), Q(3), 70, Q(1, 2)),
         "hexagon": (hexagon_ball(), Q(3), 50, Q(1, 2)),
@@ -383,11 +409,11 @@ def _audit_graph(name):
 
 
 AUDIT_CORPUS = ["cube_2", "hexagon", "prism", "sparse_cube_1", "n1", "n2", "object_floors",
-                "hand_built_violation", "long_violations"]
+                "hand_built_violation", "long_violations", "random_edges"]
 
 
 def _reference_bj_audit(g, k_max):
-    """`bj_audit` as a count over the whole floor and distance matrices.
+    """`bj_audit` as a count over the whole floor matrix and the `bfs_hops` matrix.
 
     Both are symmetric, and each diagonal entry (floor 0, hop 0) satisfies
     every row and violates nothing, so a count over pairs i < j is the
@@ -395,7 +421,7 @@ def _reference_bj_audit(g, k_max):
     """
     n = len(g.sample.points)
     floors = norm_floor_matrix(g)
-    dist = distance_matrix(g)
+    dist = np.array(bfs_hops(g)).reshape(n, n)
     pairs = n * (n - 1) // 2
     rows = []
     for k in range(2, k_max + 1):
@@ -436,10 +462,8 @@ def _unpacked(words, n):
 
 
 def _capped_bfs(g, cap):
-    """min(hops, cap + 1) for every pair from `graph_distance`, cap + 1 if unreachable."""
-    n = len(g.sample.points)
-    hops = [[graph_distance(g, i, j) for j in range(n)] for i in range(n)]
-    return np.array([[cap + 1 if h is None else min(h, cap + 1) for h in row] for row in hops])
+    """min(hops, cap + 1) for every pair from `bfs_hops`, cap + 1 if unreachable."""
+    return np.array([[cap + 1 if h < 0 else min(h, cap + 1) for h in row] for row in bfs_hops(g)])
 
 
 class TestHopLevels:
@@ -466,8 +490,8 @@ class TestHopLevels:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        g=long_paths() | st.sampled_from(["sparse_cube_1", "n1", "n2", "long_violations"]).map(
-            _audit_graph),
+        g=long_paths() | st.sampled_from(
+            ["sparse_cube_1", "n1", "n2", "long_violations", "random_edges"]).map(_audit_graph),
         cap=st.sampled_from([1, 2, "diameter"]),
         rows=st.sampled_from([1, 7, 64]),
     )
@@ -483,6 +507,8 @@ class TestHopLevels:
         want = np.minimum(uncapped, cap + 1)
         planes = rg._hop_planes(g, cap)
         assert len(planes) == (cap + 1).bit_length()
+        for plane in planes:  # no bit past the n targets
+            assert not _unpacked(plane, plane.shape[1] * 64)[:, n:].any()
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
             assert np.array_equal(rg._plane_levels(planes, lo, hi, n), want[lo:hi, lo:])
@@ -510,6 +536,9 @@ class TestBjAudit:
     @example(g=unit_graph(line_sample(*[Q(3 * i, 4) for i in range(30)])), k_max=45, rows=7)
     # Violations at hops 3 to 5, past k_max: the cap is the largest floor.
     @example(g=_audit_graph("long_violations"), k_max=2, rows=1)
+    # Blocks from words 1 and 2 on, rows settled at hops 2 to 9, violations at hops 1 to 8.
+    @example(g=_audit_graph("random_edges"), k_max=3, rows=64)
+    @example(g=_audit_graph("random_edges"), k_max=3, rows=7)
     def test_blocks_and_cap_match_the_whole_matrix_count(self, g, k_max, rows):
         n = len(g.sample.points)
         size = {"n": n, "n+1": n + 1}.get(rows, rows)
@@ -524,9 +553,9 @@ class TestBjAudit:
         # floors of the exact norm, one pair at a time.
         g = _audit_graph(name)
         pts, k_max = g.sample.points, 6
-        hops = distance_matrix(g)
+        hops = bfs_hops(g)
         pairs = [
-            (math.floor(norm(g.sample.ball, vsub(pts[i], pts[j]))), int(hops[i, j]))
+            (math.floor(norm(g.sample.ball, vsub(pts[i], pts[j]))), hops[i][j])
             for i in range(len(pts))
             for j in range(i + 1, len(pts))
         ]

@@ -5,6 +5,7 @@ Usage (from the repository root):
     python3 tools/bench_pair.py --base HEAD --pr <pr> --pairs 10 --seed 700
     python3 tools/bench_pair.py --base HEAD~1 --pr <pr> --workload graph_cube --pairs 12
     python3 tools/bench_pair.py --pr <pr> --workload s0_gadget bf_extend --pairs 10
+    python3 tools/bench_pair.py --pr <pr> --workload kernel_generic --pairs 12 --compiled
 
 The base revision is exported with `git archive` into `.bench_build/base`
 (a plain tree: no worktree is registered in `.git`; it is exported again
@@ -23,13 +24,22 @@ workload and end-to-end metric both sides' runs and medians, the
 interquartile range of the base runs, and how many pairs the working tree
 won (lower is better for every end-to-end metric), plus the failed
 command count of every run.
+
+Each run starts from trees without bytecode caches.  With `--compiled`,
+both trees are compiled first (`compileall`) and the runs go without
+`PYTHONDONTWRITEBYTECODE`, so their workers load that bytecode instead of
+compiling every module from source.  A `peak_rss_mb` difference that shows
+without `--compiled` but not with it follows the source text each worker
+compiles, not the program's allocations.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -73,14 +83,30 @@ def export_working_tree() -> Path:
     return tree
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
+def prepare_tree(tree: Path, compiled: bool) -> None:
+    """Remove the tree's bytecode caches, then compile all of it when `compiled`."""
+    for cache in list(tree.rglob("__pycache__")):
+        shutil.rmtree(cache)
+    if compiled and not compileall.compile_dir(tree, quiet=1):
+        raise SystemExit(f"compileall failed in {tree}")
+
+
+def run_env(compiled: bool) -> dict:
+    """This process's environment, less `PYTHONDONTWRITEBYTECODE` when `compiled`."""
+    env = dict(os.environ)
+    if compiled:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_once(tree: Path, workload: str, seed: int, env: dict) -> dict:
     """The last stdout line of one `perfbench/run.py --trace 0` run: its JSON summary.
 
     The run length is `run.py`'s own default, the same on both sides.
     """
     argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"{' '.join(argv)} printed nothing:\n{proc.stderr[-2000:]}")
@@ -117,12 +143,17 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", nargs="+", choices=WORKLOADS + ("all",), default=["all"])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=700, help="seed of the first pair; pair i uses seed + i")
+    ap.add_argument("--compiled", action="store_true",
+                    help="compile both trees first and run without PYTHONDONTWRITEBYTECODE")
     args = ap.parse_args(argv)
     if args.pairs < 4:
         ap.error("--pairs must be at least 4 for quartiles")
 
     sha, base_tree = export_base(args.base)
     head_tree = export_working_tree()
+    for tree in (base_tree, head_tree):
+        prepare_tree(tree, args.compiled)
+    env = run_env(args.compiled)
     head = _git("rev-parse", "HEAD").decode().strip()
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no", "--", "src", "perfbench"))
     workloads = WORKLOADS if "all" in args.workload else tuple(args.workload)
@@ -130,6 +161,7 @@ def main(argv=None) -> int:
         "base": sha,
         "head": head + (" plus uncommitted changes" if dirty else ""),
         "command": "perfbench/run.py --trace 0",
+        "compiled": args.compiled,
         "pairs": args.pairs,
         "seeds": [args.seed + i for i in range(args.pairs)],
         "workloads": {},
@@ -140,7 +172,7 @@ def main(argv=None) -> int:
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
                 tree = base_tree if side == "base" else head_tree
-                runs[side].append(run_once(tree, workload, seed))
+                runs[side].append(run_once(tree, workload, seed, env))
             wall = [runs[s][-1]["metrics"]["wall_s"]["value"] for s in ("base", "head")]
             print(f"{workload} pair {i} seed {seed}: wall_s base {wall[0]:.3f} head {wall[1]:.3f}",
                   flush=True)
