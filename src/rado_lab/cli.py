@@ -174,18 +174,48 @@ def graph_to_json(g: random_graphs.GeomGraph) -> dict:
 
 _EDGES_OPEN, _EDGES_CLOSE = b'\n "edges": [\n', b"\n ]"
 _EDGE_ROW = b"  [\n   %b,\n   %b\n  ],\n"  # a row and its separator, as `_json_text` indents them
-_ROW_SKELETON, _ROW_SEAM = _EDGE_ROW % (b"", b""), b"\n  ],\n"  # a seam ends all rows but the last
-_SLOT_ENDS = np.cumsum([len(part) for part in _EDGE_ROW.split(b"%b")[:2]])  # in the skeleton
+_ROW_PIECES = _EDGE_ROW.split(b"%b")  # the fixed text before, between and after the indices
+_ROW_SKELETON, _ROW_SEAM = b"".join(_ROW_PIECES), b"\n  ],\n"  # a seam ends all rows but the last
+# Index slots i and j run from _SLOT_STARTS past the comma before them (the last
+# row's second, or 2 bytes before the chunk, for i; the row's first, for j) to
+# _SLOT_ENDS before the comma after them.
+_SLOT_STARTS = np.array([len(b",\n" + _ROW_PIECES[0]), len(_ROW_PIECES[1])])
+_SLOT_ENDS = np.array([0, _ROW_PIECES[2].index(b",")])
 _EDGE_ROWS = 1 << 14  # edges written per chunk
-_READ_BYTES = 1 << 19  # bytes of the edges block read per chunk, up to the next row seam
-_TO_SPACES = bytes.maketrans(b"[],\n", b"    ")
+_READ_BYTES = 1 << 18  # bytes of the edges block read per chunk, up to the next row seam
+_TABLE_DIGITS = 4  # digits per digit-table entry: a wider index takes one entry per 4 digits
+# Built from Python lists: the code pages of a numpy loop first run at import
+# would count towards every process's peak resident set.
+_DIGIT = np.array([int(chr(b)) if chr(b) in "0123456789" else 10 for b in range(256)])
+_REPUNIT = np.array([(10 ** k - 1) // 9 for k in range(19)])  # k ones at [k]
+
+
+def _digit_tables(top: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """`(last, upper)`: tables of `size`-byte entries that write each index
+    0..`top` `size` digits at a time.
+
+    With q an index's digits down to one group, the group is entry q when
+    q < 10**size (v right-aligned and NUL-padded at v), else entry
+    10**size + q % 10**size (v's `size` digits, zeros included).  An index's
+    last group takes `last`; its groups before take `upper`, whose entry 0 is
+    all NULs: no digit yet, where the last group writes a lone 0.
+    """
+    base = 10 ** size
+    entries = [str(v).encode().rjust(size, b"\0") for v in range(min(top + 1, base))]
+    if top >= base:
+        entries += [str(v).encode().zfill(size) for v in range(base)]
+    last = np.frombuffer(b"".join(entries), dtype=f"V{size}")
+    upper = last.copy()
+    upper[0] = bytes(size)
+    return last, upper
 
 
 def graph_chunks(g: random_graphs.GeomGraph) -> Iterator[str]:
     """The graph file, byte for byte `_json_text(graph_to_json(g))`, in pieces: the
     text up to the edge rows, the rows `_EDGE_ROWS` edges at a time, then the rest.
-    A chunk is one fixed-width `_EDGE_ROW` template per edge in numpy, both indices
-    written right-aligned into its NUL runs digit by digit, then the NULs squeezed out.
+    A chunk is one record per edge in numpy: `_EDGE_ROW`'s fixed pieces, and each
+    index gathered from `_digit_tables` into a NUL-padded field, whose NULs are
+    then squeezed out.
     """
     text = _json_text({**_graph_fields(g), "edges": []})
     if not len(g.edges):
@@ -193,16 +223,27 @@ def graph_chunks(g: random_graphs.GeomGraph) -> Iterator[str]:
         return
     head, tail = text.split('\n "edges": []', 1)  # a one-space indent is top level
     yield head + _EDGES_OPEN.decode()
-    width = len(str(g.edges.max()))
-    template = np.frombuffer(_EDGE_ROW % ((b"\0" * width,) * 2), dtype=np.uint8)
-    ends = np.flatnonzero(template == 0)[width - 1 :: width]  # each index's last digit
+    top = int(g.edges.max())
+    width = len(str(top))
+    size = min(width, _TABLE_DIGITS)
+    groups, base = -(-width // size), 10 ** size
+    last, upper = _digit_tables(top, size)
+    lengths = [f"V{len(piece)}" for piece in _ROW_PIECES]
+    row = np.dtype([("open", lengths[0]), ("i", f"V{size}", groups), ("mid", lengths[1]),
+                    ("j", f"V{size}", groups), ("close", lengths[2])])
+    template = np.frombuffer(_EDGE_ROW % ((bytes(size * groups),) * 2), dtype=row)
+    block = np.repeat(template, min(len(g.edges), _EDGE_ROWS))
     for at in range(0, len(g.edges), _EDGE_ROWS):
         chunk = g.edges[at : at + _EDGE_ROWS]
-        rows = np.tile(template, (len(chunk), 1))
-        for k in range(width):  # digit k from the right, and NUL past the leading one
-            rows[:, ends - k] = np.where((chunk > 0) | (k == 0), chunk % 10 + 48, 0)
-            chunk = chunk // 10
-        text = rows[rows != 0].tobytes().decode()
+        rows = block[: len(chunk)]
+        for field, q in zip("ij", chunk.T):
+            for k in reversed(range(groups)):  # q: the index's digits down to group k
+                key = q if k == 0 else np.where(q < base, q, base + q % base)
+                rows[field][:, k] = (last if k == groups - 1 else upper).take(key)
+                if k:
+                    q = q // base
+        flat = rows.view(np.uint8)
+        text = flat[flat != 0].tobytes().decode()
         yield text if at + _EDGE_ROWS < len(g.edges) else text[: -len(",\n")]
     yield _EDGES_CLOSE.decode() + tail
 
@@ -213,13 +254,15 @@ def _edge_block(data: bytes, start: int, stop: int) -> np.ndarray | None:
 
     The block is read about `_READ_BYTES` at a time, each chunk cut just after
     a `_ROW_SEAM`, into one preallocated array.  A chunk must be `_EDGE_ROW`s (so
-    one `[` per row; the block's last row has no separator) with nonempty digit
-    runs in place of each %b, written as JSON writes integers: no leading zero,
-    which the digit count of the values checks, and below 10**18, so that no run
-    saturates numpy's int64 parse.  And the runs sit in their slots: where the
-    values' widths put each slot's end, a digit must come before and the
-    slot's closing `,` or `\n` after.  Those are 2 * rows distinct run ends, so
-    all of them, in order; each run then has its value's width, in its slot.
+    one `[` per row; the block's last row has no separator) with digits added.
+    Then each row has two commas, and they fix both index slots: i runs from
+    `_SLOT_STARTS[0]` past the previous row's second comma (or the chunk's
+    start) to the first comma, j from `_SLOT_STARTS[1]` past the first comma
+    to `_SLOT_ENDS[1]` before the second.  As the skeleton leaves exactly a
+    slot's width of digits between the commas around it, the slots hold every
+    digit when each holds nothing else.  And each value is written as JSON
+    writes integers: 1 to 18 digits (below 10**18, so no value overflows
+    int64), with no leading zero.
     """
     edges, row = np.empty((data.count(b"[", start, stop), 2), dtype=np.int64), 0
     while start < stop:
@@ -230,22 +273,28 @@ def _edge_block(data: bytes, start: int, stop: int) -> np.ndarray | None:
         rows = len(skeleton) // len(_ROW_SKELETON)
         if skeleton != _ROW_SKELETON * rows:
             return None
-        values = np.fromstring(chunk.translate(_TO_SPACES), dtype=np.int64, sep=" ")
-        if len(values) != 2 * rows or values.max() >= 10 ** 18:
-            return None
-        widths, power, top = np.ones_like(values), 10, values.max()
-        while power <= top:
-            widths += values >= power
-            power *= 10
-        if widths.sum() != len(chunk) - len(skeleton):
-            return None
-        ends = np.cumsum(widths, out=widths).reshape(rows, 2)
-        ends += _SLOT_ENDS
-        ends += np.arange(0, len(skeleton), len(_ROW_SKELETON))[:, None]
         text = np.frombuffer(chunk, dtype=np.uint8)
-        if text[ends].tobytes() != b",\n" * rows or not text[ends - 1].tobytes().isdigit():
+        commas = np.flatnonzero(text == b","[0])
+        ends = commas.reshape(rows, 2) - _SLOT_ENDS
+        starts = np.concatenate(([-len(b",\n")], commas[:-1])).reshape(rows, 2) + _SLOT_STARTS
+        widths = ends - starts
+        top = widths.max()
+        if widths.min() < 1 or top > 18:
             return None
-        edges[row : row + rows] = values.reshape(rows, 2)
+        # Horner's rule over each slot's last `top` bytes, where the places left of a
+        # narrower slot read its first digit, `lead`, again: taken out after the loop.
+        lead = _DIGIT.take(text.take(starts))
+        values, worst, at = lead.copy(), lead.copy(), np.empty_like(starts)
+        for k in range(top - 1, 0, -1):
+            np.maximum(np.subtract(ends, k, out=at), starts, out=at)
+            digit = _DIGIT.take(text.take(at))
+            np.maximum(worst, digit, out=worst)
+            values *= 10
+            values += digit
+        values -= lead * (_REPUNIT[top] - _REPUNIT.take(widths))
+        if worst.max() > 9 or ((lead == 0) & (widths > 1)).any():
+            return None
+        edges[row : row + rows] = values
         row, start = row + rows, cut
     return edges if row == len(edges) > 0 else None
 

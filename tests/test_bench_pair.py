@@ -1,8 +1,10 @@
 """`tools/bench_pair.summarize` on synthetic run summaries, where the
-two trees are exported, and how `--compiled` prepares and runs them."""
+two trees are exported, how `--compiled` prepares and runs them, and what
+`--trace` adds, with the runs stubbed."""
 
 import importlib.util
 import io
+import json
 import tarfile
 from pathlib import Path
 
@@ -122,3 +124,50 @@ def test_trees_are_compiled_or_left_as_source(bench_pair, tmp_path):
     assert Path(importlib.util.cache_from_source(str(module))).is_file()
     bench_pair.prepare_tree(tmp_path, compiled=False)
     assert not list(tmp_path.rglob("__pycache__"))
+
+
+def _stub_runs(bench_pair, monkeypatch, tmp_path):
+    """Stub every run, export and git call; the list the runs are logged to."""
+    calls = []
+
+    def run_once(tree, workload, seed, env, trace=0):
+        calls.append((tree.name, workload, seed, trace))
+        fast = tree.name == "head"
+        if not trace:
+            return {"failed": 0, "metrics": {"wall_s": {"value": 0.9 if fast else 1.0, "unit": "s"}}}
+        metrics = {"cli.self_s": {"value": 0.07 if fast else 0.11, "unit": "s"}}
+        if fast:  # a layer only the head binds
+            metrics["bj_audit.self_s"] = {"value": 0.08, "unit": "s"}
+        return {"failed": 1 if fast else 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    monkeypatch.setattr(bench_pair, "export_base", lambda rev: ("a" * 40, tmp_path / "base"))
+    monkeypatch.setattr(bench_pair, "export_working_tree", lambda: tmp_path / "head")
+    monkeypatch.setattr(bench_pair, "prepare_tree", lambda tree, compiled: None)
+    monkeypatch.setattr(bench_pair, "_git", lambda *args: b"")
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    return calls
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_trace_runs_each_tree_once_after_the_pairs(bench_pair, monkeypatch, tmp_path, trace):
+    calls = _stub_runs(bench_pair, monkeypatch, tmp_path)
+    argv = ["--pr", "t", "--workload", "graph_cube", "--pairs", "4", "--seed", "5"]
+    assert bench_pair.main(argv + ["--trace"] * trace) == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    pairs = [(side, "graph_cube", seed, 0) for i, seed in enumerate(range(5, 9))
+             for side in (("base", "head") if i % 2 == 0 else ("head", "base"))]
+    summary = report["workloads"]["graph_cube"]
+    assert summary["metrics"]["wall_s"]["head_lower_in_pairs"] == 4
+    if not trace:
+        assert calls == pairs and "traced" not in summary and report["traced"] is None
+        return
+    assert calls == pairs + [("base", "graph_cube", 5, 1), ("head", "graph_cube", 5, 1)]
+    assert summary["traced"] == {
+        "failed": {"base": 0, "head": 1},
+        "metrics": {
+            "bj_audit.self_s": {"unit": "s", "base": None, "head": 0.08},
+            "cli.self_s": {"unit": "s", "base": 0.11, "head": 0.07},
+        },
+    }
+    assert "--trace 1 --seed 5" in report["traced"]

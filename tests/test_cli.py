@@ -12,9 +12,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rado_lab import back_forth, cli, decomposition, geometry, lp, random_graphs
-from rado_lab.errors import BadRational, OutOfDomain, UnknownBuiltin, UnknownSubcommand
+from rado_lab.errors import (
+    BadRational, OutOfDomain, RadoLabError, UnknownBuiltin, UnknownSubcommand,
+)
 from rado_lab.geometry import ball_to_json, cube_ball
 
 
@@ -612,6 +616,99 @@ class TestGraphPipeline:
             )
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+# Indices of every width from 1 to 19 digits, each side of every power of ten:
+# 10**18 - 1 is the widest the numpy reader reads, 10**18 falls back to JSON.
+_BOUNDARIES = [10 ** k + d for k in range(1, 19) for d in (-1, 0)]
+_INDICES = (
+    st.integers(0, 11)  # within the 12 points, so some graphs read back whole
+    | st.sampled_from(_BOUNDARIES)
+    | st.integers(1, 19).flatmap(lambda w: st.integers(10 ** w // 10, min(10 ** w, 2 ** 63) - 1))
+)
+_MUTATION_BYTES = b"0123456789 ,[]\n-."
+
+
+@st.composite
+def _edge_arrays(draw):
+    """A sorted array of distinct pairs i < j, as `unit_graph` writes them."""
+    pairs = draw(st.sets(st.tuples(_INDICES, _INDICES).filter(lambda p: p[0] != p[1]),
+                         min_size=1, max_size=30))
+    return np.array(sorted({(min(p), max(p)) for p in pairs}), dtype=np.int64)
+
+
+def _graph_with_edges(edges: np.ndarray) -> random_graphs.GeomGraph:
+    sample = random_graphs.PointSample(
+        ball=cube_ball(1), points=tuple((Q(i),) for i in range(12)), window=Q(3),
+        seed=0, typicality=(),
+    )
+    return random_graphs.GeomGraph(sample=sample, edges=edges, p=Q(1), rng_seed=None)
+
+
+def _read_back(data: bytes):
+    """What the graph reader makes of `data`: the edges of its JSON document as
+    JSON text (so a float or a boolean shows), then the graph's edges or its
+    error; or the document's own error."""
+    try:
+        obj = cli._graph_json(data)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    edges = obj["edges"]
+    document = json.dumps(edges.tolist() if isinstance(edges, np.ndarray) else edges)
+    try:
+        return document, cli.graph_from_json(obj).edges.tolist()
+    except (RadoLabError, ValueError, KeyError, TypeError) as exc:
+        return document, f"{type(exc).__name__}: {exc}"
+
+
+class TestEdgeRowsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edges=_edge_arrays(),
+        rows=st.sampled_from([1, 2, 3, cli._EDGE_ROWS]),
+        read_bytes=st.sampled_from([1, 40, 1000, cli._READ_BYTES]),
+        edit=st.sampled_from(["insert", "delete", "replace"]),
+        where=st.floats(0, 1, exclude_max=True),
+        byte=st.sampled_from(_MUTATION_BYTES),
+    )
+    @example(  # every width, and both sides of each power of ten, in one file
+        edges=np.array([[10 ** k - 1, 10 ** k] for k in range(1, 19)] + [[0, 10 ** 18 + 7]]),
+        rows=3, read_bytes=1, edit="replace", where=0.5, byte=ord("9"),
+    )
+    def test_written_read_and_mutated(self, edges, rows, read_bytes, edit, where, byte):
+        g = _graph_with_edges(edges)
+        with mock.patch.object(cli, "_EDGE_ROWS", rows):
+            text = "".join(cli.graph_chunks(g))
+        assert text == json.dumps(cli.graph_to_json(g), sort_keys=True, indent=1) + "\n"
+        data = text.encode()
+        start = data.index(cli._EDGES_OPEN) + len(cli._EDGES_OPEN)
+        stop = data.index(cli._EDGES_CLOSE, start)
+        at = start + int(where * (stop - start))
+        edited = {
+            "insert": data[:at] + bytes([byte]) + data[at:],
+            "delete": data[:at] + data[at + 1 :],
+            "replace": data[:at] + bytes([byte]) + data[at + 1 :],
+        }[edit]
+        with mock.patch.object(cli, "_READ_BYTES", read_bytes):
+            got = cli._graph_json(data)["edges"]
+            assert isinstance(got, np.ndarray) == (edges.max() < 10 ** 18)
+            assert np.array_equal(np.asarray(got), edges)
+            read = _read_back(edited)
+            with mock.patch.object(cli, "_edge_block", lambda *args: None):
+                assert read == _read_back(edited)
+
+
+def test_readme_graph_is_read_by_numpy():
+    # A silent fallback would pass every test of what is read, yet `json.loads`
+    # of this 7.8 MB file takes several times as long as the numpy reader.
+    ball = cube_ball(2)
+    sample = random_graphs.sample_typical_points(
+        ball, decomposition.linf_decomposition(ball), Q(3), 2000, 0
+    )
+    g = random_graphs.bernoulli_subgraph(random_graphs.unit_graph(sample), Q(1, 2), 0)
+    text = "".join(cli.graph_chunks(g))
+    assert _read_by_numpy(text)
+    assert np.array_equal(cli._graph_json(text.encode())["edges"], g.edges)
 
 
 def test_graph_file_memory_is_bounded(tmp_path):

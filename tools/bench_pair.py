@@ -6,6 +6,7 @@ Usage (from the repository root):
     python3 tools/bench_pair.py --base HEAD~1 --pr <pr> --workload graph_cube --pairs 12
     python3 tools/bench_pair.py --pr <pr> --workload s0_gadget bf_extend --pairs 10
     python3 tools/bench_pair.py --pr <pr> --workload kernel_generic --pairs 12 --compiled
+    python3 tools/bench_pair.py --pr <pr> --workload graph_cube --pairs 10 --trace
 
 The base revision is exported with `git archive` into `.bench_build/base`
 (a plain tree: no worktree is registered in `.git`; it is exported again
@@ -31,6 +32,11 @@ both trees are compiled first (`compileall`) and the runs go without
 compiling every module from source.  A `peak_rss_mb` difference that shows
 without `--compiled` but not with it follows the source text each worker
 compiles, not the program's allocations.
+
+With `--trace`, after a workload's pairs each tree also runs `perfbench/run.py
+--workload W --seed S --trace 1` once, S the first pair's seed, and the record
+holds both sides' per-layer metrics from those runs, so it shows in which
+layer a saving in the end-to-end metrics lands.
 """
 
 from __future__ import annotations
@@ -99,13 +105,13 @@ def run_env(compiled: bool) -> dict:
     return env
 
 
-def run_once(tree: Path, workload: str, seed: int, env: dict) -> dict:
-    """The last stdout line of one `perfbench/run.py --trace 0` run: its JSON summary.
+def run_once(tree: Path, workload: str, seed: int, env: dict, trace: int = 0) -> dict:
+    """The last stdout line of one `perfbench/run.py` run: its JSON summary.
 
     The run length is `run.py`'s own default, the same on both sides.
     """
     argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--trace", "0"]
+            "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -136,6 +142,17 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+def compare_traced(base: dict, head: dict) -> dict:
+    """Both sides' metrics, by name, from one `--trace 1` run summary each; a
+    metric one side lacks (a layer it does not bind) is None there."""
+    metrics = {}
+    for side, run in (("base", base), ("head", head)):
+        for name, m in run["metrics"].items():
+            metrics.setdefault(name, {"unit": m["unit"], "base": None, "head": None})[side] = m["value"]
+    return {"failed": {"base": base["failed"], "head": head["failed"]},
+            "metrics": dict(sorted(metrics.items()))}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", default="HEAD", help="revision to compare the working tree against")
@@ -145,6 +162,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=700, help="seed of the first pair; pair i uses seed + i")
     ap.add_argument("--compiled", action="store_true",
                     help="compile both trees first and run without PYTHONDONTWRITEBYTECODE")
+    ap.add_argument("--trace", action="store_true",
+                    help="after the pairs, one --trace 1 run per tree per workload")
     args = ap.parse_args(argv)
     if args.pairs < 4:
         ap.error("--pairs must be at least 4 for quartiles")
@@ -162,6 +181,7 @@ def main(argv=None) -> int:
         "head": head + (" plus uncommitted changes" if dirty else ""),
         "command": "perfbench/run.py --trace 0",
         "compiled": args.compiled,
+        "traced": f"perfbench/run.py --trace 1 --seed {args.seed}, once per tree" if args.trace else None,
         "pairs": args.pairs,
         "seeds": [args.seed + i for i in range(args.pairs)],
         "workloads": {},
@@ -177,12 +197,18 @@ def main(argv=None) -> int:
             print(f"{workload} pair {i} seed {seed}: wall_s base {wall[0]:.3f} head {wall[1]:.3f}",
                   flush=True)
         report["workloads"][workload] = summarize(runs)
+        if args.trace:
+            traced = {side: run_once(tree, workload, args.seed, env, trace=1)
+                      for side, tree in (("base", base_tree), ("head", head_tree))}
+            report["workloads"][workload]["traced"] = compare_traced(**traced)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for workload, summary in report["workloads"].items():
         for name, m in summary["metrics"].items():
             print(f"{workload} {name}: {m['base_median']:.4g} -> {m['head_median']:.4g} {m['unit']} "
                   f"(lower in {m['head_lower_in_pairs']}/{args.pairs}, base IQR {m['base_iqr']:.3g})")
+        for name, m in summary.get("traced", {}).get("metrics", {}).items():
+            print(f"{workload} traced {name}: {m['base']} -> {m['head']} {m['unit']}")
     print(f"wrote {path.relative_to(ROOT)}")
     return 0
 
