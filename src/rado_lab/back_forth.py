@@ -19,10 +19,11 @@ on demand.
 
 Pair predicates are integer too.  `FibredSample.floors` gives the floor of
 the distance from one point to many, from the R-numerators and one table
-of the U-points projected onto the facet normals (computed once per
+of the U-points' floor keys (`geometry.norm_keys`, computed once per
 sample); `FibreGraph.adjacent_to` turns those floors into edges.  A step
 filters its candidates and checks its constraints, and an audit compares
-a vertex with its partners, on these arrays, in int64 or, past
+a vertex with its partners, on these arrays: the keys in int64 whatever
+the U-points' denominators, the R-numerators in int64 or, past
 `grid.INT64_BOUND`, in Python ints.
 
 Edges are lazy: each unordered pair gets an independent seeded coin, so
@@ -45,9 +46,7 @@ from .errors import (
     CrossCheckFailure, DimensionMismatch, IndexOutOfRange, OutOfDomain, WindowTooSmall,
 )
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py traces this binding)
-from .geometry import (
-    PolytopeBall, integer_coordinates, norm_projections, pairwise_norm_numerators,
-)
+from .geometry import PolytopeBall, integer_coordinates, norm_keys, pairwise_norm_numerators
 from .grid import DEN, INT64_BOUND, draw_odd, grid_max_num, grid_num, grid_nums, shuffled
 from .linalg import Vec, zero_vec
 
@@ -169,24 +168,23 @@ class FibredSample:
         return len(self.r_nums)
 
     @cached_property
-    def _u_proj(self) -> tuple[np.ndarray, int]:
-        """`geometry.norm_projections` of the U-points: one row per fibre."""
-        return norm_projections(self.u_ball, self.u_points)
+    def _u_keys(self) -> tuple[np.ndarray, int]:
+        """`geometry.norm_keys` of the U-points: one row per fibre."""
+        return norm_keys(self.u_ball, self.u_points)
 
     def floors(self, i: int, js: Sequence[int]) -> np.ndarray:
         """floor of the distance from flat point i to each flat point of js.
 
         The distance is max(U-distance of the fibres, |w_i - w_j|), so its
         floor is the larger of the two floors, each an integer quotient:
-        |w_i - w_j| // r_den and max_f |Y[a, f] - Y[b, f]| // D over the
-        U-projection table.  int64 where the sample and the table are,
-        Python ints otherwise (``divmod`` has no object-dtype loop, ``//``
-        does).
+        |w_i - w_j| // r_den, and max_f |K[a, f] - K[b, f]| // m on the
+        U-points' keys.  int64 where both are, Python ints otherwise
+        (``divmod`` has no object-dtype loop, ``//`` does).
         """
         fibre_of, w_num = self._flat[:2]
-        proj, den = self._u_proj
+        keys, mod = self._u_keys
         r = np.abs(w_num[js] - w_num[i]) // self.r_den
-        u = np.maximum.reduce(np.abs(proj[fibre_of[js]] - proj[fibre_of[i]]), axis=1) // den
+        u = np.maximum.reduce(np.abs(keys[fibre_of[js]] - keys[fibre_of[i]]), axis=1) // mod
         return np.maximum(r, u)
 
 

@@ -36,6 +36,7 @@ from .errors import (
     OutOfDomain,
     TooManyVertices,
 )
+from .grid import INT64_BOUND
 from .linalg import Vec, vneg, vsub
 from .lp import OPTIMAL, LpProblem, solve
 
@@ -223,6 +224,25 @@ def norm_projections(ball: PolytopeBall, points: Sequence[Vec]) -> tuple[np.ndar
     n = len(points)
     proj = np.array(ints, dtype=dtype).reshape(n, ball.dim) @ np.array(normals, dtype=dtype).T
     return proj, bound * den
+
+
+def norm_keys(ball: PolytopeBall, points: Sequence[Vec]) -> tuple[np.ndarray, int]:
+    """Floor keys K and modulus m: floor(norm(p_i - p_j)) = max_f |K_if - K_jf| // m.
+
+    An int64 `norm_projections` table (Y, D) is its own key table.  A wider
+    one is keyed per facet as (floor(Y / D) - least floor) * n + rank(Y mod D)
+    over m = n, int64 unless (floor spread + 1) * n reaches `INT64_BOUND`.
+    """
+    ys, den = norm_projections(ball, points)
+    if ys.dtype == np.int64:
+        return ys, den
+    n = len(points)
+    whole = ys // den
+    fracs = (ys - whole * den).T.tolist()
+    ranks = [list(map({r: k for k, r in enumerate(sorted(set(c)))}.get, c)) for c in fracs]
+    whole -= whole.min(axis=0)
+    dtype = np.int64 if (int(whole.max()) + 1) * n < INT64_BOUND else object
+    return whole.astype(dtype) * n + np.array(ranks, dtype).T, n
 
 
 def projection_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

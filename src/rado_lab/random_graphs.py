@@ -21,7 +21,7 @@ import numpy as np
 
 from .decomposition import LinfDecomposition
 from .errors import OutOfDomain, WindowTooSmall
-from .geometry import PolytopeBall, integer_coordinates, norm_projections, projection_distances
+from .geometry import PolytopeBall, integer_coordinates, norm_keys, projection_distances
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py wraps random_graphs.norm)
 from .grid import DEN, draw_odd, grid_max_num, grid_num, randbelow
 from .linalg import Vec
@@ -116,13 +116,15 @@ def unit_graph(sample: PointSample) -> GeomGraph:
     """Exact strict-inequality adjacency: an edge iff norm(x_i - x_j) < 1.
 
     Rows are compared in blocks against the columns from the block's first
-    row on, so each block's pairs i < j come out in row-major order.
+    row on, so each block's pairs i < j come out in row-major order.  The
+    blocks hold their pairs in int32 (the n x n kernel keeps n far below
+    2**31) until the one int64 copy, which halves what they hold at once.
     """
-    ys, den = norm_projections(sample.ball, sample.points)
+    keys, mod = norm_keys(sample.ball, sample.points)
     blocks = [
-        np.argwhere(np.triu(projection_distances(ys[i0:i0 + _BLOCK_ROWS], ys[i0:]) < den, k=1))
-        + i0
-        for i0 in range(0, len(ys), _BLOCK_ROWS)
+        np.argwhere(np.triu(projection_distances(keys[i0:i0 + _BLOCK_ROWS], keys[i0:]) < mod, k=1))
+        .astype(np.int32) + i0
+        for i0 in range(0, len(keys), _BLOCK_ROWS)
     ]
     edges = np.zeros((sum(map(len, blocks)), 2), dtype=np.int64)  # C order, unlike `argwhere`'s
     if blocks:
@@ -283,17 +285,16 @@ class BjReport:
 
 def norm_floor_matrix(
     g: GeomGraph, start: int = 0, stop: int | None = None,
-    projections: tuple[np.ndarray, int] | None = None,
+    keys: tuple[np.ndarray, int] | None = None,
 ) -> np.ndarray:
     """Exact floor(norm(x_i - x_j)) for start <= i < stop and start <= j < n.
 
-    The whole n x n matrix by default, int64 or object dtype; `projections`
-    are `norm_projections` of the points, made here when not given.  Since
-    floor(x) < k iff x < k for integer thresholds, floors decide every
-    strict comparison the audits need.
+    The whole n x n matrix by default, from the points' `norm_keys` (made
+    here when not given), in their dtype.  Since floor(x) < k iff x < k for
+    integer thresholds, floors decide every strict comparison the audits need.
     """
-    ys, den = projections or norm_projections(g.sample.ball, g.sample.points)
-    return projection_distances(ys[start:stop], ys[start:]) // den
+    ks, mod = keys or norm_keys(g.sample.ball, g.sample.points)
+    return projection_distances(ks[start:stop], ks[start:]) // mod
 
 
 def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
@@ -318,8 +319,8 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
         raise OutOfDomain(f"k_max must lie in [2, {_K_MAX_LIMIT}], got {k_max}")
     n = len(g.sample.points)
     pairs = n * (n - 1) // 2
-    ys, den = projections = norm_projections(g.sample.ball, g.sample.points)
-    max_floor = int((ys.max(axis=0) - ys.min(axis=0)).max()) // den if n > 1 else 0
+    ks, mod = keys = norm_keys(g.sample.ball, g.sample.points)
+    max_floor = int((ks.max(axis=0) - ks.min(axis=0)).max()) // mod if n > 1 else 0
     cap = max(min(n - 1, max(k_max, max_floor)), 0)
     top = max(k_max, cap)  # clipping floors here changes no comparison below
     bins = max(min(max_floor, top), cap) + 2
@@ -328,7 +329,7 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
     violations = 0
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        floors = norm_floor_matrix(g, start, stop, projections)
+        floors = norm_floor_matrix(g, start, stop, keys)
         above = ~np.tri(*floors.shape, dtype=bool)  # the pairs i < j
         f = np.minimum(floors[above], top).astype(np.int64, copy=False)
         h = _plane_levels(planes, start, stop, n)[above]

@@ -28,7 +28,8 @@ from .errors import (
     NotInjective,
     OutOfDomain,
 )
-from .geometry import PolytopeBall, norm, norm_projections
+from .geometry import PolytopeBall, norm_keys, pairwise_norm_numerators, projection_distances
+from .geometry import norm  # noqa: F401  (perfbench/tracing.py wraps step_isometry.norm)
 from .linalg import Matrix, Vec, vadd, vsub
 
 
@@ -216,41 +217,17 @@ def _injective_sides(pairs: Sequence[tuple[Vec, Vec]]) -> tuple[list[Vec], list[
     return xs, ys
 
 
-def _norm_floors(ball: PolytopeBall, points: Sequence[Vec]) -> np.ndarray:
-    """floor(norm(p_i - p_j)) for every pair, in int64 unless a floor below overflows.
-
-    Per facet, each point's value v = h.p / bound splits into floor(v) and
-    the dense rank of its fractional part among the points.  For a >= b,
-    floor(a - b) = (floor(a) - floor(b)) - [frac(a) < frac(b)], and a >= b
-    whenever floor(a) > floor(b); equal floors leave a floor of 0 either
-    way.  The norm's floor is the largest of these over the facets, so no
-    pairwise numerator (178 bits on a rebased map's image) is formed.
-    """
-    ys, den = norm_projections(ball, points)
-    whole = ys // den
-    ranks = [np.unique(col, return_inverse=True)[1] for col in (ys % den).T]
-    if whole.dtype == object and all(-(2 ** 62) < x < 2 ** 62 for x in whole.flat):
-        whole = whole.astype(np.int64)  # so every difference of floors fits
-    out = np.zeros((len(points), len(points)), dtype=whole.dtype)
-    for w, rank in zip(whole.T, ranks):
-        d = w[:, None] - w[None, :]
-        lower = rank[:, None] < rank[None, :]  # frac(v_i) < frac(v_j)
-        np.maximum(out, np.abs(d) - ((d > 0) & lower) - ((d < 0) & lower.T), out=out)
-    return out
-
-
 def verify_step_isometry(
     ball: PolytopeBall, pairs: Sequence[tuple[Vec, Vec]]
 ) -> StepIsometryCheck:
     """Exact check that floor(norm(x_i - x_j)) = floor(norm(y_i - y_j)) for all i < j.
 
     The pair list represents a finite bijection x_i -> y_i; repeated
-    domain or image points are rejected.  Each side's floors come from
-    `_norm_floors`.
+    domain or image points are rejected.  Each side's floors come from its
+    `norm_keys`, not from pairwise numerators (178 bits on a rebased image).
     """
-    xs, ys = _injective_sides(pairs)
-    floors_domain = _norm_floors(ball, xs)
-    floors_image = _norm_floors(ball, ys)
+    sides = [norm_keys(ball, side) for side in _injective_sides(pairs)]
+    floors_domain, floors_image = (projection_distances(k, k) // mod for k, mod in sides)
     # Both floor matrices are symmetric with zero diagonals, so the first
     # mismatch in row-major order already has i < j.
     bad = np.flatnonzero(floors_domain != floors_image)
@@ -312,21 +289,19 @@ def check_factorization_consistency(
 ) -> bool:
     """Necessary conditions for a finite map to factor over the decomposition:
     equal U-components map to equal U-components, and the induced U-map is
-    exactly distance preserving on the observed points."""
+    exactly distance preserving on the observed points, by one
+    `pairwise_norm_numerators` matrix per side."""
     induced: dict[Vec, Vec] = {}
     for x, y in zip(*_injective_sides(pairs)):
         ux, _ = decomposition.coordinates(x)
         uy, _ = decomposition.coordinates(y)
-        if ux in induced and induced[ux] != uy:
+        if induced.setdefault(ux, uy) != uy:
             return False
-        induced[ux] = uy
-    observed = sorted(induced.items())
     zero_w = linalg.zero_vec(decomposition.d_inf)
-    for i in range(len(observed)):
-        for j in range(i + 1, len(observed)):
-            (ua, va), (ub, vb) = observed[i], observed[j]
-            before = norm(ball, decomposition.recompose(vsub(ua, ub), zero_w))
-            after = norm(ball, decomposition.recompose(vsub(va, vb), zero_w))
-            if before != after:
-                return False
-    return True
+    (before, den_b), (after, den_a) = (
+        pairwise_norm_numerators(ball, [decomposition.recompose(u, zero_w) for u in side])
+        for side in (induced.keys(), induced.values())
+    )
+    if den_b != den_a:  # cross-multiplied in Python ints, which cannot overflow
+        before, after = before.astype(object) * den_a, after.astype(object) * den_b
+    return np.array_equal(before, after)

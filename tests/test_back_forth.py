@@ -143,7 +143,8 @@ _WIDE = 3 ** 40
 
 def widened(s):
     """s with every R-component and U-coordinate moved by its own k / 3**40,
-    so the sample's numerators and its U-projection table are Python ints."""
+    so the sample's numerators and its U-points' projections are Python ints
+    (their floor keys stay int64)."""
     u_points = [tuple(c + Q(k + 1, _WIDE) for c in u) for k, u in enumerate(s.u_points)]
     fibres = [[w + Q(k + 1, _WIDE) for k, w in enumerate(ws)] for ws in s.fibres]
     return FibredSample.from_fibres(
@@ -575,7 +576,7 @@ class TestFibreGraph:
         s = make_fibred_sample(u_ball, n_u, fibre_n, window, seed)
         if wide:
             s = widened(s)
-            assert s.w_num.dtype == object and s._u_proj[0].dtype == object
+            assert s.w_num.dtype == object and s._u_keys[0].dtype == np.int64
         g = FibreGraph(s, Q(1, 2), seed)
         n = s.n_points
         for i in range(n):

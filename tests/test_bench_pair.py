@@ -135,7 +135,9 @@ def _stub_runs(bench_pair, monkeypatch, tmp_path):
         fast = tree.name == "head"
         if not trace:
             return {"failed": 0, "metrics": {"wall_s": {"value": 0.9 if fast else 1.0, "unit": "s"}}}
-        metrics = {"cli.self_s": {"value": 0.07 if fast else 0.11, "unit": "s"}}
+        # Traced values move with the seed: 0.01 s per seed past 5.
+        cli_s = (0.07 if fast else 0.11) + (seed - 5) / 100
+        metrics = {"cli.self_s": {"value": cli_s, "unit": "s"}}
         if fast:  # a layer only the head binds
             metrics["bj_audit.self_s"] = {"value": 0.08, "unit": "s"}
         return {"failed": 1 if fast else 0, "metrics": metrics}
@@ -155,19 +157,28 @@ def test_trace_runs_each_tree_once_after_the_pairs(bench_pair, monkeypatch, tmp_
     argv = ["--pr", "t", "--workload", "graph_cube", "--pairs", "4", "--seed", "5"]
     assert bench_pair.main(argv + ["--trace"] * trace) == 0
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
-    pairs = [(side, "graph_cube", seed, 0) for i, seed in enumerate(range(5, 9))
-             for side in (("base", "head") if i % 2 == 0 else ("head", "base"))]
+
+    def alternated(seeds, traced):
+        return [(side, "graph_cube", seed, traced) for i, seed in enumerate(seeds)
+                for side in (("base", "head") if i % 2 == 0 else ("head", "base"))]
+
     summary = report["workloads"]["graph_cube"]
     assert summary["metrics"]["wall_s"]["head_lower_in_pairs"] == 4
     if not trace:
-        assert calls == pairs and "traced" not in summary and report["traced"] is None
+        assert calls == alternated(range(5, 9), 0)
+        assert "traced" not in summary and report["traced"] is None
         return
-    assert calls == pairs + [("base", "graph_cube", 5, 1), ("head", "graph_cube", 5, 1)]
-    assert summary["traced"] == {
-        "failed": {"base": 0, "head": 1},
-        "metrics": {
-            "bj_audit.self_s": {"unit": "s", "base": None, "head": 0.08},
-            "cli.self_s": {"unit": "s", "base": 0.11, "head": 0.07},
-        },
+    # The traced runs are alternated and seeded like the first three pairs.
+    assert bench_pair.TRACED_RUNS == 3
+    assert calls == alternated(range(5, 9), 0) + alternated(range(5, 8), 1)
+    traced = summary["traced"]
+    assert traced["failed"] == {"base": [0, 0, 0], "head": [1, 1, 1]}
+    assert traced["metrics"]["bj_audit.self_s"] == {
+        "unit": "s", "base": None, "head": [0.08] * 3, "base_median": None, "head_median": 0.08,
     }
-    assert "--trace 1 --seed 5" in report["traced"]
+    cli = traced["metrics"]["cli.self_s"]
+    assert cli["base"] == pytest.approx([0.11, 0.12, 0.13])
+    assert cli["head"] == pytest.approx([0.07, 0.08, 0.09])
+    assert (cli["base_median"], cli["head_median"]) == pytest.approx((0.12, 0.08))
+    assert list(traced["metrics"]) == ["bj_audit.self_s", "cli.self_s"]
+    assert "--trace 1 --seed 5+i, i < 3" in report["traced"]

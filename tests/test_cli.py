@@ -596,7 +596,7 @@ class TestGraphPipeline:
         def no_arrays(*args):
             raise AssertionError("array work before the k_max check")
 
-        monkeypatch.setattr(random_graphs, "norm_projections", no_arrays)
+        monkeypatch.setattr(random_graphs, "norm_keys", no_arrays)
         code = cli.main(["bj-audit", "--graph", str(path), "--kmax", str(kmax)])
         err = capsys.readouterr().err
         assert code == 2

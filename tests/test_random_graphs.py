@@ -200,16 +200,20 @@ class TestUnitGraph:
             assert norm(ball, vsub(s.points[i], s.points[j])) < 1
 
     def test_object_path_matches_reference(self):
-        # A common denominator past int64 takes the Python-int path.
+        # A common denominator past int64 makes the projections Python ints,
+        # and so does the hexagon scaled by 1 + 2**-40; the keys stay int64.
         rng = random.Random(8)
         big = 3 ** 45
         pts = tuple(
             tuple(Q(rng.randrange(0, 2 * big), big) for _ in range(2)) for _ in range(12)
         )
-        for ball in (hexagon_ball(), cube_ball(2)):
+        scaled = validate_ball([tuple(c * (1 + Q(1, 2 ** 40)) for c in u)
+                                for u in hexagon_ball().vertices])
+        for ball in (hexagon_ball(), cube_ball(2), scaled):
             s = PointSample(ball=ball, points=pts, window=Q(2), seed=0, typicality=())
             g = unit_graph(s)
             floors = norm_floor_matrix(g)
+            assert floors.dtype == np.int64
             edges = []
             for i in range(12):
                 for j in range(i + 1, 12):
@@ -385,7 +389,7 @@ def _audit_graph(name):
         return unit_graph(line_sample(0))
     if name == "n2":
         return unit_graph(line_sample(0, Q(1, 2)))
-    if name == "object_floors":  # a common denominator past int64
+    if name == "object_floors":  # a common denominator past int64: Python-int projections
         rng = random.Random(8)
         big = 3 ** 45
         pts = tuple(
@@ -568,8 +572,8 @@ class TestBjAudit:
         assert report.one_sided_violations == sum(1 <= hop <= floor for floor, hop in pairs)
         if name == "sparse_cube_1":
             assert any(hop < 0 for _, hop in pairs)
-        if name == "object_floors":
-            assert norm_floor_matrix(g).dtype == object
+        if name == "object_floors":  # the floors are read from int64 keys
+            assert norm_floor_matrix(g).dtype == np.int64
         if name == "hand_built_violation":
             assert report.one_sided_violations == 1
 

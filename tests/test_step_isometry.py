@@ -23,9 +23,13 @@ from rado_lab.geometry import (
     hexagon_ball,
     hexagonal_prism_ball,
     norm,
+    norm_keys,
+    norm_projections,
     pairwise_norm_numerators,
+    projection_distances,
     square_ball,
 )
+from rado_lab.grid import INT64_BOUND
 from rado_lab.linalg import identity_matrix, matvec, vsub, zero_vec
 from rado_lab.step_isometry import (
     IDENTITY_G,
@@ -34,7 +38,6 @@ from rado_lab.step_isometry import (
     MonotoneBijection01,
     StepIsometrySpec,
     _invert_axis,
-    _norm_floors,
     affine_isometry_from_basis,
     apply_factorized,
     apply_linf,
@@ -246,23 +249,42 @@ def mixed_points(draw, dim, count):
 VERIFY_BALLS = [cube_ball(1), cube_ball(3), hexagon_ball(), hexagonal_prism_ball()]
 
 
+def key_floors(ball, pts):
+    """floor(norm(p_i - p_j)) read from the points' floor keys, and the keys' dtype."""
+    keys, mod = norm_keys(ball, pts)
+    return projection_distances(keys, keys) // mod, keys.dtype
+
+
 class TestVerify:
     @settings(max_examples=80, deadline=None)
     @given(ball=st.sampled_from(VERIFY_BALLS), data=st.data())
     def test_floors_match_the_pairwise_numerators(self, ball, data):
         pts = data.draw(mixed_points(ball.dim, data.draw(st.integers(0, 12))))
         nums, den = pairwise_norm_numerators(ball, pts)
-        assert np.array_equal(_norm_floors(ball, pts), nums // den)
+        assert np.array_equal(key_floors(ball, pts)[0], nums // den)
 
-    # The projections are int64 when far = 0; at 2**60 they are Python ints
-    # but the floors fit, at 2**70 the floors too stay Python ints.
-    @pytest.mark.parametrize("far, dtype", [(0, np.int64), (2 ** 60, np.int64), (2 ** 70, object)])
+    # A point just off 1/2, over 2**71, makes every projection a Python int,
+    # so the points are keyed: the keys are int64 iff (floor spread + 1) * n
+    # < INT64_BOUND.  Here n = 5 and the floors run from -1 to far, a spread
+    # of far + 1, so INT64_BOUND // 5 - 2 is the last far whose keys are
+    # int64; at 2**60 and past it they are Python ints.
+    @pytest.mark.parametrize("far, dtype", [
+        (0, np.int64), (INT64_BOUND // 5 - 2, np.int64), (INT64_BOUND // 5 - 1, object),
+        (2 ** 60, object), (2 ** 70, object),
+    ])
     def test_floors_with_tied_fractions(self, far, dtype):
         # 1/3, 4/3, -2/3 and far + 1/3 share a fractional part.
-        pts = [v(Q(1, 3)), v(Q(4, 3)), v(Q(-2, 3)), v(Q(1, 2)), v(far + Q(1, 3))]
+        pts = [v(Q(1, 3)), v(Q(4, 3)), v(Q(-2, 3)), v(Q(1, 2) + Q(1, 2 ** 71)), v(far + Q(1, 3))]
         nums, den = pairwise_norm_numerators(cube_ball(1), pts)
-        floors = _norm_floors(cube_ball(1), pts)
-        assert floors.dtype == dtype and np.array_equal(floors, nums // den)
+        floors, key_dtype = key_floors(cube_ball(1), pts)
+        assert nums.dtype == object and (key_dtype == np.int64) == ((far + 2) * 5 < INT64_BOUND)
+        assert key_dtype == dtype and np.array_equal(floors, nums // den)
+
+    def test_an_int64_projection_table_is_its_own_key_table(self):
+        pts = [v(Q(1, 3)), v(Q(4, 3)), v(2 ** 60 + Q(1, 3))]
+        ys, den = norm_projections(cube_ball(1), pts)
+        keys, mod = norm_keys(cube_ball(1), pts)
+        assert ys.dtype == np.int64 and (mod, keys.tolist()) == (den, ys.tolist())
 
     @settings(max_examples=60, deadline=None)
     @given(ball=st.sampled_from(VERIFY_BALLS), data=st.data())
@@ -301,9 +323,9 @@ class TestVerify:
             verify_step_isometry(ball, [(v(0), v(1)), (v(2), v(1))])
 
     def test_object_path_first_violation(self):
-        # Images with a common denominator past int64 take the Python-int
-        # path; the first violating pair in row-major order and its floors
-        # must match a per-pair scan.
+        # Images with a common denominator past int64 have Python-int
+        # projections (their keys are int64); the first violating pair in
+        # row-major order and its floors must match a per-pair scan.
         rng = random.Random(91)
         big = 2 ** 67 + 3
         for ball in (cube_ball(2), hexagonal_prism_ball()):
@@ -509,6 +531,24 @@ class TestFactorizationConsistency:
         pts = {rand_point(rng, 3, den=32, span=2) for _ in range(30)}
         pairs = [(p, apply_factorized(f, p)) for p in pts]
         assert check_factorization_consistency(ball, dec, pairs)
+
+    def test_translation_by_a_finer_denominator(self):
+        # The images' U-points have a denominator the domain's lack, so the
+        # two sides' distance numerators are compared cross-multiplied.
+        ball = hexagonal_prism_ball()
+        dec = linf_decomposition(ball)
+        neg = tuple(tuple(-c for c in row) for row in identity_matrix(2))
+        f = FactorizedStepIsometry(
+            ball=ball, decomposition=dec,
+            u_map=AffineMap(neg, (Q(1, 3), Q(2 ** 70, 7))), w_map=identity_spec(1),
+        )
+        rng = random.Random(22)
+        pts = {rand_point(rng, 3, den=32) for _ in range(20)}
+        pairs = [(p, apply_factorized(f, p)) for p in pts]
+        assert check_factorization_consistency(ball, dec, pairs)
+        (x, y), *rest = pairs
+        moved = [(x, vsub(y, v(Q(1, 5), 0, 0)))] + rest
+        assert not check_factorization_consistency(ball, dec, moved)
 
     def test_repeated_point_refused(self):
         ball = hexagonal_prism_ball()

@@ -34,9 +34,12 @@ without `--compiled` but not with it follows the source text each worker
 compiles, not the program's allocations.
 
 With `--trace`, after a workload's pairs each tree also runs `perfbench/run.py
---workload W --seed S --trace 1` once, S the first pair's seed, and the record
-holds both sides' per-layer metrics from those runs, so it shows in which
-layer a saving in the end-to-end metrics lands.
+--workload W --seed S+i --trace 1` for the first `TRACED_RUNS` pairs' seeds,
+alternated like the pairs, and the record holds both sides' per-layer
+metrics from those runs, run by run, and their medians, so it shows in which
+layer a saving in the end-to-end metrics lands.  One traced run per side is
+not enough: single runs move by tens of percent on code a change does not
+touch.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BUILD = ROOT / ".bench_build"
 BASE_TREE, HEAD_TREE = BUILD / "base", BUILD / "head"  # paths of equal length
 WORKLOADS = ("kernel_generic", "graph_cube", "s0_gadget", "bf_extend")
+TRACED_RUNS = 3  # traced runs per tree and workload, at the first pairs' seeds
 
 
 def _git(*args: str) -> bytes:
@@ -119,6 +123,20 @@ def run_once(tree: Path, workload: str, seed: int, env: dict, trace: int = 0) ->
     return json.loads(lines[-1])
 
 
+def alternated_runs(trees: dict[str, Path], workload: str, seeds: list[int], env: dict,
+                    trace: int = 0) -> dict[str, list[dict]]:
+    """One run per tree and seed; pair i runs the base first when i is even, last when odd."""
+    runs = {"base": [], "head": []}
+    for i, seed in enumerate(seeds):
+        for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+            runs[side].append(run_once(trees[side], workload, seed, env, trace))
+        if not trace:
+            wall = [runs[side][-1]["metrics"]["wall_s"]["value"] for side in ("base", "head")]
+            print(f"{workload} pair {i} seed {seed}: wall_s base {wall[0]:.3f} head {wall[1]:.3f}",
+                  flush=True)
+    return runs
+
+
 def _quartile_spread(values: list[float]) -> float:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q3 - q1
@@ -142,14 +160,20 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     return out
 
 
-def compare_traced(base: dict, head: dict) -> dict:
-    """Both sides' metrics, by name, from one `--trace 1` run summary each; a
-    metric one side lacks (a layer it does not bind) is None there."""
+def compare_traced(base: list[dict], head: list[dict]) -> dict:
+    """Both sides' metrics, by name, run by run and their median, from each
+    side's `--trace 1` run summaries; a metric one side lacks (a layer it
+    does not bind) is None there."""
     metrics = {}
-    for side, run in (("base", base), ("head", head)):
-        for name, m in run["metrics"].items():
-            metrics.setdefault(name, {"unit": m["unit"], "base": None, "head": None})[side] = m["value"]
-    return {"failed": {"base": base["failed"], "head": head["failed"]},
+    for side, runs in (("base", base), ("head", head)):
+        for run in runs:
+            for name, m in run["metrics"].items():
+                entry = metrics.setdefault(name, {"unit": m["unit"], "base": None, "head": None})
+                entry[side] = (entry[side] or []) + [m["value"]]
+    for entry in metrics.values():
+        for side in ("base", "head"):
+            entry[f"{side}_median"] = entry[side] and statistics.median(entry[side])
+    return {"failed": {"base": [r["failed"] for r in base], "head": [r["failed"] for r in head]},
             "metrics": dict(sorted(metrics.items()))}
 
 
@@ -163,7 +187,7 @@ def main(argv=None) -> int:
     ap.add_argument("--compiled", action="store_true",
                     help="compile both trees first and run without PYTHONDONTWRITEBYTECODE")
     ap.add_argument("--trace", action="store_true",
-                    help="after the pairs, one --trace 1 run per tree per workload")
+                    help=f"after the pairs, {TRACED_RUNS} --trace 1 runs per tree per workload")
     args = ap.parse_args(argv)
     if args.pairs < 4:
         ap.error("--pairs must be at least 4 for quartiles")
@@ -181,25 +205,18 @@ def main(argv=None) -> int:
         "head": head + (" plus uncommitted changes" if dirty else ""),
         "command": "perfbench/run.py --trace 0",
         "compiled": args.compiled,
-        "traced": f"perfbench/run.py --trace 1 --seed {args.seed}, once per tree" if args.trace else None,
+        "traced": (f"perfbench/run.py --trace 1 --seed {args.seed}+i, i < {TRACED_RUNS}, "
+                   "alternated like the pairs" if args.trace else None),
         "pairs": args.pairs,
         "seeds": [args.seed + i for i in range(args.pairs)],
         "workloads": {},
     }
+    trees = {"base": base_tree, "head": head_tree}
     for workload in workloads:
-        runs = {"base": [], "head": []}
-        for i, seed in enumerate(report["seeds"]):
-            order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            for side in order:
-                tree = base_tree if side == "base" else head_tree
-                runs[side].append(run_once(tree, workload, seed, env))
-            wall = [runs[s][-1]["metrics"]["wall_s"]["value"] for s in ("base", "head")]
-            print(f"{workload} pair {i} seed {seed}: wall_s base {wall[0]:.3f} head {wall[1]:.3f}",
-                  flush=True)
+        runs = alternated_runs(trees, workload, report["seeds"], env)
         report["workloads"][workload] = summarize(runs)
         if args.trace:
-            traced = {side: run_once(tree, workload, args.seed, env, trace=1)
-                      for side, tree in (("base", base_tree), ("head", head_tree))}
+            traced = alternated_runs(trees, workload, report["seeds"][:TRACED_RUNS], env, trace=1)
             report["workloads"][workload]["traced"] = compare_traced(**traced)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -208,7 +225,8 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: {m['base_median']:.4g} -> {m['head_median']:.4g} {m['unit']} "
                   f"(lower in {m['head_lower_in_pairs']}/{args.pairs}, base IQR {m['base_iqr']:.3g})")
         for name, m in summary.get("traced", {}).get("metrics", {}).items():
-            print(f"{workload} traced {name}: {m['base']} -> {m['head']} {m['unit']}")
+            print(f"{workload} traced {name}: median {m['base_median']} -> {m['head_median']} "
+                  f"{m['unit']}")
     print(f"wrote {path.relative_to(ROOT)}")
     return 0
 
