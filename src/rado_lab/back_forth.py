@@ -15,7 +15,7 @@ deduplicated, gadget-checked, redrawn and compared as integers, in numpy
 where a whole sample is read.  A partial map holds its matched fractional
 parts as numerators too, each over its own side's denominator, so a step
 reads no Fraction; the `FibredSample.fibres` and `w_of` views build them
-on demand.
+on demand (`geometry.table_points`).
 
 Pair predicates are integer too.  `FibredSample.floors` gives the floor of
 the distance from one point to many, from the R-numerators and one table
@@ -23,8 +23,7 @@ of the U-points' floor keys (`geometry.norm_keys`, computed once per
 sample); `FibreGraph.adjacent_to` turns those floors into edges.  A step
 filters its candidates and checks its constraints, and an audit compares
 a vertex with its partners, on these arrays: the keys in int64 whatever
-the U-points' denominators, the R-numerators in int64 or, past
-`grid.INT64_BOUND`, in Python ints.
+the U-points' denominators, the R-numerators as their table holds them.
 
 Edges are lazy: each unordered pair gets an independent seeded coin, so
 samples of a hundred thousand points cost nothing until a pair is probed.
@@ -46,8 +45,9 @@ from .errors import (
     CrossCheckFailure, DimensionMismatch, IndexOutOfRange, OutOfDomain, WindowTooSmall,
 )
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py traces this binding)
-from .geometry import PolytopeBall, integer_coordinates, norm_keys, pairwise_norm_numerators
-from .grid import DEN, INT64_BOUND, draw_odd, grid_max_num, grid_num, grid_nums, shuffled
+from .geometry import EqualByPoints, PolytopeBall, integer_table, norm_keys, table_points
+from .geometry import pairwise_norm_numerators
+from .grid import DEN, draw_odd, grid_max_num, grid_num, grid_nums, shuffled
 from .linalg import Vec, zero_vec
 
 FORWARD = "forward"
@@ -59,13 +59,12 @@ _COIN_INDEX_LIMIT = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
-class FibredSample:
+class FibredSample(EqualByPoints):
     """Fibres over distinct U-points, flattened in a seeded shuffle order.
 
-    R-components are integer numerators ``r_nums`` over one sample-wide
-    denominator ``r_den``, stored fibre after fibre (``fibre_sizes``): int64
-    when every numerator and the denominator lie below `grid.INT64_BOUND`,
-    Python ints otherwise.  Sampled data sits on the grid (``r_den`` is
+    R-components are one `geometry.integer_table` row ``r_nums`` over one
+    sample-wide denominator ``r_den``, stored fibre after fibre
+    (``fibre_sizes``).  Sampled data sits on the grid (``r_den`` is
     `grid.DEN`); `from_fibres` takes Fractions and uses their lcm.
     ``integer_exempt_fibres`` marks fibres (the S0 gadget) whose internal
     integer R-differences are intentional.  No audit reads it (`audit_gadget`
@@ -97,19 +96,12 @@ class FibredSample:
         integer_exempt_fibres: tuple[int, ...] = (),
     ) -> "FibredSample":
         """A sample whose R-components are given as rationals, fibre by fibre."""
-        (nums,), den = integer_coordinates([[Q(w) for ws in fibres for w in ws]])
+        flat = [Q(w) for ws in fibres for w in ws]
+        (nums,), den = integer_table([flat], len(flat))
         return cls(
-            u_ball, tuple(u_points), _int_array(nums, den), den, tuple(map(len, fibres)),
+            u_ball, tuple(u_points), nums, den, tuple(map(len, fibres)),
             Q(window), seed, tuple(integer_exempt_fibres),
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, FibredSample):
-            return NotImplemented
-        return self._points() == other._points()
-
-    def __hash__(self):
-        return hash(self._points())
 
     def _points(self) -> tuple:
         return (self.u_ball, self.u_points, self.fibres, self.window, self.seed,
@@ -118,7 +110,7 @@ class FibredSample:
     @cached_property
     def fibres(self) -> tuple[tuple[Q, ...], ...]:
         """The R-components as Fractions, fibre by fibre (built on first use)."""
-        ws = [Q(n, self.r_den) for n in self.r_nums.tolist()]
+        (ws,) = table_points(self.r_nums[None], self.r_den)
         ends = np.cumsum(self.fibre_sizes).tolist()
         return tuple(tuple(ws[a:b]) for a, b in zip([0, *ends], ends))
 
@@ -161,7 +153,7 @@ class FibredSample:
     @cached_property
     def w_of(self) -> tuple[Q, ...]:
         """The flat points' R-components as Fractions (built on first use)."""
-        return tuple(Q(n, self.r_den) for n in self.w_num.tolist())
+        return table_points(self.w_num[None], self.r_den)[0]
 
     @property
     def n_points(self) -> int:
@@ -170,7 +162,7 @@ class FibredSample:
     @cached_property
     def _u_keys(self) -> tuple[np.ndarray, int]:
         """`geometry.norm_keys` of the U-points: one row per fibre."""
-        return norm_keys(self.u_ball, self.u_points)
+        return norm_keys(self.u_ball, *integer_table(self.u_points, self.u_ball.dim))
 
     def floors(self, i: int, js: Sequence[int]) -> np.ndarray:
         """floor of the distance from flat point i to each flat point of js.
@@ -186,13 +178,6 @@ class FibredSample:
         r = np.abs(w_num[js] - w_num[i]) // self.r_den
         u = np.maximum.reduce(np.abs(keys[fibre_of[js]] - keys[fibre_of[i]]), axis=1) // mod
         return np.maximum(r, u)
-
-
-def _int_array(nums: list[int], den: int) -> np.ndarray:
-    """nums as int64 when they and den lie below INT64_BOUND in magnitude, else as Python ints."""
-    lo, hi = min(nums, default=0), max(nums, default=0)
-    fits = den < INT64_BOUND and -INT64_BOUND < lo and hi < INT64_BOUND
-    return np.array(nums, dtype=np.int64 if fits else object)
 
 
 def _first_occurrences(keys: np.ndarray) -> np.ndarray:
@@ -609,7 +594,7 @@ class S0Gadget:
 
 def _u_clashes(u_ball: PolytopeBall, u_points: Sequence[Vec]) -> np.ndarray:
     """Per U-point: at exact norm 1 from another U-point, or repeated."""
-    nums, den = pairwise_norm_numerators(u_ball, u_points)
+    nums, den = pairwise_norm_numerators(u_ball, *integer_table(u_points, u_ball.dim))
     return (nums == den).any(axis=1) | ((nums == 0).sum(axis=1) > 1)
 
 
@@ -666,7 +651,8 @@ def _redrawn_fractions(
                 raise WindowTooSmall("cannot avoid gadget fractions")
             w = ws[k] = grid_num(rng, max_num, draw_odd(rng)) * (big // DEN)
         taken.add(w % big)
-    return _int_array(ws, big), big
+    (nums,), big = integer_table([ws], len(ws), big)
+    return nums, big
 
 
 def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
@@ -686,11 +672,12 @@ def attach_s0_gadget(sample: FibredSample, seed: int) -> S0Gadget:
     den = math.lcm(sample.r_den, 2)
     r_nums = sample.r_nums
     if den != sample.r_den:
-        r_nums = _int_array([2 * n for n in r_nums.tolist()], den)
+        (r_nums,), _ = integer_table([[2 * n for n in r_nums.tolist()]], len(r_nums), den)
     r_clear = not _frac_colliders(r_nums, den).any()
     if not r_clear:
         r_nums, den = _redrawn_fractions(r_nums, den, sample.window, rng)
-    gadget_nums = _int_array([h * (den // 2) for h in _GADGET_HALVES], den)
+    halves = [h * (den // 2) for h in _GADGET_HALVES]
+    (gadget_nums,), _ = integer_table([halves], len(halves), den)
     r_nums = np.concatenate((r_nums, gadget_nums))
 
     n_u, dim = len(sample.u_points), sample.u_ball.dim

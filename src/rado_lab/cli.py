@@ -29,6 +29,7 @@ from .geometry import (
     ball_to_json,
     cube_ball,
     parse_rational,
+    table_to_json,
     vec_from_json,
     vec_to_json,
 )
@@ -161,7 +162,7 @@ def _graph_fields(g: random_graphs.GeomGraph) -> dict:
         "window": str(g.sample.window),
         "seed": g.sample.seed,
         "typicality": list(g.sample.typicality),
-        "points": [vec_to_json(p) for p in g.sample.points],
+        "points": table_to_json(g.sample.nums, g.sample.den),
         "p": str(g.p),
         "rng_seed": g.rng_seed,
     }
@@ -347,17 +348,13 @@ def _edges_from_json(raw, n: int) -> np.ndarray:
 
 
 def graph_from_json(obj: dict) -> random_graphs.GeomGraph:
-    ball = ball_from_json(obj["ball"])
-    sample = random_graphs.PointSample(
-        ball=ball,
-        points=tuple(vec_from_json(p) for p in obj["points"]),
-        window=parse_rational(obj["window"]),
-        seed=obj["seed"],
-        typicality=tuple(obj["typicality"]),
+    sample = random_graphs.PointSample.from_points(
+        ball_from_json(obj["ball"]), [vec_from_json(p) for p in obj["points"]],
+        parse_rational(obj["window"]), obj["seed"], tuple(obj["typicality"]),
     )
     return random_graphs.GeomGraph(
         sample=sample,
-        edges=_edges_from_json(obj["edges"], len(sample.points)),
+        edges=_edges_from_json(obj["edges"], len(sample.nums)),
         p=parse_rational(obj["p"]),
         rng_seed=obj["rng_seed"],
     )

@@ -22,7 +22,7 @@ from operator import mul
 
 from . import linalg
 from .errors import CrossCheckFailure, NotUnitNorm, OutOfDomain, TooManyVertices
-from .geometry import PolytopeBall, incident_facets, integer_coordinates, norm
+from .geometry import PolytopeBall, incident_facets, integer_table, norm
 from .linalg import Matrix, Vec, vadd, vneg, vscale, vsub
 from .lp import OPTIMAL, LpProblem, solve
 
@@ -350,12 +350,14 @@ def linear_isometry_group(ball: PolytopeBall) -> list[LinearIsometry]:
     vs = ball.vertices
     if len(vs) > VERTEX_GUARD:
         raise TooManyVertices(f"{len(vs)} vertices exceeds guard {VERTEX_GUARD}")
-    ints, _ = integer_coordinates(vs)
-    q_inv, _ = integer_coordinates(linalg.invert(linalg.matmul(linalg.transpose(ints), ints)))
+    ints = integer_table(vs, ball.dim)[0].tolist()
+    gram_inv = linalg.invert(linalg.matmul(linalg.transpose(ints), ints))
+    q_inv = integer_table(gram_inv, ball.dim)[0].tolist()
     index = {v: i for i, v in enumerate(vs)}
     basis = [index[b] for b in linalg.independent_subset(vs, limit=ball.dim)]
     # v_i's basis coordinates are coords[i] / den, so den * v_j is a leaf's lookup key.
-    inv, den = integer_coordinates(linalg.invert(linalg.transpose([ints[b] for b in basis])))
+    inv, den = integer_table(linalg.invert(linalg.transpose([ints[b] for b in basis])), ball.dim)
+    inv = inv.tolist()
     coords = _products(inv, ints)
     keys = {tuple([den * x for x in w]): i for i, w in enumerate(ints)}
     maps: dict[tuple[int, ...], LinearIsometry] = {}

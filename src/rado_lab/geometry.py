@@ -10,6 +10,10 @@ program runs at load; an input past `MAX_FACET_SUBSETS` vertex
 d-subsets raises `TooManyVertices` when the ball is built.  The
 Minkowski gauge and the convex-hull test by exact LP stay as the
 reference implementations the tests compare against.
+
+A point list reaches the pair kernels as one `integer_table`: its
+coordinates' numerators over a common denominator, an (n, d) int64 array
+when they fit, with `table_points` its one Fraction view.
 """
 
 from __future__ import annotations
@@ -96,8 +100,8 @@ def _enumerate_facets(dim: int, vertices: Sequence[Vec]) -> Facets:
         raise TooManyVertices(
             f"{subsets} vertex {dim}-subsets exceeds facet guard {MAX_FACET_SUBSETS}"
         )
-    scale = math.lcm(*(c.denominator for v in vertices for c in v))
-    ws = [[int(c * scale) for c in v] for v in vertices]
+    table, scale = integer_table(vertices, dim)
+    ws = table.tolist()
     found: dict[tuple[int, ...], int] = {}
     for rows in combinations(ws, dim):
         c = _int_det(rows)
@@ -190,53 +194,71 @@ def _gauge_via_lp(ball: PolytopeBall, x: Vec) -> Q:
     return res.value
 
 
-def integer_coordinates(points: Sequence[Vec]) -> tuple[list[list[int]], int]:
-    """Numerators of every coordinate over the points' common denominator."""
-    den = math.lcm(*(c.denominator for p in points for c in p))
-    return [[c.numerator * (den // c.denominator) for c in p] for p in points], den
+def integer_table(points: Sequence[Sequence], dim: int, den: int = 1) -> tuple[np.ndarray, int]:
+    """(nums, D): the points' coordinates (ints or Fractions) divided by den, as
+    an (n, dim) table of numerators over D = den * lcm(their denominators).
+    int64 iff every numerator and D lie below `INT64_BOUND`, else Python ints."""
+    if any(len(p) != dim for p in points):
+        raise DimensionMismatch(f"points of mixed length in dimension {dim}")
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    nums = [[c.numerator * (scale // c.denominator) for c in p] for p in points]
+    den *= scale
+    fits = den < INT64_BOUND and all(-INT64_BOUND < c < INT64_BOUND for p in nums for c in p)
+    return np.array(nums, dtype=np.int64 if fits else object).reshape(len(nums), dim), den
+
+
+def table_points(nums: np.ndarray, den: int) -> tuple[Vec, ...]:
+    """The Fraction view of an `integer_table` (nums, den): its rows as vectors."""
+    return tuple(tuple(Q(x, den) for x in row) for row in nums.tolist())
+
+
+class EqualByPoints:
+    """Equality and hashing by `_points()`: a sample's fields, its points as Fractions."""
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._points() == other._points()
+
+    def __hash__(self):
+        return hash(self._points())
 
 
 def norm(ball: PolytopeBall, x: Vec) -> Q:
     """Minkowski gauge min{t >= 0 : x in t*B}, exact: max |h.x| / bound over facets."""
     if len(x) != ball.dim:
         raise DimensionMismatch(f"vector of length {len(x)} in dimension {ball.dim}")
-    (p,), den = integer_coordinates([x])
+    table, den = integer_table([x], ball.dim)
+    (p,) = table.tolist()  # Python ints: the sums below cannot overflow
     normals, bound = ball.facets
     return Q(max(abs(sum(h * c for h, c in zip(row, p))) for row in normals), bound * den)
 
 
-def norm_projections(ball: PolytopeBall, points: Sequence[Vec]) -> tuple[np.ndarray, int]:
-    """The points projected onto every facet normal, over one denominator D.
+def norm_projections(ball: PolytopeBall, nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """An `integer_table`'s points projected onto every facet normal, over one D.
 
     Returns the (n, F) matrix Y and D with norm(p_i - p_j) equal to the
     largest |Y[i, f] - Y[j, f]| over f, divided by D.  Y is int64 when those
     differences provably fit, else numpy object dtype holding Python ints;
     the arithmetic is exact either way.
     """
-    if any(len(p) != ball.dim for p in points):
-        raise DimensionMismatch(f"points of mixed length in dimension {ball.dim}")
     normals, bound = ball.facets
-    ints, den = integer_coordinates(points)
-    reach = max((abs(c) for p in ints for c in p), default=0) * max(
-        sum(abs(h) for h in row) for row in normals
-    )
+    reach = int(np.abs(nums).max(initial=0)) * max(sum(abs(h) for h in row) for row in normals)
     dtype = np.int64 if 2 * reach < 2 ** 63 and bound * den < 2 ** 63 else object
-    n = len(points)
-    proj = np.array(ints, dtype=dtype).reshape(n, ball.dim) @ np.array(normals, dtype=dtype).T
-    return proj, bound * den
+    return nums.astype(dtype, copy=False) @ np.array(normals, dtype=dtype).T, bound * den
 
 
-def norm_keys(ball: PolytopeBall, points: Sequence[Vec]) -> tuple[np.ndarray, int]:
+def norm_keys(ball: PolytopeBall, nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     """Floor keys K and modulus m: floor(norm(p_i - p_j)) = max_f |K_if - K_jf| // m.
 
     An int64 `norm_projections` table (Y, D) is its own key table.  A wider
     one is keyed per facet as (floor(Y / D) - least floor) * n + rank(Y mod D)
     over m = n, int64 unless (floor spread + 1) * n reaches `INT64_BOUND`.
     """
-    ys, den = norm_projections(ball, points)
+    ys, den = norm_projections(ball, nums, den)
     if ys.dtype == np.int64:
         return ys, den
-    n = len(points)
+    n = len(nums)
     whole = ys // den
     fracs = (ys - whole * den).T.tolist()
     ranks = [list(map({r: k for k, r in enumerate(sorted(set(c)))}.get, c)) for c in fracs]
@@ -257,10 +279,10 @@ def projection_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pairwise_norm_numerators(
-    ball: PolytopeBall, points: Sequence[Vec]
+    ball: PolytopeBall, nums: np.ndarray, den: int
 ) -> tuple[np.ndarray, int]:
-    """Exact n x n matrix N and one denominator D with norm(p_i - p_j) = N[i, j] / D."""
-    ys, den = norm_projections(ball, points)
+    """Exact n x n N and one D with norm(p_i - p_j) = N[i, j] / D on an `integer_table`."""
+    ys, den = norm_projections(ball, nums, den)
     return projection_distances(ys, ys), den
 
 
@@ -352,6 +374,14 @@ def parse_rational(text: str) -> Q:
 
 def vec_to_json(v: Vec) -> list[str]:
     return [str(c) for c in v]
+
+
+def table_to_json(nums: np.ndarray, den: int) -> list[list[str]]:
+    """`vec_to_json` of each `table_points` row, read off the integers:
+    str(Fraction(x, den)) is x and den over their gcd g, as "p/q" or "p"."""
+    def text(x: int, g: int) -> str:
+        return f"{x // g}/{den // g}" if g != den else str(x // g)
+    return [[text(x, math.gcd(x, den)) for x in row] for row in nums.tolist()]
 
 
 def vec_from_json(obj: Sequence[str]) -> Vec:

@@ -5,7 +5,9 @@ sampling constraints here: no two sample points differ by an integer in
 any max-norm coordinate, and no two share a U-component.  Coordinates
 are uniform rationals on the shared 2**-33 grid (see `grid`), drawn as
 integer numerators with one odd offset per point, so the constraints are
-near-impossible to trip by chance yet still audited exactly.
+near-impossible to trip by chance yet still audited exactly.  A sample
+keeps the numerators as drawn, one `geometry.integer_table` over DEN that
+the pair kernels, the audits and the graph file read; Fractions are a view.
 
 A graph's edges are one read-only, C-ordered (E, 2) int64 array of index
 pairs i < j in row-major order, from `unit_graph` through the audits to disk.
@@ -16,12 +18,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .decomposition import LinfDecomposition
 from .errors import OutOfDomain, WindowTooSmall
-from .geometry import PolytopeBall, integer_coordinates, norm_keys, projection_distances
+from .geometry import EqualByPoints, PolytopeBall, integer_table, norm_keys, table_points
+from .geometry import projection_distances
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py wraps random_graphs.norm)
 from .grid import DEN, draw_odd, grid_max_num, grid_num, randbelow
 from .linalg import Vec
@@ -30,13 +35,34 @@ LINF_INTEGER_FREE = "linf_integer_free"
 FIBRE_FREE = "fibre_free"
 
 
-@dataclass(frozen=True)
-class PointSample:
+@dataclass(frozen=True, eq=False)
+class PointSample(EqualByPoints):
+    """n points as an (n, d) `geometry.integer_table` ``nums`` over ``den``, which
+    is `grid.DEN` for a sampled one; `from_points` takes rationals."""
+
     ball: PolytopeBall
-    points: tuple[Vec, ...]
+    nums: np.ndarray
+    den: int
     window: Q
     seed: int
     typicality: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        self.nums.setflags(write=False)
+
+    @classmethod
+    def from_points(cls, ball: PolytopeBall, points: Sequence[Vec], window: Q, seed: int,
+                    typicality: tuple[str, ...] = ()) -> "PointSample":
+        """A sample whose points are given as rationals."""
+        return cls(ball, *integer_table(points, ball.dim), Q(window), seed, tuple(typicality))
+
+    def _points(self) -> tuple:
+        return self.ball, self.points, self.window, self.seed, self.typicality
+
+    @cached_property
+    def points(self) -> tuple[Vec, ...]:
+        """The points as Fraction vectors (built on first use)."""
+        return table_points(self.nums, self.den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,15 +98,16 @@ def sample_typical_points(
     integers: with C the basis inverse times c, the lcm of its denominators,
     a point's coordinates are C nums / (c DEN), so its U-key is C_U nums and
     each linf coordinate's fractional part is fixed by (C_i nums) mod
-    (c DEN).  Fractions are made for accepted points only.
+    (c DEN).  The accepted numerators are the sample's table over DEN, and
+    no Fraction is made.
     """
     window = Q(window)
     if n < 1 or window <= 0:
         raise OutOfDomain("need n >= 1 and window > 0")
     rng = random.Random(seed)
     max_num = grid_max_num(window)
-    rows, c = integer_coordinates(decomposition.basis_inverse)
-    k, mod = len(decomposition.u_basis), c * DEN
+    table, c = integer_table(decomposition.basis_inverse, ball.dim)
+    rows, k, mod = table.tolist(), len(decomposition.u_basis), c * DEN
     accepted: list[tuple[int, ...]] = []
     linf_keys: list[set[int]] = [set() for _ in range(decomposition.d_inf)]
     u_seen: set[tuple[int, ...]] = set()
@@ -102,9 +129,8 @@ def sample_typical_points(
             seen.add(key)
         if k:  # U = {0} gives () for every point, and no fibre constraint
             u_seen.add(u_key)
-    points = tuple(tuple(Q(x, DEN) for x in nums) for nums in accepted)
     typicality = (FIBRE_FREE, LINF_INTEGER_FREE) if decomposition.u_basis else (LINF_INTEGER_FREE,)
-    return PointSample(ball=ball, points=points, window=window, seed=seed, typicality=typicality)
+    return PointSample(ball, *integer_table(accepted, ball.dim, DEN), window, seed, typicality)
 
 
 _BLOCK_ROWS = 64  # source rows per block of the pairwise kernel and the audit
@@ -120,7 +146,7 @@ def unit_graph(sample: PointSample) -> GeomGraph:
     blocks hold their pairs in int32 (the n x n kernel keeps n far below
     2**31) until the one int64 copy, which halves what they hold at once.
     """
-    keys, mod = norm_keys(sample.ball, sample.points)
+    keys, mod = norm_keys(sample.ball, sample.nums, sample.den)
     blocks = [
         np.argwhere(np.triu(projection_distances(keys[i0:i0 + _BLOCK_ROWS], keys[i0:]) < mod, k=1))
         .astype(np.int32) + i0
@@ -167,7 +193,7 @@ _WORD = np.dtype("<u8")  # packed words, little-endian so byte b of a row holds 
 
 def packed_adjacency(g: GeomGraph) -> np.ndarray:
     """The adjacency as (n, ceil(n / 64)) words: row i, word j // 64, bit j % 64."""
-    n = len(g.sample.points)
+    n = len(g.sample.nums)
     packed = np.zeros((n, -(-n // 64)), dtype=_WORD)
     for i, j in (g.edges.T, g.edges.T[::-1]):
         np.bitwise_or.at(packed, (i, j >> 6), np.uint64(1) << (j & 63).astype(np.uint64))
@@ -253,7 +279,7 @@ def distance_matrix(g: GeomGraph) -> np.ndarray:
     The whole-matrix view of `_hop_planes` at cap n - 1, past every path's
     length, so the level n marks exactly the pairs never reached.
     """
-    n = len(g.sample.points)
+    n = len(g.sample.nums)
     levels = _plane_levels(_hop_planes(g, n - 1), 0, n, n)
     levels[levels == n] = -1
     return levels
@@ -293,7 +319,7 @@ def norm_floor_matrix(
     here when not given), in their dtype.  Since floor(x) < k iff x < k for
     integer thresholds, floors decide every strict comparison the audits need.
     """
-    ks, mod = keys or norm_keys(g.sample.ball, g.sample.points)
+    ks, mod = keys or norm_keys(g.sample.ball, g.sample.nums, g.sample.den)
     return projection_distances(ks[start:stop], ks[start:]) // mod
 
 
@@ -317,9 +343,9 @@ def bj_audit(g: GeomGraph, k_max: int) -> BjReport:
     """
     if not 2 <= k_max <= _K_MAX_LIMIT:
         raise OutOfDomain(f"k_max must lie in [2, {_K_MAX_LIMIT}], got {k_max}")
-    n = len(g.sample.points)
+    n = len(g.sample.nums)
     pairs = n * (n - 1) // 2
-    ks, mod = keys = norm_keys(g.sample.ball, g.sample.points)
+    ks, mod = keys = norm_keys(g.sample.ball, g.sample.nums, g.sample.den)
     max_floor = int((ks.max(axis=0) - ks.min(axis=0)).max()) // mod if n > 1 else 0
     cap = max(min(n - 1, max(k_max, max_floor)), 0)
     top = max(k_max, cap)  # clipping floors here changes no comparison below

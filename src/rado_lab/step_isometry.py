@@ -28,7 +28,8 @@ from .errors import (
     NotInjective,
     OutOfDomain,
 )
-from .geometry import PolytopeBall, norm_keys, pairwise_norm_numerators, projection_distances
+from .geometry import PolytopeBall, integer_table, norm_keys, pairwise_norm_numerators
+from .geometry import projection_distances
 from .geometry import norm  # noqa: F401  (perfbench/tracing.py wraps step_isometry.norm)
 from .linalg import Matrix, Vec, vadd, vsub
 
@@ -226,7 +227,7 @@ def verify_step_isometry(
     domain or image points are rejected.  Each side's floors come from its
     `norm_keys`, not from pairwise numerators (178 bits on a rebased image).
     """
-    sides = [norm_keys(ball, side) for side in _injective_sides(pairs)]
+    sides = [norm_keys(ball, *integer_table(side, ball.dim)) for side in _injective_sides(pairs)]
     floors_domain, floors_image = (projection_distances(k, k) // mod for k, mod in sides)
     # Both floor matrices are symmetric with zero diagonals, so the first
     # mismatch in row-major order already has i < j.
@@ -298,10 +299,7 @@ def check_factorization_consistency(
         if induced.setdefault(ux, uy) != uy:
             return False
     zero_w = linalg.zero_vec(decomposition.d_inf)
-    (before, den_b), (after, den_a) = (
-        pairwise_norm_numerators(ball, [decomposition.recompose(u, zero_w) for u in side])
-        for side in (induced.keys(), induced.values())
-    )
-    if den_b != den_a:  # cross-multiplied in Python ints, which cannot overflow
-        before, after = before.astype(object) * den_a, after.astype(object) * den_b
+    sides = [decomposition.recompose(u, zero_w) for u in (*induced.keys(), *induced.values())]
+    nums, den = integer_table(sides, ball.dim)  # one denominator for both sides
+    before, after = (pairwise_norm_numerators(ball, half, den)[0] for half in np.split(nums, 2))
     return np.array_equal(before, after)

@@ -1,6 +1,6 @@
 """`tools/bench_pair.summarize` on synthetic run summaries, where the
-two trees are exported, how `--compiled` prepares and runs them, and what
-`--trace` adds, with the runs stubbed."""
+two trees are exported, how `--compiled` prepares and runs them, what
+`--trace` adds, with the runs stubbed, and the trees' `src/` line counts."""
 
 import importlib.util
 import io
@@ -182,3 +182,22 @@ def test_trace_runs_each_tree_once_after_the_pairs(bench_pair, monkeypatch, tmp_
     assert (cli["base_median"], cli["head_median"]) == pytest.approx((0.12, 0.08))
     assert list(traced["metrics"]) == ["bj_audit.self_s", "cli.self_s"]
     assert "--trace 1 --seed 5+i, i < 3" in report["traced"]
+
+
+def test_src_lines_of_both_trees_are_recorded(bench_pair, monkeypatch, tmp_path, capsys):
+    # `cat src/rado_lab/*.py | wc -l`: newlines of the package's own modules,
+    # a last line without one not counted, and nothing outside the package.
+    files = {
+        "base": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\nw", "sub/c.py": "q\n" * 9},
+        "head": {"a.py": "x = 1\n", "notes.txt": "t\n" * 5, "../other.py": "o\n" * 7},
+    }
+    for side, texts in files.items():
+        for name, text in texts.items():
+            path = tmp_path / side / "src" / "rado_lab" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    _stub_runs(bench_pair, monkeypatch, tmp_path)
+    assert bench_pair.main(["--pr", "s", "--workload", "graph_cube", "--pairs", "4"]) == 0
+    report = json.loads((tmp_path / "BENCH_s.json").read_text())
+    assert report["src_lines"] == {"base": 3, "head": 1}
+    assert "src lines: base 3 head 1\n" in capsys.readouterr().out

@@ -295,6 +295,26 @@ class TestCheckStepIsometry:
         code, out = run_cli(["check-step-isometry", str(ball_path), str(bad)], capsys)
         assert code == 1 and "floors 0 vs 1" in out
 
+    @pytest.mark.parametrize(
+        "pairs, code, out, err",
+        [
+            ([[["0", "0"], ["0", "0"]], [["1/2"], ["1/2", "1"]]], 2, "",
+             "error: DimensionMismatch: points of mixed length in dimension 2\n"),
+            ([], 0, "ok\n", ""),
+            # A domain projection far past int64 against an image one 10**21 finer.
+            ([[["0", "0"], ["0", "0"]], [[f"{2 ** 80}/7", "0"], [f"1/{10 ** 21}", "0"]]], 1,
+             "violation: pair (['0', '0'], ['1208925819614629174706176/7', '0']) -> "
+             "(['0', '0'], ['1/1000000000000000000000', '0']): "
+             "floors 172703688516375596386596 vs 0\n", ""),
+        ],
+        ids=["mixed_length", "empty", "wide"],
+    )
+    def test_point_inputs(self, tmp_path, capsys, pairs, code, out, err):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"pairs": pairs}))
+        got = cli.main(["check-step-isometry", "builtin:square", str(path)])
+        assert (got, *capsys.readouterr()) == (code, out, err)
+
 
 _SPLICE = 987654321987  # an edge index replaced by a raw JSON token
 
@@ -437,6 +457,37 @@ class TestGraphPipeline:
         results = _audit_each(tmp_path, capsys, texts)
         assert results[0] == results[1] == (2, "", f"error: {error}")
 
+    @pytest.mark.parametrize(
+        "last, code, out, err",
+        [
+            (["1/2", "1/3", "1/5"], 2, "",
+             "error: DimensionMismatch: points of mixed length in dimension 2\n"),
+            (["1/2"], 2, "", "error: DimensionMismatch: points of mixed length in dimension 2\n"),
+            ("1/2", 2, "", "error: BadRational: not an exact rational literal: '/'\n"),
+            ([1, 2], 0, "k,pairs,satisfied,fraction\n2,10,3,0.3\n3,10,1,0.1\n", ""),
+        ],
+        ids=["three_coordinates", "one_coordinate", "string", "json_integers"],
+    )
+    def test_point_inputs(self, tmp_path, capsys, payload, last, code, out, err):
+        payload["points"][-1] = last
+        path = tmp_path / "graph.json"
+        path.write_text(_graph_texts(payload)[1])
+        got = cli.main(["bj-audit", "--graph", str(path), "--kmax", "3"])
+        assert (got, *capsys.readouterr()) == (code, out, err)
+
+    def test_points_off_the_grid(self, tmp_path, capsys, payload):
+        # Non-grid literals, one unreduced, are read exactly: the edge (2, 3)
+        # lies at distance 2/3, and no floor is off by a scale.
+        assert payload["edges"] == [[2, 3]]
+        payload["points"] = [["1/3", "-5/7"], ["10/4", "2"], ["7/9", "1/3"], ["10/7", "-1/3"],
+                             ["2", "7/9"]]
+        path = tmp_path / "graph.json"
+        path.write_text(_graph_texts(payload)[1])
+        got = cli.main(["bj-audit", "--graph", str(path), "--kmax", "3"])
+        assert (got, *capsys.readouterr()) == (
+            0, "k,pairs,satisfied,fraction\n2,10,3,0.3\n3,10,1,0.1\n", ""
+        )
+
     def test_truncated_or_nested_block_exits_2(self, tmp_path, capsys, payload):
         payload["edges"] = [[0, 1], [0, 2], [1, 3]]
         texts = [text[: len(text) // 2 + cut] for cut in (0, 7) for text in _graph_texts(payload)]
@@ -526,9 +577,8 @@ class TestGraphPipeline:
     def test_index_widths_within_and_across_chunks(self, rows):
         # Indices cross 9/10, 99/100 and 999/1000 inside one chunk (the
         # default) and at every place a chunk can end (1 to 3 rows each).
-        sample = random_graphs.PointSample(
-            ball=cube_ball(1), points=tuple((Q(i),) for i in range(1001)), window=Q(3),
-            seed=0, typicality=(),
+        sample = random_graphs.PointSample.from_points(
+            cube_ball(1), [(Q(i),) for i in range(1001)], Q(3), 0
         )
         edges = np.array(
             [[0, 1], [8, 9], [9, 10], [10, 11], [5, 99], [98, 99], [99, 100], [7, 100],
@@ -637,11 +687,22 @@ def _edge_arrays(draw):
     return np.array(sorted({(min(p), max(p)) for p in pairs}), dtype=np.int64)
 
 
-def _graph_with_edges(edges: np.ndarray) -> random_graphs.GeomGraph:
-    sample = random_graphs.PointSample(
-        ball=cube_ball(1), points=tuple((Q(i),) for i in range(12)), window=Q(3),
-        seed=0, typicality=(),
-    )
+_TWELVE = random_graphs.PointSample.from_points(cube_ball(1), [(Q(i),) for i in range(12)],
+                                                Q(3), 0)
+
+
+@st.composite
+def _point_samples(draw):
+    """0, 1, 2 or 12 points in the plane as an integer table over a denominator
+    from 1 to 2**70, not reduced: negative, integer and off-grid coordinates."""
+    n, den = draw(st.sampled_from([0, 1, 2, 12])), draw(st.integers(1, 2 ** 70))
+    coord = st.integers(-3 * den, 3 * den) | st.integers(-3, 3).map(lambda k: k * den)
+    nums, den = geometry.integer_table(draw(st.lists(st.tuples(coord, coord), min_size=n,
+                                                     max_size=n)), 2, den)
+    return random_graphs.PointSample(cube_ball(2), nums, den, Q(3), 0, ())
+
+
+def _graph_with_edges(edges: np.ndarray, sample=_TWELVE) -> random_graphs.GeomGraph:
     return random_graphs.GeomGraph(sample=sample, edges=edges, p=Q(1), rng_seed=None)
 
 
@@ -670,17 +731,24 @@ class TestEdgeRowsProperty:
         edit=st.sampled_from(["insert", "delete", "replace"]),
         where=st.floats(0, 1, exclude_max=True),
         byte=st.sampled_from(_MUTATION_BYTES),
+        sample=st.just(_TWELVE) | _point_samples(),
     )
     @example(  # every width, and both sides of each power of ten, in one file
         edges=np.array([[10 ** k - 1, 10 ** k] for k in range(1, 19)] + [[0, 10 ** 18 + 7]]),
-        rows=3, read_bytes=1, edit="replace", where=0.5, byte=ord("9"),
+        rows=3, read_bytes=1, edit="replace", where=0.5, byte=ord("9"), sample=_TWELVE,
     )
-    def test_written_read_and_mutated(self, edges, rows, read_bytes, edit, where, byte):
-        g = _graph_with_edges(edges)
+    def test_written_read_and_mutated(self, edges, rows, read_bytes, edit, where, byte, sample):
+        g = _graph_with_edges(edges, sample)
         with mock.patch.object(cli, "_EDGE_ROWS", rows):
             text = "".join(cli.graph_chunks(g))
-        assert text == json.dumps(cli.graph_to_json(g), sort_keys=True, indent=1) + "\n"
+        # The points as `vec_to_json` writes their Fractions, so the writer's
+        # rendering from the table is pinned off the grid.
+        points = [geometry.vec_to_json(p) for p in g.sample.points]
+        assert text == cli._json_text({**cli.graph_to_json(g), "points": points})
         data = text.encode()
+        # Edges may index past the points, so the points are read back on their own.
+        obj = {**cli._graph_json(data), "edges": []}
+        assert cli.graph_from_json(obj).sample.points == g.sample.points
         start = data.index(cli._EDGES_OPEN) + len(cli._EDGES_OPEN)
         stop = data.index(cli._EDGES_CLOSE, start)
         at = start + int(where * (stop - start))
@@ -709,6 +777,31 @@ def test_readme_graph_is_read_by_numpy():
     text = "".join(cli.graph_chunks(g))
     assert _read_by_numpy(text)
     assert np.array_equal(cli._graph_json(text.encode())["edges"], g.edges)
+
+
+def test_sample_graph_builds_no_fraction_per_point(monkeypatch):
+    # The sampler keeps its numerators, the kernels read them and the writer
+    # renders them, so the README-size run builds exactly the Fractions of a
+    # 20-point one, none per point: those of the ball and its decomposition,
+    # 300 to 400 under Python 3.11, whose Fraction arithmetic goes through
+    # `__new__`.  Points held as Fractions made 2 per coordinate more (4,402
+    # in all).  The first run fills the decomposition's extreme-line cache,
+    # so it is not counted.
+    made = [0]
+    new = Q.__new__
+
+    def counted(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counted))
+    counts = {}
+    for n in (20, 20, 2000):
+        made[0] = 0
+        assert cli.main(["sample-graph", "--ball", "builtin:cube_2", "--n", str(n), "--window",
+                         "3", "--p", "1/2", "--seed", "0", "--out", os.devnull]) == 0
+        counts[n] = made[0]
+    assert counts[2000] == counts[20] < 2000 // 4
 
 
 def test_graph_file_memory_is_bounded(tmp_path):

@@ -33,6 +33,7 @@ from rado_lab.geometry import (
     cube_ball,
     hexagon_ball,
     hexagonal_prism_ball,
+    integer_table,
     l1_plane_ball,
     norm,
     pairwise_norm_numerators,
@@ -309,7 +310,7 @@ def _reference_linear_isometry_group(ball):
     vs = ball.vertices
     d = ball.dim
     basis = linalg.independent_subset(vs, limit=d)
-    dist = pairwise_norm_numerators(ball, vs)[0].tolist()
+    dist = pairwise_norm_numerators(ball, *integer_table(vs, d))[0].tolist()
     index = {x: i for i, x in enumerate(vs)}
     basis_idx = [index[b] for b in basis]
     basis_cols_inv = linalg.invert(linalg.transpose(basis))

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from rado_lab.geometry import (
     square_ball,
     validate_ball,
 )
+from rado_lab.grid import INT64_BOUND
 from rado_lab.linalg import vadd, vneg, vscale, vsub
 
 
@@ -166,7 +168,7 @@ class TestNorm:
         big = 2 ** 70 + 1
         pts = [tuple(Q(rng.randrange(-3 * big, 3 * big), big) for _ in range(2)) for _ in range(6)]
         for ball in (hexagon_ball(), cube_ball(2)):
-            nums, den = geometry.pairwise_norm_numerators(ball, pts)
+            nums, den = geometry.pairwise_norm_numerators(ball, *geometry.integer_table(pts, 2))
             assert nums.dtype == object
             for i in range(6):
                 for j in range(6):
@@ -244,6 +246,38 @@ class TestMembership:
 
     def test_radius_zero(self):
         assert closed_ball_membership(square_ball(), v(Q(1, 3), 0), Q(0), v(Q(1, 3), 0))
+
+
+class TestIntegerTable:
+    # The one int64 rule: every numerator and the denominator below INT64_BOUND.
+    @pytest.mark.parametrize("points, den, dtype", [
+        ([(INT64_BOUND - 1, -(INT64_BOUND - 1))], 1, np.int64),
+        ([(INT64_BOUND, 0)], 1, object),
+        ([(0, -INT64_BOUND)], 1, object),
+        ([(1, 0)], INT64_BOUND - 1, np.int64),
+        ([(1, 0)], INT64_BOUND, object),
+        ([(Q(1, INT64_BOUND), 0)], 1, object),
+    ])
+    def test_int64_iff_numerators_and_denominator_fit(self, points, den, dtype):
+        nums, got = geometry.integer_table(points, 2, den)
+        assert nums.dtype == dtype and nums.shape == (1, 2)
+        assert geometry.table_points(nums, got) == (tuple(Q(c) / den for c in points[0]),)
+
+    def test_coordinates_are_divided_by_den(self):
+        # Integer numerators over a grid's denominator need no Fraction;
+        # Fractions among them widen the denominator to the lcm.
+        nums, den = geometry.integer_table([(3, Q(1, 3)), (-2, 0)], 2, 4)
+        assert (nums.tolist(), den) == ([[9, 1], [-6, 0]], 12)
+
+    def test_empty_and_mixed_inputs(self):
+        nums, den = geometry.integer_table([], 3)
+        assert (nums.shape, nums.dtype, den) == ((0, 3), np.int64, 1)
+        with pytest.raises(DimensionMismatch, match="points of mixed length in dimension 2"):
+            geometry.integer_table([v(1, 2), v(1)], 2)
+
+    def test_text_is_the_fraction_text(self):
+        nums = np.array([[10, -5, 0, 4, 3]])
+        assert geometry.table_to_json(nums, 4) == [["5/2", "-5/4", "0", "1", "3/4"]]
 
 
 class TestJson:

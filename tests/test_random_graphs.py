@@ -37,9 +37,7 @@ def v(*coords):
 
 def line_sample(*ws):
     ball = cube_ball(1)
-    return PointSample(
-        ball=ball, points=tuple(v(w) for w in ws), window=Q(4), seed=0, typicality=()
-    )
+    return PointSample.from_points(ball, [v(w) for w in ws], Q(4), 0)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +51,24 @@ def g0(linf2):
     ball, dec = linf2
     s = sample_typical_points(ball, dec, Q(3), 150, seed=41)
     return unit_graph(s)
+
+
+class TestPointSample:
+    def test_samples_of_the_same_points_are_equal(self, linf2):
+        ball, dec = linf2
+        s = sample_typical_points(ball, dec, Q(2), 6, seed=5)
+        again = PointSample.from_points(ball, s.points, Q(2), 5, s.typicality)
+        # The same points over a denominator three times as fine.
+        finer = PointSample(ball, s.nums * 3, s.den * 3, Q(2), 5, s.typicality)
+        assert s.den == DEN and again.den == DEN and again.nums.tolist() == s.nums.tolist()
+        assert s == again == finer and len({s, again, finer}) == 1
+        moved = PointSample.from_points(ball, s.points[:-1] + (v(0, 0),), Q(2), 5, s.typicality)
+        assert s != moved and s != PointSample.from_points(ball, s.points, Q(2), 6, s.typicality)
+
+    def test_table_is_read_only(self, linf2):
+        s = sample_typical_points(*linf2, Q(2), 3, seed=5)
+        with pytest.raises(ValueError):
+            s.nums[0, 0] = 1
 
 
 class TestSampler:
@@ -210,7 +226,7 @@ class TestUnitGraph:
         scaled = validate_ball([tuple(c * (1 + Q(1, 2 ** 40)) for c in u)
                                 for u in hexagon_ball().vertices])
         for ball in (hexagon_ball(), cube_ball(2), scaled):
-            s = PointSample(ball=ball, points=pts, window=Q(2), seed=0, typicality=())
+            s = PointSample.from_points(ball, pts, Q(2), 0)
             g = unit_graph(s)
             floors = norm_floor_matrix(g)
             assert floors.dtype == np.int64
@@ -395,7 +411,7 @@ def _audit_graph(name):
         pts = tuple(
             tuple(Q(rng.randrange(0, 6 * big), big) for _ in range(2)) for _ in range(20)
         )
-        s = PointSample(ball=hexagon_ball(), points=pts, window=Q(6), seed=0, typicality=())
+        s = PointSample.from_points(hexagon_ball(), pts, Q(6), 0)
         return bernoulli_subgraph(unit_graph(s), Q(2, 3), seed=4)
     if name == "random_edges":  # 150 points, edges regardless of norm: violations at hops 1 to 8
         ball = cube_ball(1)

@@ -22,6 +22,7 @@ from rado_lab.geometry import (
     cube_ball,
     hexagon_ball,
     hexagonal_prism_ball,
+    integer_table,
     norm,
     norm_keys,
     norm_projections,
@@ -251,7 +252,7 @@ VERIFY_BALLS = [cube_ball(1), cube_ball(3), hexagon_ball(), hexagonal_prism_ball
 
 def key_floors(ball, pts):
     """floor(norm(p_i - p_j)) read from the points' floor keys, and the keys' dtype."""
-    keys, mod = norm_keys(ball, pts)
+    keys, mod = norm_keys(ball, *integer_table(pts, ball.dim))
     return projection_distances(keys, keys) // mod, keys.dtype
 
 
@@ -260,7 +261,7 @@ class TestVerify:
     @given(ball=st.sampled_from(VERIFY_BALLS), data=st.data())
     def test_floors_match_the_pairwise_numerators(self, ball, data):
         pts = data.draw(mixed_points(ball.dim, data.draw(st.integers(0, 12))))
-        nums, den = pairwise_norm_numerators(ball, pts)
+        nums, den = pairwise_norm_numerators(ball, *integer_table(pts, ball.dim))
         assert np.array_equal(key_floors(ball, pts)[0], nums // den)
 
     # A point just off 1/2, over 2**71, makes every projection a Python int,
@@ -275,15 +276,15 @@ class TestVerify:
     def test_floors_with_tied_fractions(self, far, dtype):
         # 1/3, 4/3, -2/3 and far + 1/3 share a fractional part.
         pts = [v(Q(1, 3)), v(Q(4, 3)), v(Q(-2, 3)), v(Q(1, 2) + Q(1, 2 ** 71)), v(far + Q(1, 3))]
-        nums, den = pairwise_norm_numerators(cube_ball(1), pts)
+        nums, den = pairwise_norm_numerators(cube_ball(1), *integer_table(pts, 1))
         floors, key_dtype = key_floors(cube_ball(1), pts)
         assert nums.dtype == object and (key_dtype == np.int64) == ((far + 2) * 5 < INT64_BOUND)
         assert key_dtype == dtype and np.array_equal(floors, nums // den)
 
     def test_an_int64_projection_table_is_its_own_key_table(self):
         pts = [v(Q(1, 3)), v(Q(4, 3)), v(2 ** 60 + Q(1, 3))]
-        ys, den = norm_projections(cube_ball(1), pts)
-        keys, mod = norm_keys(cube_ball(1), pts)
+        ys, den = norm_projections(cube_ball(1), *integer_table(pts, 1))
+        keys, mod = norm_keys(cube_ball(1), *integer_table(pts, 1))
         assert ys.dtype == np.int64 and (mod, keys.tolist()) == (den, ys.tolist())
 
     @settings(max_examples=60, deadline=None)
@@ -293,7 +294,8 @@ class TestVerify:
         ys = data.draw(mixed_points(ball.dim, len(xs)))
         xs = xs[: len(ys)]
         fd, fi = (nums // den for nums, den in
-                  (pairwise_norm_numerators(ball, xs), pairwise_norm_numerators(ball, ys)))
+                  (pairwise_norm_numerators(ball, *integer_table(pts, ball.dim))
+                   for pts in (xs, ys)))
         bad = [(i, j) for i in range(len(xs)) for j in range(i + 1, len(xs))
                if fd[i, j] != fi[i, j]]
         check = verify_step_isometry(ball, list(zip(xs, ys)))

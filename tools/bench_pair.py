@@ -24,7 +24,9 @@ The result, `BENCH_<pr>.json` at the repository root, holds for every
 workload and end-to-end metric both sides' runs and medians, the
 interquartile range of the base runs, and how many pairs the working tree
 won (lower is better for every end-to-end metric), plus the failed
-command count of every run.
+command count of every run.  It also records `src_lines`, each tree's
+`cat src/rado_lab/*.py | wc -l`, the size figure the ROADMAP quotes, so
+the size of `src/` is measured by the same script as its speed.
 
 Each run starts from trees without bytecode caches.  With `--compiled`,
 both trees are compiled first (`compileall`) and the runs go without
@@ -99,6 +101,11 @@ def prepare_tree(tree: Path, compiled: bool) -> None:
         shutil.rmtree(cache)
     if compiled and not compileall.compile_dir(tree, quiet=1):
         raise SystemExit(f"compileall failed in {tree}")
+
+
+def src_lines(tree: Path) -> int:
+    """The newline count of the tree's `src/rado_lab/*.py` files, as `cat | wc -l` gives it."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "rado_lab").glob("*.py"))
 
 
 def run_env(compiled: bool) -> dict:
@@ -209,8 +216,11 @@ def main(argv=None) -> int:
                    "alternated like the pairs" if args.trace else None),
         "pairs": args.pairs,
         "seeds": [args.seed + i for i in range(args.pairs)],
+        "src_lines": {"base": src_lines(base_tree), "head": src_lines(head_tree)},
         "workloads": {},
     }
+    print(f"src lines: base {report['src_lines']['base']} head {report['src_lines']['head']}",
+          flush=True)
     trees = {"base": base_tree, "head": head_tree}
     for workload in workloads:
         runs = alternated_runs(trees, workload, report["seeds"], env)
