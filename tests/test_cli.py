@@ -585,12 +585,26 @@ class TestGraphPipeline:
              [100, 101], [998, 999], [999, 1000], [0, 1000], [3, 4]]
         )
         g = random_graphs.GeomGraph(sample=sample, edges=edges, p=Q(1), rng_seed=None)
-        with mock.patch.object(cli, "_EDGE_ROWS", rows):
-            text = "".join(cli.graph_chunks(g))
-        assert text == json.dumps(cli.graph_to_json(g), sort_keys=True, indent=1) + "\n"
-        for read_bytes in (1, cli._READ_BYTES):
-            with mock.patch.object(cli, "_READ_BYTES", read_bytes):
-                assert cli._graph_json(text.encode())["edges"].tolist() == edges.tolist()
+        # Past 9,999 an index is wider than 4 digits: 100,001 points on the
+        # line, crossing 9,999/10,000 and 99,999/100,000.
+        wide = random_graphs.GeomGraph(
+            sample=random_graphs.PointSample(
+                cube_ball(1), np.arange(100_001).reshape(-1, 1), 1, Q(3), 0, ()
+            ),
+            edges=np.array(
+                [[0, 1], [9998, 9999], [9999, 10000], [10000, 10001], [5, 9999], [7, 10000],
+                 [99_998, 99_999], [99_999, 100_000], [0, 100_000], [9999, 99_999], [3, 4]]
+            ),
+            p=Q(1), rng_seed=None,
+        )
+        for g in (g, wide):
+            with mock.patch.object(cli, "_EDGE_ROWS", rows):
+                text = "".join(cli.graph_chunks(g))
+            assert text == cli._json_text(cli.graph_to_json(g))
+            for read_bytes in (1, cli._READ_BYTES):
+                with mock.patch.object(cli, "_READ_BYTES", read_bytes):
+                    got = cli._graph_json(text.encode())["edges"]
+                    assert isinstance(got, np.ndarray) and got.tolist() == g.edges.tolist()
 
     def test_sample_graph_stdout_is_the_out_file(self, tmp_path, capsys):
         argv = ["sample-graph", "--ball", "builtin:cube_2", "--n", "200", "--window", "3",
