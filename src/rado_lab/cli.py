@@ -184,65 +184,42 @@ _SLOT_STARTS = np.array([len(b",\n" + _ROW_PIECES[0]), len(_ROW_PIECES[1])])
 _SLOT_ENDS = np.array([0, _ROW_PIECES[2].index(b",")])
 _EDGE_ROWS = 1 << 14  # edges written per chunk
 _READ_BYTES = 1 << 18  # bytes of the edges block read per chunk, up to the next row seam
-_TABLE_DIGITS = 4  # digits per digit-table entry: a wider index takes one entry per 4 digits
 # Built from Python lists: the code pages of a numpy loop first run at import
 # would count towards every process's peak resident set.
 _DIGIT = np.array([int(chr(b)) if chr(b) in "0123456789" else 10 for b in range(256)])
 _REPUNIT = np.array([(10 ** k - 1) // 9 for k in range(19)])  # k ones at [k]
 
 
-def _digit_tables(top: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """`(last, upper)`: tables of `size`-byte entries that write each index
-    0..`top` `size` digits at a time.
-
-    With q an index's digits down to one group, the group is entry q when
-    q < 10**size (v right-aligned and NUL-padded at v), else entry
-    10**size + q % 10**size (v's `size` digits, zeros included).  An index's
-    last group takes `last`; its groups before take `upper`, whose entry 0 is
-    all NULs: no digit yet, where the last group writes a lone 0.
-    """
-    base = 10 ** size
-    entries = [str(v).encode().rjust(size, b"\0") for v in range(min(top + 1, base))]
-    if top >= base:
-        entries += [str(v).encode().zfill(size) for v in range(base)]
-    last = np.frombuffer(b"".join(entries), dtype=f"V{size}")
-    upper = last.copy()
-    upper[0] = bytes(size)
-    return last, upper
-
-
 def graph_chunks(g: random_graphs.GeomGraph) -> Iterator[str]:
     """The graph file, byte for byte `_json_text(graph_to_json(g))`, in pieces: the
     text up to the edge rows, the rows `_EDGE_ROWS` edges at a time, then the rest.
-    A chunk is one record per edge in numpy: `_EDGE_ROW`'s fixed pieces, and each
-    index gathered from `_digit_tables` into a NUL-padded field, whose NULs are
-    then squeezed out.
+    A chunk is one record per edge in numpy: `_EDGE_ROW`'s fixed pieces around two
+    index fields taken from one table per file, the text of every index up to the
+    largest, right-aligned and NUL-padded to its width; the NULs are then squeezed
+    out.  An index not below the point count raises `BadGraph` before any piece,
+    so the table has at most one entry per point.
     """
+    top, n = int(g.edges.max(initial=-1)), len(g.sample.nums)
+    if top >= n:
+        raise BadGraph(f"edge index {top} is not below the {n} points")
     text = _json_text({**_graph_fields(g), "edges": []})
     if not len(g.edges):
         yield text
         return
     head, tail = text.split('\n "edges": []', 1)  # a one-space indent is top level
     yield head + _EDGES_OPEN.decode()
-    top = int(g.edges.max())
     width = len(str(top))
-    size = min(width, _TABLE_DIGITS)
-    groups, base = -(-width // size), 10 ** size
-    last, upper = _digit_tables(top, size)
+    entries = b"".join(str(v).encode().rjust(width, b"\0") for v in range(top + 1))
+    table = np.frombuffer(entries, dtype=f"V{width}")
     lengths = [f"V{len(piece)}" for piece in _ROW_PIECES]
-    row = np.dtype([("open", lengths[0]), ("i", f"V{size}", groups), ("mid", lengths[1]),
-                    ("j", f"V{size}", groups), ("close", lengths[2])])
-    template = np.frombuffer(_EDGE_ROW % ((bytes(size * groups),) * 2), dtype=row)
+    row = np.dtype([("open", lengths[0]), ("i", f"V{width}"), ("mid", lengths[1]),
+                    ("j", f"V{width}"), ("close", lengths[2])])
+    template = np.frombuffer(_EDGE_ROW % ((bytes(width),) * 2), dtype=row)
     block = np.repeat(template, min(len(g.edges), _EDGE_ROWS))
     for at in range(0, len(g.edges), _EDGE_ROWS):
         chunk = g.edges[at : at + _EDGE_ROWS]
         rows = block[: len(chunk)]
-        for field, q in zip("ij", chunk.T):
-            for k in reversed(range(groups)):  # q: the index's digits down to group k
-                key = q if k == 0 else np.where(q < base, q, base + q % base)
-                rows[field][:, k] = (last if k == groups - 1 else upper).take(key)
-                if k:
-                    q = q // base
+        rows["i"], rows["j"] = table.take(chunk[:, 0]), table.take(chunk[:, 1])
         flat = rows.view(np.uint8)
         text = flat[flat != 0].tobytes().decode()
         yield text if at + _EDGE_ROWS < len(g.edges) else text[: -len(",\n")]

@@ -3,9 +3,10 @@
 A small two-phase primal simplex with Bland's rule.  Bland's rule makes
 termination unconditional, with no perturbation or tolerance anywhere;
 all pivots are exact Fraction arithmetic.  Problem sizes in this library
-are tiny (tens of variables), so simplicity beats speed.  No runtime path
-solves a linear program: the LP gauge, hull and face tests built on this
-module are the references the tests check the facet certificates against.
+are tiny (tens of variables), so simplicity beats speed.  No CLI command
+solves a linear program.  The exported `geometry.is_extreme_point` and
+`geometry.is_extreme_via_balls` do when called; the LP gauge, hull and face
+tests built on this module are the references the tests check against.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rado_lab import back_forth, cli, decomposition, geometry, lp, random_graphs
 from rado_lab.errors import (
-    BadRational, OutOfDomain, RadoLabError, UnknownBuiltin, UnknownSubcommand,
+    BadGraph, BadRational, OutOfDomain, RadoLabError, UnknownBuiltin, UnknownSubcommand,
 )
 from rado_lab.geometry import ball_to_json, cube_ball
 
@@ -585,8 +585,8 @@ class TestGraphPipeline:
              [100, 101], [998, 999], [999, 1000], [0, 1000], [3, 4]]
         )
         g = random_graphs.GeomGraph(sample=sample, edges=edges, p=Q(1), rng_seed=None)
-        # Past 9,999 an index is wider than 4 digits: 100,001 points on the
-        # line, crossing 9,999/10,000 and 99,999/100,000.
+        # Indices of 5 and 6 digits too: 100,001 points on the line,
+        # crossing 9,999/10,000 and 99,999/100,000.
         wide = random_graphs.GeomGraph(
             sample=random_graphs.PointSample(
                 cube_ball(1), np.arange(100_001).reshape(-1, 1), 1, Q(3), 0, ()
@@ -751,14 +751,20 @@ class TestEdgeRowsProperty:
         edges=np.array([[10 ** k - 1, 10 ** k] for k in range(1, 19)] + [[0, 10 ** 18 + 7]]),
         rows=3, read_bytes=1, edit="replace", where=0.5, byte=ord("9"), sample=_TWELVE,
     )
+    @example(  # within the points, so written by `graph_chunks`: widths 1 and 2, a row a chunk
+        edges=np.array([[0, 1], [8, 9], [9, 10], [0, 11]]),
+        rows=1, read_bytes=1, edit="delete", where=0.5, byte=ord("9"), sample=_TWELVE,
+    )
     def test_written_read_and_mutated(self, edges, rows, read_bytes, edit, where, byte, sample):
         g = _graph_with_edges(edges, sample)
-        with mock.patch.object(cli, "_EDGE_ROWS", rows):
-            text = "".join(cli.graph_chunks(g))
-        # The points as `vec_to_json` writes their Fractions, so the writer's
-        # rendering from the table is pinned off the grid.
+        text = cli._json_text(cli.graph_to_json(g))
+        # The points as `vec_to_json` writes their Fractions, so the rendering
+        # from the table, which `graph_chunks` shares, is pinned off the grid.
         points = [geometry.vec_to_json(p) for p in g.sample.points]
         assert text == cli._json_text({**cli.graph_to_json(g), "points": points})
+        if edges.max() < len(sample.nums):  # the writer takes only the graph's own indices
+            with mock.patch.object(cli, "_EDGE_ROWS", rows):
+                assert "".join(cli.graph_chunks(g)) == text
         data = text.encode()
         # Edges may index past the points, so the points are read back on their own.
         obj = {**cli._graph_json(data), "edges": []}
@@ -778,6 +784,16 @@ class TestEdgeRowsProperty:
             read = _read_back(edited)
             with mock.patch.object(cli, "_edge_block", lambda *args: None):
                 assert read == _read_back(edited)
+
+
+def test_writer_refuses_an_index_past_the_points():
+    # The index table holds one entry per point, so an index equal to the
+    # point count is refused before any text is made.
+    chunks = cli.graph_chunks(_graph_with_edges(np.array([[0, 5], [3, 12]])))
+    with pytest.raises(BadGraph, match="edge index 12 is not below the 12 points"):
+        next(chunks)
+    g = _graph_with_edges(np.array([[0, 5], [3, 11]]))
+    assert "".join(cli.graph_chunks(g)) == cli._json_text(cli.graph_to_json(g))
 
 
 def test_readme_graph_is_read_by_numpy():
